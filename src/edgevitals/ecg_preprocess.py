@@ -1,12 +1,11 @@
 """Baseline-wander removal and wavelet denoising for raw ECG."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.signal import butter, sosfilt, sosfiltfilt
 
-from ._kernels import down_convolve, up_convolve_add
 from .signal_core import SampledSignal, SignalKind
 
 __all__ = [
@@ -133,8 +132,10 @@ def remove_baseline_poly(signal, knots):
 
 
 def _dwt_step(x):
+    # out[k] = sum_m ext[2k+1+m] * fr[m], the odd outputs of a correlation
     ext = np.pad(x, (_TAPS - 1, _TAPS - 1), mode="symmetric")
-    return down_convolve(ext, _DEC_LO_R), down_convolve(ext, _DEC_HI_R)
+    return (np.correlate(ext, _DEC_LO_R, "valid")[1::2],
+            np.correlate(ext, _DEC_HI_R, "valid")[1::2])
 
 
 def _idwt_step(a, d, out_len):
@@ -142,7 +143,7 @@ def _idwt_step(a, d, out_len):
     ua[::2] = a
     ud = np.zeros(2 * len(d) - 1)
     ud[::2] = d
-    y = up_convolve_add(ua, ud, DB4_REC_LO, DB4_REC_HI)
+    y = np.convolve(ua, DB4_REC_LO) + np.convolve(ud, DB4_REC_HI)
     return y[_TAPS - 2: len(y) - (_TAPS - 2)][:out_len]
 
 
@@ -202,11 +203,4 @@ def denoise_samples(samples, levels=4, threshold_mode="soft"):
             new_details.append(np.sign(d) * np.maximum(np.abs(d) - threshold, 0.0))
         else:
             new_details.append(np.where(np.abs(d) > threshold, d, 0.0))
-    thresholded = WaveletDecomposition(
-        approximation=dec.approximation,
-        details=tuple(new_details),
-        levels=dec.levels,
-        original_length=dec.original_length,
-        level_input_lengths=dec.level_input_lengths,
-    )
-    return idwt_db4(thresholded)
+    return idwt_db4(replace(dec, details=tuple(new_details)))

@@ -1,7 +1,8 @@
 """Per-patient batch pipeline: signals -> features -> rules -> message.
 
 Steps (each optional input skips its branch):
-  1. ECG: baseline removal, wavelet denoise, QRS with the configured
+  1. ECG: baseline removal, one wavelet denoise whose output feeds both
+     Pan-Tompkins and the spike annotator, QRS with the configured
      detector plus a cross-check against the other one, RR series, HRV
      features, trailing-60 s mean heart rate injected into the store as a
      HEART_RATE measurement so rules can see it.
@@ -27,7 +28,13 @@ from . import hrv
 from .classify.metrics import predict_any
 from .classify.schema import CATEGORICAL, FeatureVector, patient_schema
 from .classify.weighted import weighted_index
-from .ecg_preprocess import remove_baseline_linear, remove_baseline_poly, select_pq_knots, wavelet_denoise
+from .ecg_preprocess import (
+    HighPassSpec,
+    remove_baseline_linear,
+    remove_baseline_poly,
+    select_pq_knots,
+    wavelet_denoise,
+)
 from .errors import NoDataError
 from .messaging import (
     OutboundMessage,
@@ -38,11 +45,11 @@ from .messaging import (
 )
 from .qrs_detect import (
     BeatLabel,
+    annotate_spikes,
     annotations_to_csv,
     mean_heart_rate,
     pan_tompkins,
     rr_from_peaks,
-    wavelet_qrs,
 )
 from .respiration import respiration_rate, volume_features
 from .rules import (
@@ -104,7 +111,8 @@ def read_measurements_csv(path, patient_id):
 def _ecg_features(signal, cfg, features):
     pre = cfg["preprocess"]
     if pre["baseline_method"] == "linear":
-        cleaned = remove_baseline_linear(signal)
+        cleaned = remove_baseline_linear(signal, HighPassSpec(
+            cutoff_hz=pre["highpass_cutoff_hz"], order=pre["highpass_order"]))
     else:
         rough = pan_tompkins(signal)
         knots = select_pq_knots(signal, rough)
@@ -113,9 +121,8 @@ def _ecg_features(signal, cfg, features):
                           threshold_mode=pre["threshold_mode"])
     qcfg = cfg["qrs"]
     pt_peaks = pan_tompkins(den)
-    annotations = wavelet_qrs(
-        cleaned, levels=pre["wavelet_levels"], threshold_mode=pre["threshold_mode"],
-        spike_fraction=qcfg["spike_fraction"], qrs_min_ms=qcfg["qrs_min_ms"],
+    annotations = annotate_spikes(
+        den, spike_fraction=qcfg["spike_fraction"], qrs_min_ms=qcfg["qrs_min_ms"],
         qrs_max_ms=qcfg["qrs_max_ms"], artifact_threshold=qcfg["artifact_threshold"])
     wv_peaks = [a.r_peak for a in annotations if a.label is BeatLabel.QRS]
     n_pt, n_wv = len(pt_peaks), len(wv_peaks)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import butter, find_peaks, sosfiltfilt
 
-from ._kernels import moving_average
 from .ecg_preprocess import denoise_samples
 from .errors import NoDataError
 
@@ -21,6 +20,7 @@ __all__ = [
     "RRSeries",
     "pan_tompkins",
     "wavelet_qrs",
+    "annotate_spikes",
     "rr_from_peaks",
     "mean_heart_rate",
     "annotations_to_csv",
@@ -133,6 +133,18 @@ def mean_heart_rate(rr, window_s=60.0, now_ms=None):
     return 60000.0 / float(np.mean(rr.intervals_ms[mask]))
 
 
+def _moving_average(x, w):
+    """Centred w-sample mean with zero padding, from a running sum."""
+    n = len(x)
+    off = (w - 1) // 2
+    xp = np.zeros(n + w - 1)
+    xp[w - 1 - off: w - 1 - off + n] = x
+    cum = np.empty(n + w)
+    cum[0] = 0.0
+    np.cumsum(xp, out=cum[1:])
+    return (cum[w:] - cum[:n]) / w
+
+
 def _validate_detector_input(signal):
     if signal.rate_hz < 100:
         raise ValueError("detector requires rate_hz >= 100")
@@ -159,7 +171,7 @@ def pan_tompkins(signal):
     sos_hi = butter(2, 5.0, btype="highpass", fs=fs, output="sos")
     bp = sosfiltfilt(sos_hi, sosfiltfilt(sos_lo, xn))
     deriv = np.convolve(bp, np.array([1.0, 2.0, 0.0, -2.0, -1.0]) * (fs / 8.0), mode="same")
-    mwi = moving_average(np.ascontiguousarray(deriv * deriv), max(1, int(round(0.150 * fs))))
+    mwi = _moving_average(deriv * deriv, max(1, int(round(0.150 * fs))))
 
     refractory = int(round(0.200 * fs))
     cand, _ = find_peaks(mwi, distance=refractory)
@@ -268,7 +280,18 @@ def pan_tompkins(signal):
 
 def wavelet_qrs(signal, levels=4, threshold_mode="soft", spike_fraction=0.20,
                 qrs_min_ms=50.0, qrs_max_ms=150.0, artifact_threshold=0.15):
-    """Annotate contiguous supra-threshold spikes of the denoised signal.
+    """Wavelet-denoise a raw ECG (`denoise_samples` with levels and
+    threshold_mode), then label its spikes with `annotate_spikes`. A caller
+    that already holds the denoised signal calls `annotate_spikes` on it
+    instead, so the record is not denoised twice."""
+    _validate_detector_input(signal)
+    den = signal.replace_samples(denoise_samples(signal.samples, levels, threshold_mode))
+    return annotate_spikes(den, spike_fraction, qrs_min_ms, qrs_max_ms, artifact_threshold)
+
+
+def annotate_spikes(denoised, spike_fraction=0.20, qrs_min_ms=50.0, qrs_max_ms=150.0,
+                    artifact_threshold=0.15):
+    """Annotate contiguous supra-threshold spikes of a denoised signal.
 
     The scan threshold is spike_fraction * max|denoised|. A spike whose
     duration falls outside [qrs_min_ms, qrs_max_ms] is NOISE; one whose
@@ -277,8 +300,8 @@ def wavelet_qrs(signal, levels=4, threshold_mode="soft", spike_fraction=0.20,
     pq_junction / j_point are the crossing samples just outside the
     supra-threshold run; spikes truncated by the record edge are NOISE.
     """
-    _validate_detector_input(signal)
-    den = denoise_samples(signal.samples, levels, threshold_mode)
+    _validate_detector_input(denoised)
+    den = denoised.samples
     mx = np.max(np.abs(den))
     if mx <= 0:
         return []
@@ -291,7 +314,7 @@ def wavelet_qrs(signal, levels=4, threshold_mode="soft", spike_fraction=0.20,
         starts.insert(0, 0)
     if above[-1]:
         ends.append(len(den))
-    fs = signal.rate_hz
+    fs = denoised.rate_hz
     annotations = []
     for s, e in zip(starts, ends):
         r = s + int(np.argmax(np.abs(den[s:e])))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_ecg, write_signal_csv
+from edgevitals import ecg_preprocess, pipeline, qrs_detect
 from edgevitals.classify import (
     Attribute,
     ClassLabel,
@@ -15,6 +16,7 @@ from edgevitals.classify import (
     train_decision_tree,
 )
 from edgevitals.config import config_from_dict, default_config, load_config
+from edgevitals.ecg_preprocess import HighPassSpec, remove_baseline_linear
 from edgevitals.messaging import TransmissionDecision, parse_message_xml
 from edgevitals.pipeline import run_patient, read_measurements_csv
 from edgevitals.rules import (
@@ -212,6 +214,43 @@ class TestPipelineEcg:
         assert result.report["prediction"] == "WORSENING"
         msg = parse_message_xml(result.message_xml)
         assert ("predicted_severity", "WORSENING") in msg.features
+
+
+class TestPipelineEcgStages:
+    def test_denoise_runs_once_per_record(self, tmp_path, monkeypatch):
+        calls = []
+        real = ecg_preprocess.denoise_samples
+
+        def counting(samples, *args, **kwargs):
+            calls.append(len(samples))
+            return real(samples, *args, **kwargs)
+
+        # both modules bind the name; a second denoise from either shows
+        monkeypatch.setattr(ecg_preprocess, "denoise_samples", counting)
+        monkeypatch.setattr(qrs_detect, "denoise_samples", counting)
+        run_ecg_patient(tmp_path, bpm=70)
+        assert calls == [15000]
+
+    def test_highpass_config_reaches_baseline_removal(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(signal, spec=None):
+            out = remove_baseline_linear(signal, spec)
+            seen.append((signal, out.samples))
+            return out
+
+        monkeypatch.setattr(pipeline, "remove_baseline_linear", spy)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        run_ecg_patient(tmp_path / "a", bpm=70)
+        cfg = config_from_dict({"preprocess": {"highpass_cutoff_hz": 3.0,
+                                               "highpass_order": 3}})
+        run_ecg_patient(tmp_path / "b", bpm=70, config=cfg)
+        (signal, default), (_, custom) = seen
+        assert np.array_equal(default, remove_baseline_linear(signal).samples)
+        assert np.array_equal(
+            custom, remove_baseline_linear(signal, HighPassSpec(3.0, 3)).samples)
+        assert not np.allclose(default, custom)
 
 
 class TestPipelineIndices:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from edgevitals.ecg_preprocess import wavelet_denoise
 from edgevitals.errors import NoDataError
 from edgevitals.qrs_detect import (
     BeatLabel,
     RRSeries,
+    annotate_spikes,
     annotations_to_csv,
     mean_heart_rate,
     pan_tompkins,
@@ -160,6 +162,15 @@ class TestWaveletQrs:
         anns = wavelet_qrs(ecg_signal(x))
         assert anns[0].label is BeatLabel.NOISE
         assert anns[0].pq_junction == 0
+
+    @pytest.mark.parametrize("snr_db", [None, 5.0])
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_equals_annotating_the_denoised_signal(self, snr_db, mode):
+        x, _ = synth_ecg(75, duration_s=30.0, snr_db=snr_db, seed=3)
+        sig = ecg_signal(x)
+        anns = wavelet_qrs(sig, threshold_mode=mode)
+        assert anns
+        assert anns == annotate_spikes(wavelet_denoise(sig, threshold_mode=mode))
 
 
 class TestAnnotationsCsv:
