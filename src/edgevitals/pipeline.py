@@ -59,8 +59,7 @@ from .rules import (
     MeasurementKind,
     MeasurementRecord,
     Severity,
-    evaluate,
-    evaluation_report,
+    evaluate_with_report,
     report_to_json_line,
 )
 from .signal_core import SignalKind, read_signal_csv
@@ -202,14 +201,14 @@ def _index_alert(rule_id, model, named_records, patient_id, now_ms):
     )
 
 
-def _feature_vector(features, named_records, store, patient_id, now_ms):
+def _feature_vector(features, named_records, history):
     schema = patient_schema()
     mapping = {}
     for name in FEATURE_COLUMNS:
         if name in features:
             mapping[name] = features[name]
     latest = {}
-    for rec in store.records(patient_id, until_ms=now_ms):
+    for rec in history:
         if rec.kind is MeasurementKind.BODY_WEIGHT:
             latest["body_weight_kg"] = rec.value
         elif rec.kind is MeasurementKind.GLUCOSE:
@@ -255,30 +254,14 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
 
     disease = None if cfg.disease is None else DiseaseScope(cfg.disease)
     history = store.records(patient_id, until_ms=now_ms)
-    report = evaluation_report(ruleset, history, patient_id, now_ms, disease)
-    alerts = list(evaluate(ruleset, history, patient_id, now_ms, disease))
-
-    named_records = {}
-    for rec in history:
-        if rec.name:
-            named_records[rec.name] = rec
+    named_records = {rec.name: rec for rec in history if rec.name}
     stress_index, stress_alert = _index_alert(
         "stress-index", cfg.stress_model(), named_records, patient_id, now_ms)
     lifestyle_index, lifestyle_alert = _index_alert(
         "lifestyle-index", cfg.lifestyle_model(), named_records, patient_id, now_ms)
-    for extra in (stress_alert, lifestyle_alert):
-        if extra is not None:
-            alerts.append(extra)
-            report["alerts"].append({
-                "rule": extra.rule_id,
-                "severity": extra.severity.value,
-                "fired_at": extra.fired_at_ms,
-                "evidence": [{"kind": r.kind.value, "value": r.value,
-                              "ts": r.timestamp_ms, "mode": r.mode.value}
-                             for r in extra.evidence],
-            })
-    alerts.sort(key=lambda a: (0 if a.severity is Severity.ALARM else 1, a.rule_id))
-    report["alerts"].sort(key=lambda d: (0 if d["severity"] == "ALARM" else 1, d["rule"]))
+    alerts, report = evaluate_with_report(
+        ruleset, history, patient_id, now_ms, disease,
+        extra_alerts=[a for a in (stress_alert, lifestyle_alert) if a is not None])
     if stress_index is not None:
         report["stress_index"] = round(stress_index, 6)
     if lifestyle_index is not None:
@@ -291,7 +274,7 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
     result.features = features
 
     if model is not None:
-        fv = _feature_vector(features, named_records, store, patient_id, now_ms)
+        fv = _feature_vector(features, named_records, history)
         label, dist = predict_any(model, fv)
         result.prediction = label.name
         report["prediction"] = label.name

@@ -32,6 +32,7 @@ __all__ = [
     "Alert",
     "parse_rules",
     "evaluate",
+    "evaluate_with_report",
     "evaluation_report",
     "report_to_json_line",
     "explain",
@@ -289,55 +290,61 @@ def _referenced_kinds(condition):
     raise TypeError("unknown condition node %r" % condition)
 
 
-def _eval_condition(condition, by_kind, now_ms):
-    """Returns (satisfied, consulted records)."""
+@dataclass(frozen=True)
+class _Trace:
+    """A condition node after evaluation. value is what the verdict was
+    computed from: the latest value (threshold), the percent change with
+    the reference as consulted[0] (percent_change; None when there is no
+    usable reference) or the number of observations in the window
+    (sustained); None for and/or/not."""
+    condition: object
+    verdict: bool
+    value: object
+    consulted: tuple
+    children: tuple = ()
+
+
+def _trace(condition, by_kind, now_ms):
+    """The one evaluation pass behind alerts, reports and explain."""
+    if isinstance(condition, (And, Or, Not)):
+        kids = (condition.child,) if isinstance(condition, Not) else condition.children
+        children = tuple(_trace(c, by_kind, now_ms) for c in kids)
+        verdicts = [t.verdict for t in children]
+        if isinstance(condition, And):
+            verdict = all(verdicts)
+        elif isinstance(condition, Or):
+            verdict = any(verdicts)
+        else:
+            verdict = not verdicts[0]
+        consulted = tuple(r for t in children for r in t.consulted)
+        return _Trace(condition, verdict, None, consulted, children)
+    records = by_kind[condition.kind]
+    latest = records[-1]
     if isinstance(condition, Threshold):
-        records = by_kind[condition.kind]
-        latest = records[-1]
-        return _OPS[condition.op](latest.value, condition.value), [latest]
+        return _Trace(condition, _OPS[condition.op](latest.value, condition.value),
+                      latest.value, (latest,))
     if isinstance(condition, PercentChange):
-        records = by_kind[condition.kind]
-        latest = records[-1]
         horizon = now_ms - condition.window_hours * 3600000.0
         in_window = [r for r in records if r.timestamp_ms >= horizon]
         if not in_window:
-            return False, [latest]
+            return _Trace(condition, False, None, (latest,))
         ref = in_window[0]
         if ref.value == 0:
-            return False, [ref, latest]
+            return _Trace(condition, False, None, (ref, latest))
         change = (latest.value - ref.value) / ref.value * 100.0
-        return _OPS[condition.op](change, condition.percent), [ref, latest]
+        return _Trace(condition, _OPS[condition.op](change, condition.percent),
+                      change, (ref, latest))
     if isinstance(condition, Sustained):
-        records = by_kind[condition.kind]
         horizon = now_ms - condition.duration_minutes * 60000.0
-        in_window = [r for r in records if r.timestamp_ms >= horizon]
-        if len(in_window) < 2:
-            return False, in_window
-        ok = all(_OPS[condition.op](r.value, condition.value) for r in in_window)
-        return ok, in_window
-    if isinstance(condition, And):
-        consulted = []
-        verdict = True
-        for c in condition.children:
-            sat, used = _eval_condition(c, by_kind, now_ms)
-            consulted.extend(used)
-            verdict = verdict and sat
-        return verdict, consulted
-    if isinstance(condition, Or):
-        consulted = []
-        verdict = False
-        for c in condition.children:
-            sat, used = _eval_condition(c, by_kind, now_ms)
-            consulted.extend(used)
-            verdict = verdict or sat
-        return verdict, consulted
-    if isinstance(condition, Not):
-        sat, used = _eval_condition(condition.child, by_kind, now_ms)
-        return not sat, used
+        in_window = tuple(r for r in records if r.timestamp_ms >= horizon)
+        verdict = len(in_window) >= 2 and all(
+            _OPS[condition.op](r.value, condition.value) for r in in_window)
+        return _Trace(condition, verdict, len(in_window), in_window)
     raise TypeError("unknown condition node %r" % condition)
 
 
-def _evaluate_full(ruleset, history, patient_id, now_ms, disease=None):
+def _visible_by_kind(history, patient_id, now_ms):
+    """The patient's records up to now_ms, time-ordered, grouped by kind."""
     visible = sorted(
         (r for r in history if r.patient_id == patient_id and r.timestamp_ms <= now_ms),
         key=lambda r: (r.timestamp_ms, r.kind.value),
@@ -345,56 +352,60 @@ def _evaluate_full(ruleset, history, patient_id, now_ms, disease=None):
     by_kind = {}
     for rec in visible:
         by_kind.setdefault(rec.kind, []).append(rec)
+    return by_kind
+
+
+def _alert_order(alert):
+    return (0 if alert.severity is Severity.ALARM else 1, alert.rule_id)
+
+
+def evaluate_with_report(ruleset, history, patient_id, now_ms, disease=None,
+                         extra_alerts=()):
+    """Evaluates each rule once and returns (alerts, report). Rules that
+    reference a measurement kind with no history are skipped, not errors.
+    extra_alerts, raised outside the rule set, join the rule alerts before
+    the one sort and render into the report the same way."""
+    by_kind = _visible_by_kind(history, patient_id, now_ms)
     alerts = []
     skipped = []
     for rule in ruleset.rules:
         if disease is not None and rule.scope not in (DiseaseScope.BOTH, disease):
             continue
         kinds = _referenced_kinds(rule.condition)
-        missing = [k for k in kinds if k not in by_kind]
+        missing = sorted(k.value for k in kinds if k not in by_kind)
         if missing:
-            skipped.append((rule.id, sorted(k.value for k in missing)))
+            skipped.append({"rule": rule.id, "missing_kinds": missing})
             continue
-        fired, consulted = _eval_condition(rule.condition, by_kind, now_ms)
-        if fired:
-            evidence = []
-            seen = set()
-            for rec in consulted:
-                if rec.key() not in seen:
-                    seen.add(rec.key())
-                    evidence.append(rec)
-            if not evidence:
-                # negated conditions can fire without touching a record;
-                # cite the latest record of each referenced kind instead
-                evidence = [by_kind[k][-1] for k in sorted(kinds, key=lambda k: k.value)]
-            alerts.append(Alert(
-                rule_id=rule.id,
-                patient_id=patient_id,
-                severity=rule.severity,
-                fired_at_ms=int(now_ms),
-                evidence=tuple(evidence),
-            ))
-    alerts.sort(key=lambda a: (0 if a.severity is Severity.ALARM else 1, a.rule_id))
-    return alerts, skipped
-
-
-def evaluate(ruleset, history, patient_id, now_ms, disease=None):
-    """Alerts for every rule whose condition holds at now_ms. Rules that
-    reference a measurement kind with no history are skipped, not errors."""
-    alerts, _ = _evaluate_full(ruleset, history, patient_id, now_ms, disease)
-    return alerts
-
-
-def evaluation_report(ruleset, history, patient_id, now_ms, disease=None):
-    alerts, skipped = _evaluate_full(ruleset, history, patient_id, now_ms, disease)
-    return {
+        trace = _trace(rule.condition, by_kind, now_ms)
+        if not trace.verdict:
+            continue
+        first = {}
+        for rec in trace.consulted:
+            first.setdefault(rec.key(), rec)
+        evidence = tuple(first.values())
+        if not evidence:
+            # negated conditions can fire without touching a record;
+            # cite the latest record of each referenced kind instead
+            evidence = tuple(by_kind[k][-1] for k in sorted(kinds, key=lambda k: k.value))
+        alerts.append(Alert(rule.id, patient_id, rule.severity, int(now_ms), evidence))
+    alerts.extend(extra_alerts)
+    alerts.sort(key=_alert_order)
+    report = {
         "patient": patient_id,
         "ts": int(now_ms),
         "alerts": [_alert_dict(a) for a in alerts],
-        "skipped_rules": [
-            {"rule": rule_id, "missing_kinds": kinds} for rule_id, kinds in skipped
-        ],
+        "skipped_rules": skipped,
     }
+    return alerts, report
+
+
+def evaluate(ruleset, history, patient_id, now_ms, disease=None):
+    """Alerts for every rule whose condition holds at now_ms."""
+    return evaluate_with_report(ruleset, history, patient_id, now_ms, disease)[0]
+
+
+def evaluation_report(ruleset, history, patient_id, now_ms, disease=None):
+    return evaluate_with_report(ruleset, history, patient_id, now_ms, disease)[1]
 
 
 def _alert_dict(alert):
@@ -418,45 +429,36 @@ def report_to_json_line(report):
     return json.dumps(report, separators=(",", ":"), sort_keys=False)
 
 
-def _describe(condition, by_kind, now_ms, lines, depth):
+def _render(trace, lines, depth):
     pad = "  " * depth
-    if isinstance(condition, Threshold):
-        latest = by_kind[condition.kind][-1]
+    cond = trace.condition
+    if isinstance(cond, Threshold):
         lines.append("%sthreshold: %s %s %g, observed %g at %d" % (
-            pad, condition.kind.value, _OP_SYMBOL[condition.op],
-            condition.value, latest.value, latest.timestamp_ms))
-    elif isinstance(condition, PercentChange):
-        records = by_kind[condition.kind]
-        latest = records[-1]
-        horizon = now_ms - condition.window_hours * 3600000.0
-        in_window = [r for r in records if r.timestamp_ms >= horizon]
-        if in_window and in_window[0].value != 0:
-            ref = in_window[0]
-            change = (latest.value - ref.value) / ref.value * 100.0
-            lines.append("%spercent_change: %s %s %g%% over %gh, computed %+.2f%% (%g -> %g)" % (
-                pad, condition.kind.value, _OP_SYMBOL[condition.op], condition.percent,
-                condition.window_hours, change, ref.value, latest.value))
-        else:
+            pad, cond.kind.value, _OP_SYMBOL[cond.op],
+            cond.value, trace.value, trace.consulted[0].timestamp_ms))
+    elif isinstance(cond, PercentChange):
+        if trace.value is None:
             lines.append("%spercent_change: %s, no usable reference in window" % (
-                pad, condition.kind.value))
-    elif isinstance(condition, Sustained):
-        horizon = now_ms - condition.duration_minutes * 60000.0
-        in_window = [r for r in by_kind[condition.kind] if r.timestamp_ms >= horizon]
+                pad, cond.kind.value))
+        else:
+            ref, latest = trace.consulted
+            lines.append("%spercent_change: %s %s %g%% over %gh, computed %+.2f%% (%g -> %g)" % (
+                pad, cond.kind.value, _OP_SYMBOL[cond.op], cond.percent,
+                cond.window_hours, trace.value, ref.value, latest.value))
+    elif isinstance(cond, Sustained):
         lines.append("%ssustained: %s %s %g for %g min, %d observations" % (
-            pad, condition.kind.value, _OP_SYMBOL[condition.op], condition.value,
-            condition.duration_minutes, len(in_window)))
-    elif isinstance(condition, (And, Or)):
-        lines.append("%s%s:" % (pad, "all of" if isinstance(condition, And) else "any of"))
-        for c in condition.children:
-            _describe(c, by_kind, now_ms, lines, depth + 1)
-    elif isinstance(condition, Not):
-        lines.append("%snot:" % pad)
-        _describe(condition.child, by_kind, now_ms, lines, depth + 1)
+            pad, cond.kind.value, _OP_SYMBOL[cond.op], cond.value,
+            cond.duration_minutes, trace.value))
+    else:
+        lines.append("%s%s:" % (pad, "all of" if isinstance(cond, And)
+                                else "any of" if isinstance(cond, Or) else "not"))
+        for child in trace.children:
+            _render(child, lines, depth + 1)
 
 
 def explain(alert, ruleset, history):
-    """Human-readable trace: the rule condition, the evidence records, and
-    the computed intermediate values."""
+    """Human-readable trace: the rule condition with the values its
+    verdict was computed from, and the evidence records."""
     rule = next((r for r in ruleset.rules if r.id == alert.rule_id), None)
     if rule is None:
         raise IntegrityError("alert cites unknown rule %r" % alert.rule_id)
@@ -464,20 +466,13 @@ def explain(alert, ruleset, history):
     for rec in alert.evidence:
         if rec.key() not in history_keys:
             raise IntegrityError("alert evidence not present in history: %r" % (rec.key(),))
-    visible = sorted(
-        (r for r in history if r.patient_id == alert.patient_id
-         and r.timestamp_ms <= alert.fired_at_ms),
-        key=lambda r: (r.timestamp_ms, r.kind.value),
-    )
-    by_kind = {}
-    for rec in visible:
-        by_kind.setdefault(rec.kind, []).append(rec)
+    by_kind = _visible_by_kind(history, alert.patient_id, alert.fired_at_ms)
     lines = [
         "rule %s (%s): %s" % (rule.id, rule.severity.value, rule.message or "<no message>"),
         "fired at %d for patient %s" % (alert.fired_at_ms, alert.patient_id),
         "condition:",
     ]
-    _describe(rule.condition, by_kind, alert.fired_at_ms, lines, 1)
+    _render(_trace(rule.condition, by_kind, alert.fired_at_ms), lines, 1)
     lines.append("evidence:")
     for rec in alert.evidence:
         lines.append("  %s = %g at %d (%s)" % (

@@ -18,6 +18,9 @@ from .rules import AcquisitionMode, MeasurementKind, MeasurementRecord
 __all__ = ["MeasurementStore", "IngestResult"]
 
 _PATIENT_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+# characters outside the XML 1.0 Char production; a name holding one would
+# make the outbound message unparseable
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass
@@ -111,6 +114,8 @@ class MeasurementStore:
                     else AcquisitionMode(raw["mode"]),
                     name=raw.get("name", ""),
                 )
+                if _NOT_XML_CHAR.search(rec.name):
+                    raise ValueError("name %r holds a character XML 1.0 cannot carry" % rec.name)
             except (ValueError, KeyError, TypeError) as exc:
                 result.rejections.append((repr(raw), str(exc)))
                 continue

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_ecg, write_signal_csv
-from edgevitals import ecg_preprocess, pipeline, qrs_detect
+from edgevitals import ecg_preprocess, pipeline, qrs_detect, rules
 from edgevitals.classify import (
     Attribute,
     ClassLabel,
@@ -140,6 +140,23 @@ def run_ecg_patient(tmp_path, bpm, model=None, extra_measurements="",
     return result, store
 
 
+def hr_model():
+    schema = patient_schema()
+    idx = [a.name for a in schema].index("mean_heart_rate_bpm")
+
+    def row(v):
+        vals = [None] * len(schema)
+        vals[idx] = v
+        return FeatureVector(schema, tuple(vals))
+
+    data = LabeledDataset(
+        schema,
+        (row(60.0), row(65.0), row(130.0), row(135.0)),
+        (ClassLabel.STABLE, ClassLabel.STABLE,
+         ClassLabel.WORSENING, ClassLabel.WORSENING))
+    return train_decision_tree(data)
+
+
 class TestPipelineEcg:
     def test_tachycardia_raises_alarm(self, tmp_path):
         result, store = run_ecg_patient(tmp_path, bpm=125)
@@ -195,21 +212,7 @@ class TestPipelineEcg:
         assert store.untransmitted("p1") == []
 
     def test_prediction_included_when_model_given(self, tmp_path):
-        schema = patient_schema()
-        idx = [a.name for a in schema].index("mean_heart_rate_bpm")
-
-        def row(v):
-            vals = [None] * len(schema)
-            vals[idx] = v
-            return FeatureVector(schema, tuple(vals))
-
-        data = LabeledDataset(
-            schema,
-            (row(60.0), row(65.0), row(130.0), row(135.0)),
-            (ClassLabel.STABLE, ClassLabel.STABLE,
-             ClassLabel.WORSENING, ClassLabel.WORSENING))
-        model = train_decision_tree(data)
-        result, _ = run_ecg_patient(tmp_path, bpm=125, model=model)
+        result, _ = run_ecg_patient(tmp_path, bpm=125, model=hr_model())
         assert result.prediction == "WORSENING"
         assert result.report["prediction"] == "WORSENING"
         msg = parse_message_xml(result.message_xml)
@@ -251,6 +254,53 @@ class TestPipelineEcgStages:
         assert np.array_equal(
             custom, remove_baseline_linear(signal, HighPassSpec(3.0, 3)).samples)
         assert not np.allclose(default, custom)
+
+
+class TestPipelineSinglePass:
+    def test_rules_evaluated_once_per_run(self, tmp_path, monkeypatch):
+        # hr-high is the only rule with data, so each evaluation pass
+        # applies its one "gt" comparison exactly once
+        calls = []
+        real = rules._OPS["gt"]
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setitem(rules._OPS, "gt", counting)
+        result, _ = run_ecg_patient(tmp_path, bpm=125)
+        assert [a.rule_id for a in result.alerts] == ["hr-high"]
+        assert len(calls) == 1
+
+    def test_history_read_once_with_model(self, tmp_path, monkeypatch):
+        calls = []
+        real = MeasurementStore.records
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(MeasurementStore, "records", counting)
+        result, _ = run_ecg_patient(tmp_path, bpm=125, model=hr_model())
+        assert result.prediction == "WORSENING"
+        assert len(calls) == 1
+
+    def test_name_xml_cannot_carry_stays_out_of_message(self, tmp_path):
+        meas = tmp_path / "meas.csv"
+        meas.write_text("kind,value,timestamp_ms,mode,name\n"
+                        "HEART_RATE,130,1000,NOSILENT,\n"
+                        "QUESTIONNAIRE_ITEM,0.5,1000,NOSILENT,a\x01b\n"
+                        "QUESTIONNAIRE_ITEM,0.5,1000,NOSILENT,a\ufffeb\n"
+                        "QUESTIONNAIRE_ITEM,0.5,1000,NOSILENT,tab\tdel\x7f\x85\n",
+                        encoding="utf-8")
+        store = MeasurementStore(str(tmp_path / "store"))
+        result = run_patient("p1", store, default_config(), parse_rules(RULES),
+                             now_ms=2000, measurements_csv=str(meas),
+                             out_dir=str(tmp_path / "out"))
+        assert result.decision is TransmissionDecision.IMMEDIATE
+        with open(tmp_path / "out" / "p1" / "message.xml", encoding="utf-8") as fh:
+            msg = parse_message_xml(fh.read())
+        assert [r.name for r in msg.measurements] == ["", "tab\tdel\x7f\x85"]
 
 
 class TestPipelineIndices:

@@ -1,4 +1,9 @@
+import operator
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgevitals.errors import IntegrityError, RuleParseError, RuleSemanticError
 from edgevitals.rules import (
@@ -297,6 +302,218 @@ class TestExplain:
         alert = Alert("hr-high", "p1", Severity.ALARM, 2000, (stranger,))
         with pytest.raises(IntegrityError):
             explain(alert, rules, history)
+
+
+README_RULES = """\
+<rules schema="1">
+  <rule id="hr-high" scope="BOTH" severity="ALARM" message="heart rate above 120 bpm">
+    <threshold kind="HEART_RATE" op="gt" value="120"/>
+  </rule>
+  <rule id="weight-gain" scope="CKD" severity="ALARM">
+    <percent_change kind="BODY_WEIGHT" op="gt" percent="2" window_hours="24"/>
+  </rule>
+  <rule id="low-spo2-sustained" severity="LIGHT_ALERT">
+    <sustained kind="SPO2" op="lt" value="92" duration_minutes="360"/>
+  </rule>
+  <rule id="compound" severity="ALARM">
+    <and>
+      <threshold kind="HEART_RATE" op="gt" value="110"/>
+      <not><threshold kind="BODY_TEMPERATURE" op="gt" value="38"/></not>
+    </and>
+  </rule>
+  <rule id="quiet" severity="LIGHT_ALERT" message="no glucose trend">
+    <not><or>
+      <percent_change kind="GLUCOSE" op="gt" percent="10" window_hours="2"/>
+      <sustained kind="GLUCOSE" op="gt" value="180" duration_minutes="30"/>
+    </or></not>
+  </rule>
+</rules>
+"""
+
+README_HISTORY = [
+    rec(MeasurementKind.HEART_RATE, 118.0, 1 * HOUR),
+    rec(MeasurementKind.HEART_RATE, 125.5, 29 * HOUR),
+    rec(MeasurementKind.BODY_WEIGHT, 80.0, 0),
+    rec(MeasurementKind.BODY_WEIGHT, 70.0, 10 * HOUR),
+    rec(MeasurementKind.BODY_WEIGHT, 71.5, 20 * HOUR),
+    rec(MeasurementKind.SPO2, 95.0, 22 * HOUR),
+    rec(MeasurementKind.SPO2, 91.0, 25 * HOUR),
+    rec(MeasurementKind.SPO2, 90.0, 27 * HOUR),
+    rec(MeasurementKind.SPO2, 89.5, 29 * HOUR),
+    rec(MeasurementKind.BODY_TEMPERATURE, 37.2, 28 * HOUR),
+    rec(MeasurementKind.GLUCOSE, 0.0, 29 * HOUR),
+    rec(MeasurementKind.GLUCOSE, 190.0, 30 * HOUR),
+]
+
+# Exact explain() text for each README rule on README_HISTORY at 30 h;
+# "quiet" adds the any-of and no-usable-reference forms.
+PINNED_EXPLAIN = {
+    "hr-high": """\
+rule hr-high (ALARM): heart rate above 120 bpm
+fired at 108000000 for patient p1
+condition:
+  threshold: HEART_RATE > 120, observed 125.5 at 104400000
+evidence:
+  HEART_RATE = 125.5 at 104400000 (NOSILENT)""",
+    "weight-gain": """\
+rule weight-gain (ALARM): <no message>
+fired at 108000000 for patient p1
+condition:
+  percent_change: BODY_WEIGHT > 2% over 24h, computed +2.14% (70 -> 71.5)
+evidence:
+  BODY_WEIGHT = 70 at 36000000 (NOSILENT)
+  BODY_WEIGHT = 71.5 at 72000000 (NOSILENT)""",
+    "low-spo2-sustained": """\
+rule low-spo2-sustained (LIGHT_ALERT): <no message>
+fired at 108000000 for patient p1
+condition:
+  sustained: SPO2 < 92 for 360 min, 3 observations
+evidence:
+  SPO2 = 91 at 90000000 (NOSILENT)
+  SPO2 = 90 at 97200000 (NOSILENT)
+  SPO2 = 89.5 at 104400000 (NOSILENT)""",
+    "compound": """\
+rule compound (ALARM): <no message>
+fired at 108000000 for patient p1
+condition:
+  all of:
+    threshold: HEART_RATE > 110, observed 125.5 at 104400000
+    not:
+      threshold: BODY_TEMPERATURE > 38, observed 37.2 at 100800000
+evidence:
+  HEART_RATE = 125.5 at 104400000 (NOSILENT)
+  BODY_TEMPERATURE = 37.2 at 100800000 (NOSILENT)""",
+    "quiet": """\
+rule quiet (LIGHT_ALERT): no glucose trend
+fired at 108000000 for patient p1
+condition:
+  not:
+    any of:
+      percent_change: GLUCOSE, no usable reference in window
+      sustained: GLUCOSE > 180 for 30 min, 1 observations
+evidence:
+  GLUCOSE = 0 at 104400000 (NOSILENT)
+  GLUCOSE = 190 at 108000000 (NOSILENT)""",
+}
+
+
+class TestExplainPinned:
+    def test_readme_rules_explain_text(self):
+        rules = parse_rules(README_RULES)
+        alerts = evaluate(rules, README_HISTORY, "p1", 30 * HOUR)
+        assert sorted(a.rule_id for a in alerts) == sorted(PINNED_EXPLAIN)
+        for alert in alerts:
+            assert explain(alert, rules, README_HISTORY) == PINNED_EXPLAIN[alert.rule_id]
+
+
+OP_FUNCS = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
+            "ge": operator.ge, "eq": operator.eq}
+PROP_KINDS = (MeasurementKind.HEART_RATE, MeasurementKind.BODY_WEIGHT)
+MINUTE = 60000
+
+# Integer values and thresholds keep every number explain prints with %g
+# exact, so a printed value can be compared as the verdict compared it.
+_kind = st.sampled_from(PROP_KINDS).map(lambda k: k.value)
+_op = st.sampled_from(sorted(OP_FUNCS))
+_num = st.integers(0, 200).map(str)
+_leaf = st.one_of(
+    st.builds(lambda k, op, v: ("threshold", {"kind": k, "op": op, "value": v}),
+              _kind, _op, _num),
+    st.builds(lambda k, op, p, w: ("percent_change", {
+        "kind": k, "op": op, "percent": p, "window_hours": w}),
+        _kind, _op, st.integers(-100, 100).map(str), st.integers(1, 8).map(str)),
+    st.builds(lambda k, op, v, d: ("sustained", {
+        "kind": k, "op": op, "value": v, "duration_minutes": d}),
+        _kind, _op, _num, st.integers(1, 480).map(str)),
+)
+_tree = st.recursive(_leaf, lambda sub: st.one_of(
+    st.builds(lambda cs: ("and", cs), st.lists(sub, min_size=2, max_size=3)),
+    st.builds(lambda cs: ("or", cs), st.lists(sub, min_size=2, max_size=3)),
+    st.builds(lambda c: ("not", [c]), sub),
+), max_leaves=6)
+_record = st.builds(
+    lambda patient, kind, value, minute: rec(kind, float(value), minute * MINUTE, patient),
+    st.sampled_from(["p1", "p1", "p1", "p2"]), st.sampled_from(PROP_KINDS),
+    st.integers(0, 200), st.integers(0, 480))
+# usually one record of each kind at t=0, so that most draws fire a rule
+_base = st.lists(st.integers(0, 200), min_size=2, max_size=2).map(
+    lambda vs: [rec(k, float(v), 0) for k, v in zip(PROP_KINDS, vs)])
+_history = st.builds(lambda base, keep, rest: (base if keep else []) + rest,
+                     _base, st.sampled_from([True, True, True, False]),
+                     st.lists(_record, max_size=16))
+
+
+def tree_xml(node):
+    tag, body = node
+    if tag in ("and", "or", "not"):
+        return "<%s>%s</%s>" % (tag, "".join(tree_xml(c) for c in body), tag)
+    return "<%s %s/>" % (tag, " ".join('%s="%s"' % kv for kv in sorted(body.items())))
+
+
+def tree_leaves(node):
+    tag, body = node
+    if tag in ("and", "or", "not"):
+        return [leaf for c in body for leaf in tree_leaves(c)]
+    return [node]
+
+
+def rules_xml(*conditions):
+    return "<rules>%s</rules>" % "".join(
+        '<rule id="%s" severity="ALARM">%s</rule>' % (rid, cond) for rid, cond in conditions)
+
+
+def leaf_verdict(leaf, history, now_ms):
+    rules = parse_rules(rules_xml(("leaf", tree_xml(leaf))))
+    return bool(evaluate(rules, history, "p1", now_ms))
+
+
+class TestExplainProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_tree, history=_history, now_minute=st.integers(0, 480))
+    def test_explain_values_reproduce_leaf_verdicts(self, tree, history, now_minute):
+        now_ms = now_minute * MINUTE
+        cond = tree_xml(tree)
+        rules = parse_rules(rules_xml(("r", cond), ("not-r", "<not>%s</not>" % cond)))
+        alerts = evaluate(rules, history, "p1", now_ms)
+        report = evaluation_report(rules, history, "p1", now_ms)
+        assert [a["rule"] for a in report["alerts"]] == [a.rule_id for a in alerts]
+        if report["skipped_rules"]:
+            assert alerts == []
+            return
+        # exactly one of a condition and its negation holds
+        (alert,) = alerts
+        lines = explain(alert, rules, history).split("\n")
+        body = lines[lines.index("condition:") + 1:lines.index("evidence:")]
+        leaf_lines = [l.strip() for l in body
+                      if l.strip().split(":")[0] in ("threshold", "percent_change", "sustained")]
+        visible = sorted((r for r in history if r.patient_id == "p1" and r.timestamp_ms <= now_ms),
+                         key=lambda r: (r.timestamp_ms, r.kind.value))
+        assert len(leaf_lines) == len(tree_leaves(tree))
+        for (tag, attrs), line in zip(tree_leaves(tree), leaf_lines):
+            assert line.startswith(tag + ": " + attrs["kind"])
+            verdict = leaf_verdict((tag, attrs), history, now_ms)
+            test = OP_FUNCS[attrs["op"]]
+            if tag == "threshold":
+                observed = float(re.search(r"observed (\S+) at", line).group(1))
+                assert test(observed, float(attrs["value"])) == verdict
+            elif tag == "percent_change":
+                if line.endswith("no usable reference in window"):
+                    assert not verdict
+                    continue
+                m = re.search(r"computed (\S+)% \((\S+) -> (\S+)\)$", line)
+                ref, latest = float(m.group(2)), float(m.group(3))
+                change = (latest - ref) / ref * 100.0
+                assert m.group(1) == "%+.2f" % change
+                assert test(change, float(attrs["percent"])) == verdict
+            else:
+                n = int(re.search(r"(\d+) observations$", line).group(1))
+                of_kind = [r for r in visible if r.kind.value == attrs["kind"]]
+                horizon = now_ms - float(attrs["duration_minutes"]) * MINUTE
+                window = of_kind[len(of_kind) - n:]
+                assert all(r.timestamp_ms >= horizon for r in window)
+                assert n == len(of_kind) or of_kind[-n - 1].timestamp_ms < horizon
+                value = float(attrs["value"])
+                assert verdict == (n >= 2 and all(test(r.value, value) for r in window))
 
 
 class TestRecordValidation:

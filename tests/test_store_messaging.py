@@ -60,6 +60,24 @@ class TestStoreIngest:
         for _, reason in result.rejections:
             assert reason
 
+    def test_names_xml_cannot_carry_rejected(self, tmp_path):
+        store = MeasurementStore(str(tmp_path))
+        bad = ["a\x01b", "a\x00", "a\x0bb", "a\x1f", "a\ufffeb", "a\uffffb",
+               "a\ud800b", "\udfff"]
+        good = ["tab\there", "lf\nhere", "cr\rhere", "del\x7f", "c1\x85\x9f",
+                "bmp\ufffd", "astral\U0001f600"]
+        result = store.ingest([rec(60.0, i, name=n) for i, n in enumerate(bad + good)])
+        assert result.appended == len(good)
+        assert len(result.rejections) == len(bad)
+        assert all("XML" in reason for _, reason in result.rejections)
+        names = [r.name for r in store.log_records("p1")]
+        assert names == good
+        message = OutboundMessage("p1", 0, Urgency.SCHEDULED, (), (),
+                                  tuple(store.log_records("p1")))
+        parsed = parse_message_xml(build_message_xml(message))
+        assert [r.name for r in parsed.measurements] == good
+        assert [r.name for r in MeasurementStore(str(tmp_path)).log_records("p1")] == good
+
     def test_dict_and_record_forms_equivalent(self, tmp_path):
         store = MeasurementStore(str(tmp_path))
         store.ingest([{"patient_id": "p1", "kind": "HEART_RATE", "value": 61.0,
