@@ -7,7 +7,9 @@ Subcommands:
   rules-check  parse-only validation of a rule XML file
 
 Exit codes: 0 success / no alarm, 2 at least one ALARM fired, 1 error,
-64 usage problem (bad flags, missing or unreadable inputs).
+64 usage problem (bad flags, missing or unreadable inputs). A patient that
+fails in `run` prints `<id> error=<Type>: <message>` and the others still
+run; the exit code is then 1.
 """
 
 import argparse
@@ -108,6 +110,17 @@ def _run_one(doc, now_ms):
         out_dir=doc["out_dir"])
 
 
+def _run_isolated(doc, now_ms):
+    """The patient's result, or the exception that stopped it; a usage
+    problem still stops the whole batch."""
+    try:
+        return _run_one(doc, now_ms)
+    except UsageError:
+        raise
+    except Exception as exc:
+        return exc
+
+
 def cmd_run(args):
     now_ms = _parse_now(args.now) if args.now else round(
         datetime.datetime.now(tz=datetime.timezone.utc).timestamp() * 1000)
@@ -117,18 +130,23 @@ def cmd_run(args):
         raise UsageError("duplicate patient_id across manifests")
     if args.jobs > 1 and len(manifests) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda d: _run_one(d, now_ms), manifests))
+            results = list(pool.map(lambda d: _run_isolated(d, now_ms), manifests))
     else:
-        results = [_run_one(d, now_ms) for d in manifests]
-    results.sort(key=lambda r: r.patient_id)
-    any_alarm = False
-    for res in results:
+        results = [_run_isolated(d, now_ms) for d in manifests]
+    any_alarm = any_error = False
+    for pid, res in sorted(zip(ids, results), key=lambda pr: pr[0]):
+        if isinstance(res, Exception):
+            any_error = True
+            print("%s error=%s: %s" % (pid, type(res).__name__, res))
+            continue
         alarm = any(a.severity is Severity.ALARM for a in res.alerts)
         any_alarm = any_alarm or alarm
         print("%s alerts=%d alarm=%s decision=%s%s" % (
-            res.patient_id, len(res.alerts), "yes" if alarm else "no",
+            pid, len(res.alerts), "yes" if alarm else "no",
             res.decision.value,
             " flagged-qrs-disagreement" if res.qrs_flagged else ""))
+    if any_error:
+        return EXIT_ERROR
     return EXIT_ALARM if any_alarm else EXIT_OK
 
 

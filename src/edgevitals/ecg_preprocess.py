@@ -3,8 +3,6 @@
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import butter, sosfilt, sosfiltfilt
 
 from .signal_core import SampledSignal, SignalKind
 
@@ -77,6 +75,8 @@ def remove_baseline_linear(signal, spec=None):
         raise ValueError("cutoff must lie in (0, Nyquist)")
     if spec.order < 1:
         raise ValueError("order must be >= 1")
+    from scipy.signal import butter, sosfilt, sosfiltfilt
+
     sos = butter(spec.order, spec.cutoff_hz, btype="highpass", fs=signal.rate_hz, output="sos")
     if spec.zero_phase:
         filtered = sosfiltfilt(sos, signal.samples)
@@ -126,6 +126,8 @@ def remove_baseline_poly(signal, knots):
         raise ValueError("knots must be strictly increasing")
     if knots[0] < 0 or knots[-1] >= len(signal.samples):
         raise ValueError("knots out of signal range")
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(knots, signal.samples[knots], bc_type="natural")
     baseline = spline(np.arange(len(signal.samples)))
     return signal.replace_samples(signal.samples - baseline)

@@ -35,7 +35,7 @@ from .ecg_preprocess import (
     select_pq_knots,
     wavelet_denoise,
 )
-from .errors import NoDataError
+from .errors import IngestionError, NoDataError
 from .messaging import (
     OutboundMessage,
     TransmissionDecision,
@@ -88,7 +88,8 @@ class PipelineResult:
 
 
 def read_measurements_csv(path, patient_id):
-    """Rows: kind,value,timestamp_ms[,mode[,name]]."""
+    """Rows: kind,value,timestamp_ms[,mode[,name]]. A value or timestamp
+    that does not parse raises IngestionError naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"kind", "value", "timestamp_ms"}
@@ -96,11 +97,16 @@ def read_measurements_csv(path, patient_id):
             raise ValueError("measurements CSV needs columns kind,value,timestamp_ms")
         out = []
         for row in reader:
+            try:
+                value = float(row["value"])
+                timestamp_ms = int(row["timestamp_ms"])
+            except (TypeError, ValueError) as exc:
+                raise IngestionError("%s:%d: %s" % (path, reader.line_num, exc)) from None
             out.append({
                 "patient_id": patient_id,
                 "kind": row["kind"],
-                "value": float(row["value"]),
-                "timestamp_ms": int(row["timestamp_ms"]),
+                "value": value,
+                "timestamp_ms": timestamp_ms,
                 "mode": row.get("mode") or "NOSILENT",
                 "name": row.get("name") or "",
             })

@@ -9,7 +9,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, find_peaks, sosfiltfilt
 
 from .ecg_preprocess import denoise_samples
 from .errors import NoDataError
@@ -166,6 +165,8 @@ def pan_tompkins(signal):
     if peak == 0:
         return np.array([], dtype=int)
     xn = x / peak
+
+    from scipy.signal import butter, find_peaks, sosfiltfilt
 
     sos_lo = butter(2, 15.0, btype="lowpass", fs=fs, output="sos")
     sos_hi = butter(2, 5.0, btype="highpass", fs=fs, output="sos")

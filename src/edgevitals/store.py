@@ -2,9 +2,12 @@
 
 One newline-delimited JSON file per patient under the store root, plus a
 tiny cursor sidecar tracking how many log records have been transmitted.
+A patient's log is read the first time that patient is asked for, so a
+store shared by many patients costs each run only its own patient's log.
 Crash tolerance comes from the format: a torn final line is dropped on
-reload. Duplicate records (same patient, kind, timestamp, value, name) are
-ignored on ingest, so re-running an ingest batch is a no-op.
+reload and cut off before the next append. Duplicate records (same
+patient, kind, timestamp, value, name) are ignored on ingest, so re-running
+an ingest batch is a no-op.
 """
 
 import json
@@ -57,11 +60,9 @@ class MeasurementStore:
     def __init__(self, root_dir):
         self.root = root_dir
         os.makedirs(root_dir, exist_ok=True)
-        self._log = {}   # patient -> list of records in append order
-        self._keys = {}  # patient -> set of record keys
-        for fname in sorted(os.listdir(root_dir)):
-            if fname.endswith(".jsonl"):
-                self._load_patient(fname[:-len(".jsonl")])
+        self._log = {}     # patient -> list of records in append order, once loaded
+        self._keys = {}    # patient -> set of record keys
+        self._repair = {}  # patient -> (byte offset, prefix) to fix a torn tail on append
 
     def _path(self, patient_id):
         if not _PATIENT_RE.match(patient_id):
@@ -71,36 +72,58 @@ class MeasurementStore:
     def _cursor_path(self, patient_id):
         return os.path.join(self.root, patient_id + ".cursor")
 
+    def _patient_log(self, patient_id):
+        if patient_id not in self._log:
+            self._load_patient(patient_id)
+        return self._log[patient_id]
+
     def _load_patient(self, patient_id):
         path = self._path(patient_id)
         records = []
         keys = set()
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        # a torn final line (crash mid-append) is silently dropped;
-        # corruption earlier in the file is a real integrity problem
-        if lines and lines[-1] == "":
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            data = b""
+        try:
+            lines = data.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            lines = data.split(b"\n")  # json.loads below finds the bad line
+        terminated = not lines[-1]
+        if terminated:
             lines.pop()
+        # a torn final line (crash mid-append) is dropped and cut off before
+        # the next append; corruption earlier in the file is a real
+        # integrity problem
         for i, line in enumerate(lines):
             try:
                 rec = _record_from_doc(json.loads(line))
-            except (json.JSONDecodeError, KeyError, ValueError):
-                if i == len(lines) - 1:
-                    break
-                raise IntegrityError(
-                    "corrupt record at %s line %d" % (path, i + 1)) from None
+            except (KeyError, TypeError, ValueError):
+                if i < len(lines) - 1:
+                    raise IntegrityError(
+                        "corrupt record at %s line %d" % (path, i + 1)) from None
+                start = data.rfind(b"\n", 0, len(data) - terminated) + 1
+                self._repair[patient_id] = (start, "")
+                break
             records.append(rec)
             keys.add(rec.key())
+        else:
+            if not terminated:
+                self._repair[patient_id] = (len(data), "\n")
         self._log[patient_id] = records
         self._keys[patient_id] = keys
 
     def patients(self):
-        return sorted(self._log)
+        on_disk = {f[:-len(".jsonl")] for f in os.listdir(self.root) if f.endswith(".jsonl")}
+        return sorted(on_disk.union(p for p, log in self._log.items() if log))
 
     def ingest(self, records):
         """Appends new records; duplicates are dropped, bad records are
-        rejected with a reason and the batch continues."""
+        rejected with a reason and the batch continues. Each patient's new
+        records are written with one append."""
         result = IngestResult()
+        fresh = {}  # patient -> {key: record} new in this batch, in batch order
         for raw in records:
             try:
                 rec = raw if isinstance(raw, MeasurementRecord) else MeasurementRecord(
@@ -119,20 +142,38 @@ class MeasurementStore:
             except (ValueError, KeyError, TypeError) as exc:
                 result.rejections.append((repr(raw), str(exc)))
                 continue
-            log = self._log.setdefault(rec.patient_id, [])
-            keys = self._keys.setdefault(rec.patient_id, set())
-            if rec.key() in keys:
-                continue
-            with open(self._path(rec.patient_id), "a", encoding="utf-8") as fh:
-                fh.write(_record_to_line(rec) + "\n")
-            log.append(rec)
-            keys.add(rec.key())
-            result.appended += 1
+            if rec.patient_id not in fresh:
+                self._patient_log(rec.patient_id)
+                fresh[rec.patient_id] = {}
+            key = rec.key()
+            if key not in self._keys[rec.patient_id]:
+                fresh[rec.patient_id].setdefault(key, rec)
+        for patient_id, new in fresh.items():
+            if new:
+                self._append(patient_id, new.values())
+                self._log[patient_id].extend(new.values())
+                self._keys[patient_id].update(new)
+                result.appended += len(new)
         return result
+
+    def _append(self, patient_id, new):
+        path = self._path(patient_id)
+        offset, text = self._repair.pop(patient_id, (None, ""))
+        text += "".join(_record_to_line(rec) + "\n" for rec in new)
+        try:
+            if offset is not None:
+                os.truncate(path, offset)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(text)
+        except BaseException:
+            # the file may hold part of the batch; reload it on next use so
+            # memory holds exactly what is on disk
+            del self._log[patient_id], self._keys[patient_id]
+            raise
 
     def records(self, patient_id, kind=None, since_ms=None, until_ms=None):
         """Time-ordered view for rule evaluation."""
-        out = self._log.get(patient_id, [])
+        out = self._patient_log(patient_id)
         if kind is not None:
             out = [r for r in out if r.kind is kind]
         if since_ms is not None:
@@ -143,7 +184,7 @@ class MeasurementStore:
 
     def log_records(self, patient_id):
         """Append-order view; the transmission cursor indexes this."""
-        return list(self._log.get(patient_id, []))
+        return list(self._patient_log(patient_id))
 
     def cursor(self, patient_id):
         path = self._cursor_path(patient_id)
@@ -156,11 +197,11 @@ class MeasurementStore:
                 raise IntegrityError("corrupt cursor file %s" % path) from None
 
     def untransmitted(self, patient_id):
-        return self._log.get(patient_id, [])[self.cursor(patient_id):]
+        return self._patient_log(patient_id)[self.cursor(patient_id):]
 
     def mark_transmitted(self, patient_id, count):
         cur = self.cursor(patient_id)
-        total = len(self._log.get(patient_id, []))
+        total = len(self._patient_log(patient_id))
         if count < 0 or cur + count > total:
             raise ValueError("cannot mark %d records from cursor %d of %d" % (count, cur, total))
         with open(self._cursor_path(patient_id), "w", encoding="utf-8") as fh:

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import edgevitals
 from conftest import synth_ecg, write_signal_csv
 from edgevitals.classify import (
     ClassLabel,
@@ -13,6 +16,8 @@ from edgevitals.classify import (
 )
 from edgevitals.cli import main
 from edgevitals.messaging import parse_message_xml
+from edgevitals.rules import MeasurementKind, MeasurementRecord
+from edgevitals.store import MeasurementStore
 
 RULES = """<rules>
   <rule id="hr-high" severity="ALARM"><threshold kind="HEART_RATE" op="gt" value="120"/></rule>
@@ -151,6 +156,75 @@ class TestRun:
                                     "ecg": "e.csv"}))
         assert main(["run", str(path), "--now", NOW]) == 64
         assert "rules" in capsys.readouterr().err
+
+
+def shared_store_manifest(tmp_path, patient, csv_text):
+    meas = tmp_path / ("meas-%s.csv" % patient)
+    meas.write_text(csv_text)
+    path = tmp_path / ("manifest-%s.json" % patient)
+    path.write_text(json.dumps({
+        "patient_id": patient, "out_dir": "out", "store_dir": "store",
+        "measurements": meas.name, "rules": os.path.basename(write_rules(tmp_path))}))
+    return str(path)
+
+
+HEALTHY_CSV = "kind,value,timestamp_ms\nBODY_WEIGHT,70.0,1000\n"
+
+
+class TestRunBatch:
+    def test_batch_loads_only_its_patients_once_each(self, tmp_path, capsys, monkeypatch):
+        store = MeasurementStore(str(tmp_path / "store"))
+        for i in range(6):  # three bystanders share the store
+            store.ingest([MeasurementRecord("p%d" % i, MeasurementKind.BODY_WEIGHT,
+                                            70.0 + j, j) for j in range(i + 1)])
+        loaded = []
+        real = MeasurementStore._load_patient
+
+        def counting(self, patient_id):
+            real(self, patient_id)
+            loaded.append((patient_id, len(self._log[patient_id])))
+
+        monkeypatch.setattr(MeasurementStore, "_load_patient", counting)
+        manifests = [shared_store_manifest(tmp_path, "p%d" % i, HEALTHY_CSV)
+                     for i in (4, 0, 2)]
+        assert main(["run", *manifests, "--now", NOW]) == 0
+        assert sorted(loaded) == [("p0", 1), ("p2", 3), ("p4", 5)]
+        assert [l.split()[0] for l in capsys.readouterr().out.splitlines()] == [
+            "p0", "p2", "p4"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_csv_row_fails_only_its_patient(self, tmp_path, capsys, jobs):
+        bad = shared_store_manifest(
+            tmp_path, "p-bad", "kind,value,timestamp_ms\nBODY_WEIGHT,70,1\nBODY_WEIGHT,abc,5\n")
+        good = shared_store_manifest(tmp_path, "p-ok", HEALTHY_CSV)
+        code = main(["run", good, bad, "--now", NOW, "--jobs", jobs])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[0].startswith("p-bad error=IngestionError: ")
+        assert lines[0].endswith("meas-p-bad.csv:3: could not convert string to float: 'abc'")
+        assert lines[1] == "p-ok alerts=0 alarm=no decision=SCHEDULED"
+        assert (tmp_path / "out" / "p-ok" / "message.xml").exists()
+        assert not (tmp_path / "out" / "p-bad").exists()
+
+    def test_corrupt_log_fails_only_its_patient(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (store_dir / "p-bad.jsonl").write_text("garbage\n" + "{}\n")
+        bad = shared_store_manifest(tmp_path, "p-bad", HEALTHY_CSV)
+        good = shared_store_manifest(tmp_path, "p-ok", HEALTHY_CSV)
+        code = main(["run", bad, good, "--now", NOW])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[0].startswith("p-bad error=IntegrityError: corrupt record at ")
+        assert lines[0].endswith("p-bad.jsonl line 1")
+        assert lines[1] == "p-ok alerts=0 alarm=no decision=SCHEDULED"
+        assert (tmp_path / "out" / "p-ok" / "message.xml").exists()
+
+    def test_importing_the_cli_does_not_load_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(edgevitals.__file__)))
+        code = "import sys, edgevitals.cli; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def hr_row(schema, v):

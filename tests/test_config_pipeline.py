@@ -16,6 +16,7 @@ from edgevitals.classify import (
     train_decision_tree,
 )
 from edgevitals.config import config_from_dict, default_config, load_config
+from edgevitals.errors import IngestionError
 from edgevitals.ecg_preprocess import HighPassSpec, remove_baseline_linear
 from edgevitals.messaging import TransmissionDecision, parse_message_xml
 from edgevitals.pipeline import run_patient, read_measurements_csv
@@ -118,6 +119,14 @@ class TestMeasurementsCsv:
         path = tmp_path / "m.csv"
         path.write_text("kind,value\nBODY_WEIGHT,70.5\n")
         with pytest.raises(ValueError):
+            read_measurements_csv(str(path), "p1")
+
+    @pytest.mark.parametrize("row", ["BODY_WEIGHT,abc,5", "BODY_WEIGHT,70.5,5.5",
+                                     "BODY_WEIGHT,70.5"])
+    def test_unparseable_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        path.write_text("kind,value,timestamp_ms\nBODY_WEIGHT,70.5,1000\n%s\n" % row)
+        with pytest.raises(IngestionError, match=r"m\.csv:3: "):
             read_measurements_csv(str(path), "p1")
 
 

@@ -92,6 +92,62 @@ class TestStoreIngest:
             store.ingest([rec(60.0, 0, patient="../escape")])
 
 
+class TestStoreLazyLoad:
+    def test_constructor_reads_no_log(self, tmp_path, monkeypatch):
+        MeasurementStore(str(tmp_path)).ingest([rec(60.0, 0), rec(61.0, 0, patient="p2")])
+        loaded = []
+        real = MeasurementStore._load_patient
+
+        def counting(self, patient_id):
+            loaded.append(patient_id)
+            return real(self, patient_id)
+
+        monkeypatch.setattr(MeasurementStore, "_load_patient", counting)
+        store = MeasurementStore(str(tmp_path))
+        assert loaded == []
+        assert store.patients() == ["p1", "p2"]
+        assert loaded == []
+        store.records("p2")
+        store.log_records("p2")
+        store.untransmitted("p2")
+        store.mark_transmitted("p2", 1)
+        store.ingest([rec(62.0, 1, patient="p2")])
+        assert loaded == ["p2"]
+
+    def test_unknown_patient_reads_empty_and_creates_no_file(self, tmp_path):
+        store = MeasurementStore(str(tmp_path))
+        assert store.records("nobody") == []
+        assert store.log_records("nobody") == []
+        assert store.untransmitted("nobody") == []
+        assert store.patients() == []
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_patients_lists_disk_and_memory(self, tmp_path):
+        MeasurementStore(str(tmp_path)).ingest([rec(60.0, 0, patient="p2")])
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(60.0, 0, patient="p1")])
+        assert store.patients() == ["p1", "p2"]
+
+    def test_ingest_opens_the_log_once_per_batch(self, tmp_path, monkeypatch):
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(50.0, 0)])
+        path = os.path.join(str(tmp_path), "p1.jsonl")
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        result = store.ingest([rec(60.0 + i, 1000 * i) for i in range(20)]
+                              + [rec(60.0, 0)])  # in-batch duplicate
+        monkeypatch.undo()
+        assert result.appended == 20
+        assert opened.count(path) == 1
+        assert len(MeasurementStore(str(tmp_path)).log_records("p1")) == 21
+
+
 class TestStorePersistence:
     def test_reload_round_trip(self, tmp_path):
         store = MeasurementStore(str(tmp_path))
@@ -124,8 +180,82 @@ class TestStorePersistence:
             fh.write('{"patient":"p1","kind":"HEART_')
         reloaded = MeasurementStore(str(tmp_path))
         assert len(reloaded.records("p1")) == 2
-        # a fresh append after the crash recovers cleanly
+        # a fresh append after the crash recovers cleanly: the torn fragment
+        # is cut off, so the new line is not glued onto it
         reloaded.ingest([rec(62.0, 3000)])
+        assert [r.value for r in MeasurementStore(str(tmp_path)).log_records("p1")] == [
+            60.0, 61.0, 62.0]
+        MeasurementStore(str(tmp_path)).ingest([rec(63.0, 4000)])
+        assert [r.value for r in MeasurementStore(str(tmp_path)).log_records("p1")] == [
+            60.0, 61.0, 62.0, 63.0]
+
+    def test_torn_multibyte_tail_dropped(self, tmp_path):
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(60.0, 1000)])
+        path = os.path.join(str(tmp_path), "p1.jsonl")
+        with open(path, "ab") as fh:
+            fh.write(b'{"patient":"p1","name":"\xc3')
+        reloaded = MeasurementStore(str(tmp_path))
+        assert len(reloaded.records("p1")) == 1
+        reloaded.ingest([rec(61.0, 2000)])
+        assert len(MeasurementStore(str(tmp_path)).records("p1")) == 2
+
+    def test_undecodable_midfile_line_is_integrity_error(self, tmp_path):
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(60.0, 1000), rec(61.0, 2000)])
+        path = os.path.join(str(tmp_path), "p1.jsonl")
+        with open(path, "rb") as fh:
+            first, second = fh.read().splitlines()
+        with open(path, "wb") as fh:
+            fh.write(first + b"\n" + second.replace(b"p1", b"p\xff") + b"\n" + first + b"\n")
+        with pytest.raises(IntegrityError, match=r"p1\.jsonl line 2"):
+            MeasurementStore(str(tmp_path)).records("p1")
+
+    def test_unterminated_final_record_kept_and_terminated(self, tmp_path):
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(60.0, 1000), rec(61.0, 2000)])
+        path = os.path.join(str(tmp_path), "p1.jsonl")
+        with open(path, "rb+") as fh:
+            fh.truncate(os.path.getsize(path) - 1)  # crash before the final newline
+        reloaded = MeasurementStore(str(tmp_path))
+        assert len(reloaded.records("p1")) == 2
+        reloaded.ingest([rec(62.0, 3000)])
+        assert [r.value for r in MeasurementStore(str(tmp_path)).log_records("p1")] == [
+            60.0, 61.0, 62.0]
+
+    def test_failed_append_leaves_memory_matching_disk(self, tmp_path, monkeypatch):
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(60.0, 1000)])
+        path = os.path.join(str(tmp_path), "p1.jsonl")
+        real_open = open
+
+        class TornWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                raise OSError("disk full")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return TornWrite(fh) if file == path and "a" in mode else fh
+
+        monkeypatch.setattr("builtins.open", failing_open)
+        with pytest.raises(OSError, match="disk full"):
+            store.ingest([rec(61.0, 2000), rec(62.0, 3000)])
+        monkeypatch.undo()
+        on_disk = MeasurementStore(str(tmp_path)).log_records("p1")
+        assert store.log_records("p1") == on_disk
+        store.ingest([rec(61.0, 2000), rec(62.0, 3000)])
+        assert [r.value for r in MeasurementStore(str(tmp_path)).log_records("p1")] == [
+            60.0, 61.0, 62.0]
 
     def test_midfile_corruption_is_integrity_error(self, tmp_path):
         store = MeasurementStore(str(tmp_path))
@@ -135,8 +265,11 @@ class TestStorePersistence:
         lines.insert(1, "garbage not json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        with pytest.raises(IntegrityError, match="line 2"):
-            MeasurementStore(str(tmp_path))
+        store.ingest([rec(70.0, 1000, patient="p2")])
+        reloaded = MeasurementStore(str(tmp_path))  # logs load per patient on first use
+        with pytest.raises(IntegrityError, match=r"p1\.jsonl line 2"):
+            reloaded.records("p1")
+        assert [r.value for r in reloaded.records("p2")] == [70.0]
 
 
 class TestTransmissionCursor:
