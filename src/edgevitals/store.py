@@ -93,18 +93,17 @@ class MeasurementStore:
         terminated = not lines[-1]
         if terminated:
             lines.pop()
-        # a torn final line (crash mid-append) is dropped and cut off before
-        # the next append; corruption earlier in the file is a real
-        # integrity problem
+        # only an unterminated final line can be a torn append (crash
+        # mid-write): it is dropped and cut off before the next append. Any
+        # other line that does not parse is a real integrity problem
         for i, line in enumerate(lines):
             try:
                 rec = _record_from_doc(json.loads(line))
             except (KeyError, TypeError, ValueError):
-                if i < len(lines) - 1:
+                if terminated or i < len(lines) - 1:
                     raise IntegrityError(
                         "corrupt record at %s line %d" % (path, i + 1)) from None
-                start = data.rfind(b"\n", 0, len(data) - terminated) + 1
-                self._repair[patient_id] = (start, "")
+                self._repair[patient_id] = (data.rfind(b"\n") + 1, "")
                 break
             records.append(rec)
             keys.add(rec.key())

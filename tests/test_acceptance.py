@@ -86,13 +86,9 @@ def test_criterion_01_dft_oracle(capsys):
         n = int(rng.integers(2, 1025))
         x = rng.normal(size=n)
         got = dft_magnitude(x, 1.0).magnitudes
-        # Explicit O(n^2) DFT sum. The twiddle exponent k*j is reduced mod n
-        # in exact integers and looked up in an n-entry cos/sin table, so the
-        # oracle costs n cos/sin evaluations instead of n^2/2 complex exps.
-        j = np.arange(n)
-        idx = np.outer(np.arange(n // 2 + 1), j) % n
-        ang = 2.0 * np.pi * j / n
-        want = np.hypot(np.cos(ang)[idx] @ x, np.sin(ang)[idx] @ x)
+        k = np.arange(n // 2 + 1)
+        mat = np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n)
+        want = np.abs(mat @ x)
         scale = np.max(want) if np.max(want) > 0 else 1.0
         worst = max(worst, float(np.max(np.abs(got - want)) / scale))
     elapsed = time.perf_counter() - t0

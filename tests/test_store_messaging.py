@@ -189,16 +189,35 @@ class TestStorePersistence:
         assert [r.value for r in MeasurementStore(str(tmp_path)).log_records("p1")] == [
             60.0, 61.0, 62.0, 63.0]
 
-    def test_torn_multibyte_tail_dropped(self, tmp_path):
+    @pytest.mark.parametrize("tail", [b'{"patient":"p1","name":"\xc3',
+                                      b'{"patient":"p1","name":"\xc3\xa9\xc3\xa9'])
+    def test_torn_multibyte_tail_dropped(self, tmp_path, tail):
         store = MeasurementStore(str(tmp_path))
         store.ingest([rec(60.0, 1000)])
         path = os.path.join(str(tmp_path), "p1.jsonl")
         with open(path, "ab") as fh:
-            fh.write(b'{"patient":"p1","name":"\xc3')
+            fh.write(tail)
         reloaded = MeasurementStore(str(tmp_path))
         assert len(reloaded.records("p1")) == 1
         reloaded.ingest([rec(61.0, 2000)])
         assert len(MeasurementStore(str(tmp_path)).records("p1")) == 2
+
+    def test_terminated_bad_final_line_is_integrity_error(self, tmp_path):
+        # a crash mid-append cannot leave a complete bad line, so one is
+        # corruption: it must be reported, never cut off by the next append
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(60.0, 1000), rec(61.0, 2000)])
+        path = os.path.join(str(tmp_path), "p1.jsonl")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("garbage\n")
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(IntegrityError, match=r"p1\.jsonl line 3"):
+            MeasurementStore(str(tmp_path)).records("p1")
+        with pytest.raises(IntegrityError, match=r"p1\.jsonl line 3"):
+            MeasurementStore(str(tmp_path)).ingest([rec(62.0, 3000)])
+        with open(path, "rb") as fh:
+            assert fh.read() == before
 
     def test_undecodable_midfile_line_is_integrity_error(self, tmp_path):
         store = MeasurementStore(str(tmp_path))
