@@ -35,7 +35,7 @@ from .ecg_preprocess import (
     select_pq_knots,
     wavelet_denoise,
 )
-from .errors import IngestionError, NoDataError
+from .errors import IngestionError, IntegrityError, NoDataError
 from .messaging import (
     OutboundMessage,
     TransmissionDecision,
@@ -344,7 +344,11 @@ def _last_scheduled_send(store, patient_id):
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        return int(fh.read().strip())
+        text = fh.read()
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise IntegrityError("corrupt last-send file %s" % path) from None
 
 
 def _set_last_scheduled_send(store, patient_id, now_ms):

@@ -4,6 +4,7 @@ Pan-Tompkins is the pipeline's primary detector; the denoised-spike scan
 acts as an independent cross-check.
 """
 
+import collections
 import enum
 import io
 from dataclasses import dataclass
@@ -151,6 +152,28 @@ def _validate_detector_input(signal):
         raise ValueError("detector requires at least 5 s of signal")
 
 
+def _window_indices(centres, half, n):
+    """Sample indices of the window [c - half, c + half] around each centre,
+    one row per centre, clipped to [0, n - 1]. Clipping only repeats an edge
+    sample that the truncated window already holds, so a row's max, and the
+    index behind its first argmax, equal those of the truncated slice."""
+    return np.clip(centres[:, None] + np.arange(-half, half + 1), 0, n - 1)
+
+
+def _search_back(cand, cm, cf, lo, hi, last_qrs, refractory, thr_i, thr_f):
+    """Index in [lo, hi) of the strongest candidate past the refractory
+    period whose energies clear both thresholds, or -1."""
+    best = -1
+    best_cm = 0.0
+    for j in range(lo, hi):
+        if cand[j] - last_qrs <= refractory:
+            continue
+        if cm[j] > thr_i and cf[j] > thr_f and cm[j] > best_cm:
+            best = j
+            best_cm = cm[j]
+    return best
+
+
 def pan_tompkins(signal):
     """R-peak indices via band-pass, derivative, squaring, moving-window
     integration, and dual adaptive thresholds with search-back.
@@ -186,60 +209,57 @@ def pan_tompkins(signal):
     if len(cand) == 0:
         return np.array([], dtype=int)
     half_f = int(round(0.075 * fs))
-    abp = np.abs(bp)
-    cf = np.array([np.max(abp[max(0, c - half_f): c + half_f + 1]) for c in cand])
+    n = len(xn)
+    cf = np.max(np.abs(bp[_window_indices(cand, half_f, n)]), axis=1)
 
-    n_init = min(len(xn), int(2 * fs))
-    spki = 0.5 * np.max(mwi[:n_init])
-    npki = 0.5 * np.mean(mwi[:n_init])
-    spkf = 0.5 * np.max(abp[:n_init])
-    npkf = 0.5 * np.mean(abp[:n_init])
+    n_init = min(n, int(2 * fs))
+    abp_init = np.abs(bp[:n_init])
+    spki = 0.5 * float(np.max(mwi[:n_init]))
+    npki = 0.5 * float(np.mean(mwi[:n_init]))
+    spkf = 0.5 * float(np.max(abp_init))
+    npkf = 0.5 * float(np.mean(abp_init))
 
+    # the decision loop is a per-candidate recurrence: plain Python
+    # scalars keep its per-step cost far below numpy scalar arithmetic
+    cand, cm, cf = cand.tolist(), cm.tolist(), cf.tolist()
     accepted = []
-    rr_hist = []
+    # RR values are integer sample counts, so sum / len over the last 8
+    # is exact in the sum and equals np.mean bitwise
+    rr_recent = collections.deque(maxlen=8)
+    rr_avg = 0.0
     last_qrs = -(10 ** 9)
     searched_upto = 0
     irregular = False
-    i = 0
-    while i < len(cand):
-        c = cand[i]
+    for i, c in enumerate(cand):
         thr_i = npki + 0.25 * (spki - npki)
         thr_f = npkf + 0.25 * (spkf - npkf)
         if irregular:
             # sensitivity doubles while the rhythm is off its running band
             thr_i *= 0.5
             thr_f *= 0.5
-        if accepted and rr_hist:
-            rr_avg = np.mean(rr_hist[-8:])
-            if c - last_qrs > 1.66 * rr_avg:
-                best = -1
-                best_cm = 0.0
-                for j in range(searched_upto, i):
-                    if cand[j] - last_qrs <= refractory:
-                        continue
-                    if cm[j] > 0.5 * thr_i and cf[j] > 0.5 * thr_f and cm[j] > best_cm:
-                        best = j
-                        best_cm = cm[j]
-                if best >= 0:
-                    cb = cand[best]
-                    rr = cb - last_qrs
-                    irregular = not (0.92 * rr_avg <= rr <= 1.16 * rr_avg)
-                    rr_hist.append(rr)
-                    accepted.append(cb)
-                    last_qrs = cb
-                    spki = 0.25 * cm[best] + 0.75 * spki
-                    spkf = 0.25 * cf[best] + 0.75 * spkf
-                    searched_upto = best + 1
+        if rr_recent and c - last_qrs > 1.66 * rr_avg:
+            best = _search_back(cand, cm, cf, searched_upto, i, last_qrs, refractory,
+                                0.5 * thr_i, 0.5 * thr_f)
+            if best >= 0:
+                cb = cand[best]
+                rr = cb - last_qrs
+                irregular = not (0.92 * rr_avg <= rr <= 1.16 * rr_avg)
+                rr_recent.append(rr)
+                rr_avg = sum(rr_recent) / len(rr_recent)
+                accepted.append(cb)
+                last_qrs = cb
+                spki = 0.25 * cm[best] + 0.75 * spki
+                spkf = 0.25 * cf[best] + 0.75 * spkf
+                searched_upto = best + 1
         if c - last_qrs <= refractory:
-            i += 1
             continue
         if cm[i] > thr_i and cf[i] > thr_f:
             if accepted:
                 rr = c - last_qrs
-                if rr_hist:
-                    rr_avg = np.mean(rr_hist[-8:])
+                if rr_recent:
                     irregular = not (0.92 * rr_avg <= rr <= 1.16 * rr_avg)
-                rr_hist.append(rr)
+                rr_recent.append(rr)
+                rr_avg = sum(rr_recent) / len(rr_recent)
             accepted.append(c)
             last_qrs = c
             spki = 0.125 * cm[i] + 0.875 * spki
@@ -248,35 +268,21 @@ def pan_tompkins(signal):
         else:
             npki = 0.125 * cm[i] + 0.875 * npki
             npkf = 0.125 * cf[i] + 0.875 * npkf
-        i += 1
 
-    if accepted and rr_hist:
+    if rr_recent and n - last_qrs > 1.66 * rr_avg:
         # one closing search-back so a trailing miss is not lost
-        rr_avg = np.mean(rr_hist[-8:])
         thr_i = npki + 0.25 * (spki - npki)
         thr_f = npkf + 0.25 * (spkf - npkf)
-        if len(xn) - last_qrs > 1.66 * rr_avg:
-            best = -1
-            best_cm = 0.0
-            for j in range(searched_upto, len(cand)):
-                if cand[j] - last_qrs <= refractory:
-                    continue
-                if cm[j] > 0.5 * thr_i and cf[j] > 0.5 * thr_f and cm[j] > best_cm:
-                    best = j
-                    best_cm = cm[j]
-            if best >= 0:
-                accepted.append(cand[best])
+        best = _search_back(cand, cm, cf, searched_upto, len(cand), last_qrs, refractory,
+                            0.5 * thr_i, 0.5 * thr_f)
+        if best >= 0:
+            accepted.append(cand[best])
 
     # integration delays the mwi peak; relocate each detection onto the
     # strongest input excursion nearby
-    half_r = int(round(0.080 * fs))
-    axn = np.abs(xn)
-    refined = set()
-    for c in accepted:
-        lo = max(0, c - half_r)
-        hi = min(len(xn), c + half_r + 1)
-        refined.add(lo + int(np.argmax(axn[lo:hi])))
-    return np.array(sorted(refined), dtype=int)
+    idx = _window_indices(np.array(accepted, dtype=np.intp), int(round(0.080 * fs)), n)
+    strongest = np.argmax(np.abs(xn[idx]), axis=1)
+    return np.unique(idx[np.arange(len(idx)), strongest]).astype(int)
 
 
 def wavelet_qrs(signal, levels=4, threshold_mode="soft", spike_fraction=0.20,
@@ -302,35 +308,36 @@ def annotate_spikes(denoised, spike_fraction=0.20, qrs_min_ms=50.0, qrs_max_ms=1
     supra-threshold run; spikes truncated by the record edge are NOISE.
     """
     _validate_detector_input(denoised)
-    den = denoised.samples
-    mx = np.max(np.abs(den))
+    aden = np.abs(denoised.samples)
+    n = len(aden)
+    mx = np.max(aden)
     if mx <= 0:
         return []
     theta = spike_fraction * mx
-    above = np.abs(den) > theta
+    above = aden > theta
     edges = np.diff(above.astype(np.int8))
-    starts = list(np.flatnonzero(edges == 1) + 1)
-    ends = list(np.flatnonzero(edges == -1) + 1)
+    starts = (np.flatnonzero(edges == 1) + 1).tolist()
+    ends = (np.flatnonzero(edges == -1) + 1).tolist()
     if above[0]:
         starts.insert(0, 0)
     if above[-1]:
-        ends.append(len(den))
+        ends.append(n)
     fs = denoised.rate_hz
     annotations = []
     for s, e in zip(starts, ends):
-        r = s + int(np.argmax(np.abs(den[s:e])))
+        r = s + int(np.argmax(aden[s:e]))
         duration_ms = (e - s) / fs * 1000.0
-        truncated = s == 0 or e == len(den)
+        truncated = s == 0 or e == n
         if truncated or not (qrs_min_ms <= duration_ms <= qrs_max_ms):
             label = BeatLabel.NOISE
-        elif np.abs(den[r]) < artifact_threshold:
+        elif aden[r] < artifact_threshold:
             label = BeatLabel.ARTIFACT
         else:
             label = BeatLabel.QRS
         annotations.append(BeatAnnotation(
             r_peak=r,
             pq_junction=max(s - 1, 0),
-            j_point=min(e, len(den) - 1),
+            j_point=min(e, n - 1),
             label=label,
         ))
     return annotations

@@ -126,6 +126,11 @@ def read_signal_csv(path, rate_hz, kind):
     if data.size == 0:
         raise IngestionError("%s: no samples" % path)
     ts, values = data[:, 0], data[:, 1]
+    finite_ts = np.isfinite(ts)
+    if not np.all(finite_ts):
+        # a NaN gap would pass the jitter bound below, since NaN compares false
+        raise IngestionError("%s: non-finite timestamp in data row %d"
+                             % (path, int(np.argmin(finite_ts)) + 1))
     if not np.all(np.isfinite(values)):
         raise IngestionError("%s: non-finite sample value" % path)
     period_ms = 1000.0 / rate_hz

@@ -191,9 +191,13 @@ class MeasurementStore:
             return 0
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                return int(json.load(fh)["sent"])
-            except (json.JSONDecodeError, KeyError, ValueError):
-                raise IntegrityError("corrupt cursor file %s" % path) from None
+                sent = json.load(fh)["sent"]
+            except (KeyError, TypeError, ValueError):
+                sent = None
+        # mark_transmitted writes a non-negative int; bool is an int subclass
+        if type(sent) is not int or sent < 0:
+            raise IntegrityError("corrupt cursor file %s" % path)
+        return sent
 
     def untransmitted(self, patient_id):
         return self._patient_log(patient_id)[self.cursor(patient_id):]

@@ -220,6 +220,20 @@ class TestRunBatch:
         assert lines[1] == "p-ok alerts=0 alarm=no decision=SCHEDULED"
         assert (tmp_path / "out" / "p-ok" / "message.xml").exists()
 
+    def test_corrupt_last_send_fails_only_its_patient(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (store_dir / "p-bad.lastsend").write_text("yesterday\n")
+        bad = shared_store_manifest(tmp_path, "p-bad", HEALTHY_CSV)
+        good = shared_store_manifest(tmp_path, "p-ok", HEALTHY_CSV)
+        code = main(["run", bad, good, "--now", NOW])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[0].startswith("p-bad error=IntegrityError: corrupt last-send file ")
+        assert lines[0].endswith("p-bad.lastsend")
+        assert lines[1] == "p-ok alerts=0 alarm=no decision=SCHEDULED"
+        assert (tmp_path / "out" / "p-ok" / "message.xml").exists()
+
     def test_importing_the_cli_does_not_load_scipy(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(edgevitals.__file__)))
         code = "import sys, edgevitals.cli; sys.exit('scipy' in sys.modules)"

@@ -3,11 +3,12 @@
 The DB4 analysis step must equal the per-output sum
 out[k] = sum_m ext[2k+1+m] * fr[m] bitwise; the synthesis step must match
 its explicit sum to rounding; the Pan-Tompkins moving average must equal
-a sequential running sum bitwise.
+a sequential running sum bitwise; Pan-Tompkins and the spike annotator
+must return exactly what their reference loops in qrs_reference.py return.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgevitals.ecg_preprocess import (
@@ -19,7 +20,11 @@ from edgevitals.ecg_preprocess import (
     _idwt_step,
     dwt_db4,
 )
-from edgevitals.qrs_detect import _moving_average
+from edgevitals.qrs_detect import _moving_average, _window_indices, annotate_spikes, pan_tompkins
+
+from conftest import ecg_signal, qrs_shape
+from qrs_reference import annotate_spikes as reference_annotate_spikes
+from qrs_reference import pan_tompkins as reference_pan_tompkins
 
 TAPS = 8
 
@@ -113,3 +118,79 @@ def test_moving_average_matches_numpy_convolve():
         want = np.convolve(x, np.ones(w) / w, mode="same")
         got = _moving_average(x, w)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 200), half=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_window_gather_equals_truncated_slices(n, half, seed):
+    # ties are likely in a small integer signal, so first-occurrence argmax
+    # is checked as well as the max
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-3, 4, n).astype(float)
+    centres = np.unique(rng.integers(0, n, 10))
+    idx = _window_indices(centres, half, n)
+    rows = np.abs(x[idx])
+    for row, pos, c in zip(rows, idx, centres):
+        lo = max(0, c - half)
+        window = np.abs(x[lo: c + half + 1])
+        assert row.max() == window.max()
+        assert pos[np.argmax(row)] == lo + np.argmax(window)
+
+
+def _beat_record(fs, bpm, jitter, duration_s, snr_db, spike_rate, seed, head_ms, tail_ms, weak,
+                 scale):
+    """synth_ecg's beat template at bpm, each RR scaled by up to 1 +- jitter,
+    with the first R peak head_ms after the start and the last tail_ms
+    before the end. The beats in `weak` (index, factor) are scaled down:
+    factor 0 drops the beat, a partial factor leaves one that only a
+    search-back can accept. One-sample artifact spikes, spike_rate per
+    sample, put the strongest excursion anywhere in a detection's window,
+    its edges included."""
+    rng = np.random.default_rng(seed)
+    period = 60.0 / bpm
+    gaps = np.round(fs * period * (1.0 + jitter * rng.uniform(-1.0, 1.0, int(duration_s / period) + 2)))
+    beats = int(round(head_ms * fs / 1000.0)) + np.concatenate(([0], np.cumsum(gaps))).astype(int)
+    amps = np.ones(len(beats))
+    for k, factor in weak:
+        amps[k % len(beats)] = factor
+    n = beats[-1] + int(round(tail_ms * fs / 1000.0)) + 1
+    t = np.arange(n) / fs
+    x = np.zeros(n)
+    for b, amp in zip(beats, amps):
+        x += amp * qrs_shape(t - b / fs)
+    if snr_db is not None:
+        x += rng.normal(0.0, np.sqrt(np.mean(x ** 2) / 10.0 ** (snr_db / 10.0)), n)
+    spikes = rng.random(n) < spike_rate
+    x[spikes] += rng.choice([-1.0, 1.0], spikes.sum()) * rng.uniform(0.5, 2.0, spikes.sum())
+    return ecg_signal(scale * x, fs)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    fs=st.sampled_from([100.0, 250.0, 360.0, 500.0]),
+    bpm=st.integers(40, 180),
+    jitter=st.sampled_from([0.0, 0.1, 0.3]),
+    duration_s=st.floats(8.0, 30.0),
+    snr_db=st.one_of(st.none(), st.floats(0.0, 30.0)),
+    spike_rate=st.sampled_from([0.0, 0.005, 0.02]),
+    seed=st.integers(0, 1000),
+    head_ms=st.floats(0.0, 80.0),
+    tail_ms=st.floats(0.0, 80.0),
+    weak=st.lists(st.tuples(st.integers(-3, 60), st.sampled_from([0.0, 0.4, 0.6])), max_size=4),
+    scale=st.floats(1e-3, 1e3),
+)
+# a dropped and a weak final beat: the closing search-back accepts the latter
+@example(fs=250.0, bpm=75, jitter=0.0, duration_s=12.0, snr_db=20.0, spike_rate=0.0, seed=3,
+         head_ms=40.0, tail_ms=60.0, weak=[(-2, 0.0), (-1, 0.4)], scale=2.0)
+@example(fs=500.0, bpm=75, jitter=0.0, duration_s=12.0, snr_db=20.0, spike_rate=0.0, seed=3,
+         head_ms=0.0, tail_ms=60.0, weak=[(-2, 0.0), (-1, 0.4)], scale=0.5)
+def test_detectors_equal_reference(fs, bpm, jitter, duration_s, snr_db, spike_rate, seed, head_ms,
+                                   tail_ms, weak, scale):
+    sig = _beat_record(fs, bpm, jitter, duration_s, snr_db, spike_rate, seed, head_ms, tail_ms,
+                       weak, scale)
+    got = pan_tompkins(sig)
+    want = reference_pan_tompkins(sig)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    for fraction in (0.2, 0.5):
+        assert annotate_spikes(sig, fraction) == reference_annotate_spikes(sig, fraction)

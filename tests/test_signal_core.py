@@ -141,6 +141,17 @@ class TestReadSignalCsv:
         with pytest.raises(IngestionError):
             read_signal_csv(str(path), 250.0, SignalKind.ECG)
 
+    @pytest.mark.parametrize("bad_row", [1, 25])
+    def test_rejects_nan_timestamp(self, tmp_path, bad_row):
+        rows = ["timestamp_ms,value"]
+        for i in range(50):
+            rows.append("%s,0.0" % ("nan" if i + 1 == bad_row else repr(i * 4.0)))
+        path = tmp_path / "sig.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(IngestionError, match="sig.csv: non-finite timestamp in data row %d$"
+                           % bad_row):
+            read_signal_csv(str(path), 250.0, SignalKind.ECG)
+
     def test_accepts_small_jitter(self, tmp_path, rng):
         period = 1000.0 / 250.0
         rows = ["timestamp_ms,value"]

@@ -315,6 +315,15 @@ class TestTransmissionCursor:
         assert reloaded.cursor("p1") == 1
         assert [r.timestamp_ms for r in reloaded.untransmitted("p1")] == [6000]
 
+    @pytest.mark.parametrize("text", ["5", "[1]", '{"sent": null}', '{"sent": "x"}', "{}", "{",
+                                      '{"sent": -1}', '{"sent": 1.5}', '{"sent": true}'])
+    def test_corrupt_cursor_names_its_file(self, tmp_path, text):
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(60.0, 5000)])
+        (tmp_path / "p1.cursor").write_text(text)
+        with pytest.raises(IntegrityError, match=r"corrupt cursor file .*p1\.cursor$"):
+            store.cursor("p1")
+
     def test_overmark_rejected(self, tmp_path):
         store = MeasurementStore(str(tmp_path))
         store.ingest([rec(60.0, 5000)])
