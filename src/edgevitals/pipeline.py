@@ -16,7 +16,7 @@ Steps (each optional input skips its branch):
   7. Transmission decision and canonical outbound XML.
 
 Artifacts land in <out_dir>/<patient>/: report.jsonl, features.csv,
-beats.csv (when ECG ran), message.xml (when not held).
+beats.csv (when ECG ran), message.xml (when not held); the cursor moves last.
 """
 
 import csv
@@ -35,7 +35,7 @@ from .ecg_preprocess import (
     select_pq_knots,
     wavelet_denoise,
 )
-from .errors import IngestionError, IntegrityError, NoDataError
+from .errors import IngestionError, NoDataError
 from .messaging import (
     OutboundMessage,
     TransmissionDecision,
@@ -63,6 +63,7 @@ from .rules import (
     report_to_json_line,
 )
 from .signal_core import SignalKind, read_signal_csv
+from .store import write_atomic
 
 __all__ = ["PipelineResult", "run_patient", "read_measurements_csv"]
 
@@ -137,25 +138,18 @@ def _ecg_features(signal, cfg, features):
     peaks = pt_peaks if qcfg["detector"] == "pan_tompkins" else wv_peaks
     rr = rr_from_peaks(peaks, signal.rate_hz, signal.start_time_ms)
     if len(rr) >= 2:
-        try:
-            tf = hrv.time_features(rr)
-            features["sdnn_ms"] = tf.sdnn_ms
-            features["sdann_ms"] = tf.sdann_ms
-            features["sdnnidx_ms"] = tf.sdnnidx_ms
-            features["pnn50_pct"] = tf.pnn50_pct
-            features["rmssd_ms"] = tf.rmssd_ms
-        except NoDataError:
-            features["sdnn_ms"] = hrv.sdnn(rr)
-            features["rmssd_ms"] = hrv.rmssd(rr)
-            features["pnn50_pct"] = hrv.pnn50(rr)
+        # a feature the series lacks the data for is left blank
+        for name, feature in (("sdnn_ms", hrv.sdnn), ("sdann_ms", hrv.sdann),
+                              ("sdnnidx_ms", hrv.sdnnidx), ("pnn50_pct", hrv.pnn50),
+                              ("rmssd_ms", hrv.rmssd), ("mean_heart_rate_bpm", mean_heart_rate)):
+            try:
+                features[name] = feature(rr)
+            except NoDataError:
+                pass
         try:
             ff = hrv.band_powers(rr)
             features["lf_power"] = ff.lf_power
             features["hf_power"] = ff.hf_power
-        except NoDataError:
-            pass
-        try:
-            features["mean_heart_rate_bpm"] = mean_heart_rate(rr)
         except NoDataError:
             pass
     return annotations, disagreement
@@ -287,7 +281,7 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
         report["prediction_distribution"] = [round(p, 6) for p in dist]
 
     decision = decide_transmission(alerts, cfg.schedule, now_ms,
-                                   _last_scheduled_send(store, patient_id))
+                                   store.last_scheduled_send(patient_id))
     result.decision = decision
     if decision is not TransmissionDecision.HOLD:
         pending = store.untransmitted(patient_id)
@@ -303,31 +297,27 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
             measurements=tuple(pending),
         )
         result.message_xml = build_message_xml(message)
-        store.mark_transmitted(patient_id, len(pending))
-        if decision is TransmissionDecision.SCHEDULED:
-            _set_last_scheduled_send(store, patient_id, now_ms)
 
     if out_dir is not None:
         pdir = os.path.join(out_dir, patient_id)
         os.makedirs(pdir, exist_ok=True)
-        rpath = os.path.join(pdir, "report.jsonl")
-        with open(rpath, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json_line(report) + "\n")
-        result.artifacts.append(rpath)
-        fpath = os.path.join(pdir, "features.csv")
-        with open(fpath, "w", encoding="utf-8") as fh:
-            fh.write(_features_csv(features))
-        result.artifacts.append(fpath)
+        texts = [("report.jsonl", report_to_json_line(report) + "\n"),
+                 ("features.csv", _features_csv(features))]
         if annotations is not None:
-            bpath = os.path.join(pdir, "beats.csv")
-            with open(bpath, "w", encoding="utf-8") as fh:
-                fh.write(annotations_to_csv(annotations))
-            result.artifacts.append(bpath)
+            texts.append(("beats.csv", annotations_to_csv(annotations)))
+        for name, text in texts:
+            path = os.path.join(pdir, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            result.artifacts.append(path)
         if result.message_xml:
-            mpath = os.path.join(pdir, "message.xml")
-            with open(mpath, "w", encoding="utf-8") as fh:
-                fh.write(result.message_xml)
-            result.artifacts.append(mpath)
+            path = os.path.join(pdir, "message.xml")
+            write_atomic(path, result.message_xml)
+            result.artifacts.append(path)
+    # the last write: records count as sent only once their message is on disk
+    if decision is not TransmissionDecision.HOLD:
+        scheduled = decision is TransmissionDecision.SCHEDULED
+        store.mark_transmitted(patient_id, len(pending), now_ms if scheduled else None)
     return result
 
 
@@ -337,21 +327,3 @@ def _features_csv(features):
     writer.writerow(FEATURE_COLUMNS)
     writer.writerow([repr(features[c]) if c in features else "" for c in FEATURE_COLUMNS])
     return buf.getvalue()
-
-
-def _last_scheduled_send(store, patient_id):
-    path = os.path.join(store.root, patient_id + ".lastsend")
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise IntegrityError("corrupt last-send file %s" % path) from None
-
-
-def _set_last_scheduled_send(store, patient_id, now_ms):
-    path = os.path.join(store.root, patient_id + ".lastsend")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%d" % now_ms)

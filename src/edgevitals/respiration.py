@@ -23,7 +23,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RespirationFeatures:
-    rate_bpm: tuple
     tidal_volume: float
     vital_capacity: float
     residual_volume: float
@@ -90,12 +89,7 @@ def volume_features(signal, calibration, vr_litres):
         seg = y[a:b]
         excursions.append(np.max(seg) - np.min(seg))
     excursions = np.array(excursions)
-    try:
-        rates = tuple(respiration_rate(signal))
-    except NoDataError:
-        rates = ()
     return RespirationFeatures(
-        rate_bpm=rates,
         tidal_volume=float(np.median(excursions) / calibration),
         vital_capacity=float(np.max(excursions) / calibration),
         residual_volume=float(vr_litres),

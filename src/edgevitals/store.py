@@ -1,13 +1,15 @@
 """Append-only, file-backed measurement store.
 
 One newline-delimited JSON file per patient under the store root, plus a
-tiny cursor sidecar tracking how many log records have been transmitted.
-A patient's log is read the first time that patient is asked for, so a
-store shared by many patients costs each run only its own patient's log.
-Crash tolerance comes from the format: a torn final line is dropped on
-reload and cut off before the next append. Duplicate records (same
-patient, kind, timestamp, value, name) are ignored on ingest, so re-running
-an ingest batch is a no-op.
+sidecar `<patient>.cursor` holding the patient's transmission state:
+`{"sent": <records transmitted>, "last_scheduled_ms": <int or null>}`.
+A patient's log and sidecar are read the first time that patient is asked
+for, so a store shared by many patients costs each run only its own
+patient's files. Crash tolerance comes from the format: a torn final line
+is dropped on reload and cut off before the next append, and the sidecar
+is replaced atomically. Duplicate records (same patient, kind, timestamp,
+value, name) are ignored on ingest, so re-running an ingest batch is a
+no-op.
 """
 
 import json
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from .errors import IntegrityError
 from .rules import AcquisitionMode, MeasurementKind, MeasurementRecord
 
-__all__ = ["MeasurementStore", "IngestResult"]
+__all__ = ["MeasurementStore", "IngestResult", "write_atomic"]
 
 _PATIENT_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 # characters outside the XML 1.0 Char production; a name holding one would
@@ -56,13 +58,25 @@ def _record_from_doc(doc):
     )
 
 
+def write_atomic(path, text):
+    """Replaces path with text so that a crash leaves either the old file
+    or the whole new one: write a temp file, fsync it, then os.replace."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 class MeasurementStore:
     def __init__(self, root_dir):
         self.root = root_dir
         os.makedirs(root_dir, exist_ok=True)
-        self._log = {}     # patient -> list of records in append order, once loaded
-        self._keys = {}    # patient -> set of record keys
-        self._repair = {}  # patient -> (byte offset, prefix) to fix a torn tail on append
+        self._log = {}      # patient -> list of records in append order, once loaded
+        self._keys = {}     # patient -> set of record keys
+        self._repair = {}   # patient -> (byte offset, prefix) to fix a torn tail on append
+        self._cursors = {}  # patient -> (sent, last_scheduled_ms), once loaded
 
     def _path(self, patient_id):
         if not _PATIENT_RE.match(patient_id):
@@ -185,27 +199,45 @@ class MeasurementStore:
         """Append-order view; the transmission cursor indexes this."""
         return list(self._patient_log(patient_id))
 
-    def cursor(self, patient_id):
-        path = self._cursor_path(patient_id)
-        if not os.path.exists(path):
-            return 0
-        with open(path, "r", encoding="utf-8") as fh:
+    def _transmission(self, patient_id):
+        if patient_id not in self._cursors:
+            path = self._cursor_path(patient_id)
             try:
-                sent = json.load(fh)["sent"]
+                with open(path, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+                # a cursor from before last_scheduled_ms existed reads null
+                sent, last = doc["sent"], doc.get("last_scheduled_ms")
+            except FileNotFoundError:
+                sent, last = 0, None
             except (KeyError, TypeError, ValueError):
-                sent = None
-        # mark_transmitted writes a non-negative int; bool is an int subclass
-        if type(sent) is not int or sent < 0:
-            raise IntegrityError("corrupt cursor file %s" % path)
-        return sent
+                sent = last = None
+            # mark_transmitted writes ints, sent within the log; bool is an int subclass
+            if (type(sent) is not int or not 0 <= sent <= len(self._patient_log(patient_id))
+                    or type(last) not in (int, type(None))):
+                raise IntegrityError("corrupt cursor file %s" % path)
+            self._cursors[patient_id] = (sent, last)
+        return self._cursors[patient_id]
+
+    def cursor(self, patient_id):
+        """Number of log records already transmitted."""
+        return self._transmission(patient_id)[0]
+
+    def last_scheduled_send(self, patient_id):
+        """Time of the last SCHEDULED transmission in ms, or None."""
+        return self._transmission(patient_id)[1]
 
     def untransmitted(self, patient_id):
         return self._patient_log(patient_id)[self.cursor(patient_id):]
 
-    def mark_transmitted(self, patient_id, count):
-        cur = self.cursor(patient_id)
+    def mark_transmitted(self, patient_id, count, scheduled_at_ms=None):
+        """Advances the cursor by count records and, for a scheduled send,
+        records its time; both reach disk in one atomic replace."""
+        cur, last = self._transmission(patient_id)
         total = len(self._patient_log(patient_id))
         if count < 0 or cur + count > total:
             raise ValueError("cannot mark %d records from cursor %d of %d" % (count, cur, total))
-        with open(self._cursor_path(patient_id), "w", encoding="utf-8") as fh:
-            json.dump({"sent": cur + count}, fh)
+        if scheduled_at_ms is not None:
+            last = int(scheduled_at_ms)
+        write_atomic(self._cursor_path(patient_id),
+                     json.dumps({"sent": cur + count, "last_scheduled_ms": last}))
+        self._cursors[patient_id] = (cur + count, last)

@@ -223,14 +223,14 @@ class TestRunBatch:
     def test_corrupt_last_send_fails_only_its_patient(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         store_dir.mkdir()
-        (store_dir / "p-bad.lastsend").write_text("yesterday\n")
+        (store_dir / "p-bad.cursor").write_text('{"sent": 0, "last_scheduled_ms": "yesterday"}')
         bad = shared_store_manifest(tmp_path, "p-bad", HEALTHY_CSV)
         good = shared_store_manifest(tmp_path, "p-ok", HEALTHY_CSV)
         code = main(["run", bad, good, "--now", NOW])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
-        assert lines[0].startswith("p-bad error=IntegrityError: corrupt last-send file ")
-        assert lines[0].endswith("p-bad.lastsend")
+        assert lines[0].startswith("p-bad error=IntegrityError: corrupt cursor file ")
+        assert lines[0].endswith("p-bad.cursor")
         assert lines[1] == "p-ok alerts=0 alarm=no decision=SCHEDULED"
         assert (tmp_path / "out" / "p-ok" / "message.xml").exists()
 

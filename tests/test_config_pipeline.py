@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import synth_ecg, write_signal_csv
-from edgevitals import ecg_preprocess, pipeline, qrs_detect, rules
+from conftest import qrs_shape, synth_ecg, write_signal_csv
+from edgevitals import ecg_preprocess, pipeline, qrs_detect, respiration, rules
 from edgevitals.classify import (
     Attribute,
     ClassLabel,
@@ -214,6 +214,20 @@ class TestPipelineEcg:
         # a metronome-steady synthetic train has almost no variability
         assert result.features["sdnn_ms"] < 10.0
 
+    def test_rr_series_without_adjacent_pairs_leaves_those_features_blank(self, tmp_path):
+        # the 3.4 s pause is gated out of the RR series, so its two 800 ms
+        # intervals are not adjacent and no successive difference exists
+        fs = 250.0
+        t = np.arange(int(7 * fs)) / fs
+        samples = sum(qrs_shape(t - c) for c in (0.6, 1.4, 4.8, 5.6))
+        ecg_path = tmp_path / "ecg.csv"
+        write_signal_csv(str(ecg_path), samples, fs)
+        result = run_patient("p1", MeasurementStore(str(tmp_path / "store")),
+                             default_config(), parse_rules(RULES), now_ms=7000,
+                             ecg_csv=str(ecg_path), out_dir=str(tmp_path / "out"))
+        assert result.features == {"sdnn_ms": 0.0, "mean_heart_rate_bpm": 75.0}
+        assert result.decision is TransmissionDecision.SCHEDULED
+
     def test_message_covers_store_exactly_once(self, tmp_path):
         result, store = run_ecg_patient(tmp_path, bpm=125)
         msg = parse_message_xml(result.message_xml)
@@ -375,19 +389,39 @@ class TestPipelineMeasurementsOnly:
         assert result.alerts == []
 
 
+def run_resp_patient(tmp_path):
+    fs = 25.0
+    t = np.arange(int(120 * fs)) / fs
+    samples = 1.5 * np.sin(2 * np.pi * 0.25 * t)
+    resp_path = tmp_path / "resp.csv"
+    write_signal_csv(str(resp_path), samples, fs)
+    store = MeasurementStore(str(tmp_path / "store"))
+    result = run_patient("p1", store, default_config(), parse_rules(RULES),
+                         now_ms=120000, resp_csv=str(resp_path),
+                         out_dir=str(tmp_path / "out"))
+    return result, store
+
+
 class TestPipelineRespiration:
     def test_respiration_features_and_injection(self, tmp_path):
-        fs = 25.0
-        t = np.arange(int(120 * fs)) / fs
-        samples = 1.5 * np.sin(2 * np.pi * 0.25 * t)
-        resp_path = tmp_path / "resp.csv"
-        write_signal_csv(str(resp_path), samples, fs)
-        store = MeasurementStore(str(tmp_path / "store"))
-        result = run_patient("p1", store, default_config(), parse_rules(RULES),
-                             now_ms=120000, resp_csv=str(resp_path),
-                             out_dir=str(tmp_path / "out"))
+        result, store = run_resp_patient(tmp_path)
         assert abs(result.features["respiration_rate_bpm"] - 15.0) <= 1.0
         # peak-to-trough excursion of a +-1.5 sine at calibration 1.0
         assert abs(result.features["tidal_volume_l"] - 3.0) < 1e-6
         rr = store.records("p1", kind=MeasurementKind.RESPIRATION_RATE)
         assert len(rr) == 1 and rr[0].mode is AcquisitionMode.SILENT
+
+    def test_respiration_rate_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = respiration.respiration_rate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # both modules bind the name; a second pass from either shows
+        monkeypatch.setattr(respiration, "respiration_rate", counting)
+        monkeypatch.setattr(pipeline, "respiration_rate", counting)
+        result, _ = run_resp_patient(tmp_path)
+        assert "tidal_volume_l" in result.features
+        assert len(calls) == 1

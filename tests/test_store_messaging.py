@@ -315,11 +315,58 @@ class TestTransmissionCursor:
         assert reloaded.cursor("p1") == 1
         assert [r.timestamp_ms for r in reloaded.untransmitted("p1")] == [6000]
 
-    @pytest.mark.parametrize("text", ["5", "[1]", '{"sent": null}', '{"sent": "x"}', "{}", "{",
-                                      '{"sent": -1}', '{"sent": 1.5}', '{"sent": true}'])
-    def test_corrupt_cursor_names_its_file(self, tmp_path, text):
+    def test_scheduled_send_committed_with_cursor(self, tmp_path):
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(60.0, 5000), rec(61.0, 6000)])
+        assert store.last_scheduled_send("p1") is None
+        store.mark_transmitted("p1", 1, scheduled_at_ms=7000)
+        store.mark_transmitted("p1", 1)  # an immediate send keeps the slot time
+        assert json.loads((tmp_path / "p1.cursor").read_text()) == {
+            "sent": 2, "last_scheduled_ms": 7000}
+        reloaded = MeasurementStore(str(tmp_path))
+        assert (reloaded.cursor("p1"), reloaded.last_scheduled_send("p1")) == (2, 7000)
+        assert sorted(os.listdir(str(tmp_path))) == ["p1.cursor", "p1.jsonl"]
+
+    def test_cursor_without_scheduled_send_loads(self, tmp_path):
         store = MeasurementStore(str(tmp_path))
         store.ingest([rec(60.0, 5000)])
+        (tmp_path / "p1.cursor").write_text('{"sent": 1}')
+        assert (store.cursor("p1"), store.last_scheduled_send("p1")) == (1, None)
+
+    def test_sidecar_read_once_per_store(self, tmp_path):
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(60.0, 5000)])
+        store.mark_transmitted("p1", 1, scheduled_at_ms=7000)
+        reloaded = MeasurementStore(str(tmp_path))
+        assert reloaded.cursor("p1") == 1
+        os.remove(str(tmp_path / "p1.cursor"))
+        assert (reloaded.cursor("p1"), reloaded.last_scheduled_send("p1")) == (1, 7000)
+
+    @pytest.mark.parametrize("fail", ["fsync", "replace"])
+    def test_failed_commit_keeps_state(self, tmp_path, monkeypatch, fail):
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(60.0, 5000), rec(61.0, 6000)])
+        store.mark_transmitted("p1", 1, scheduled_at_ms=7000)
+
+        def crash(*args):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, fail, crash)
+        with pytest.raises(OSError):
+            store.mark_transmitted("p1", 1, scheduled_at_ms=8000)
+        monkeypatch.undo()
+        assert (store.cursor("p1"), store.last_scheduled_send("p1")) == (1, 7000)
+        reloaded = MeasurementStore(str(tmp_path))
+        assert (reloaded.cursor("p1"), reloaded.last_scheduled_send("p1")) == (1, 7000)
+
+    @pytest.mark.parametrize("text", [
+        "5", "[1]", '{"sent": null}', '{"sent": "x"}', "{}", "{", '{"sent": -1}',
+        '{"sent": 1.5}', '{"sent": true}', '{"sent": 2}',
+        '{"sent": 0, "last_scheduled_ms": "x"}', '{"sent": 0, "last_scheduled_ms": true}',
+        '{"sent": 0, "last_scheduled_ms": 1.5}'])
+    def test_corrupt_cursor_names_its_file(self, tmp_path, text):
+        store = MeasurementStore(str(tmp_path))
+        store.ingest([rec(60.0, 5000)])  # one record, so "sent": 2 lies beyond the log
         (tmp_path / "p1.cursor").write_text(text)
         with pytest.raises(IntegrityError, match=r"corrupt cursor file .*p1\.cursor$"):
             store.cursor("p1")
