@@ -7,9 +7,10 @@ Subcommands:
   rules-check  parse-only validation of a rule XML file
 
 Exit codes: 0 success / no alarm, 2 at least one ALARM fired, 1 error,
-64 usage problem (bad flags, missing or unreadable inputs). A patient that
-fails in `run` prints `<id> error=<Type>: <message>` and the others still
-run; the exit code is then 1.
+64 usage problem (bad flags, missing or unreadable inputs). `run` finds
+every usage problem before any patient runs. A patient that fails in `run`
+prints `<id> error=<Type>: <message>` and the others still run; the exit
+code is then 1.
 """
 
 import argparse
@@ -71,8 +72,8 @@ def _load_manifest(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError("manifest %s is not valid JSON: %s" % (path, exc)) from None
-    if "patient_id" not in doc or "out_dir" not in doc:
-        raise UsageError("manifest %s needs patient_id and out_dir" % path)
+    if not (isinstance(doc, dict) and all(doc.get(k) for k in ("patient_id", "out_dir", "rules"))):
+        raise UsageError("manifest %s needs patient_id, out_dir and rules" % path)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(key):
@@ -89,16 +90,11 @@ def _load_manifest(path):
 
 def _run_one(doc, now_ms):
     cfg = load_config(doc["config"]) if doc.get("config") else default_config()
-    rules_path = doc.get("rules") or cfg["rules_path"]
-    if not rules_path:
-        raise UsageError("no rules file given (manifest or config rules_path)")
-    _require_readable(rules_path, "rules")
-    with open(rules_path, "r", encoding="utf-8") as fh:
+    with open(doc["rules"], "r", encoding="utf-8") as fh:
         ruleset = parse_rules(fh.read())
     model = None
-    model_path = doc.get("model") or cfg["model_path"]
-    if model_path:
-        with open(model_path, "r", encoding="utf-8") as fh:
+    if doc.get("model"):
+        with open(doc["model"], "r", encoding="utf-8") as fh:
             model = model_from_json(fh.read())
     store_dir = doc.get("store_dir") or os.path.join(doc["out_dir"], "store")
     store = MeasurementStore(store_dir)
@@ -111,12 +107,9 @@ def _run_one(doc, now_ms):
 
 
 def _run_isolated(doc, now_ms):
-    """The patient's result, or the exception that stopped it; a usage
-    problem still stops the whole batch."""
+    """The patient's result, or the exception that stopped it."""
     try:
         return _run_one(doc, now_ms)
-    except UsageError:
-        raise
     except Exception as exc:
         return exc
 
@@ -124,6 +117,8 @@ def _run_isolated(doc, now_ms):
 def cmd_run(args):
     now_ms = _parse_now(args.now) if args.now else round(
         datetime.datetime.now(tz=datetime.timezone.utc).timestamp() * 1000)
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
     manifests = [_load_manifest(p) for p in args.manifest]
     ids = [m["patient_id"] for m in manifests]
     if len(set(ids)) != len(ids):

@@ -11,9 +11,7 @@ Example document (all keys optional except config_version):
       "qrs": {"detector": "pan_tompkins", "qrs_min_ms": 50.0,
               "qrs_max_ms": 150.0, "spike_fraction": 0.2,
               "artifact_threshold": 0.15, "cross_check_pct": 10.0},
-      "respiration": {"calibration": 1.0, "vr_litres": 1.2, "window_s": 60.0},
-      "rules_path": "rules.xml",
-      "model_path": null,
+      "respiration": {"calibration": 1.0, "window_s": 60.0},
       "stress_index": {"weights": {"questionnaire_01": 0.0769, ...},
                        "threshold": 0.6},
       "lifestyle_index": {"weights": {...}, "threshold": 0.6},
@@ -67,11 +65,8 @@ _DEFAULTS = {
     },
     "respiration": {
         "calibration": 1.0,
-        "vr_litres": 1.2,
         "window_s": 60.0,
     },
-    "rules_path": None,
-    "model_path": None,
     "stress_index": {
         "weights": _equal_weights(_attr_names(["questionnaire_"])),
         "threshold": 0.6,

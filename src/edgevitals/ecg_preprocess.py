@@ -42,12 +42,15 @@ _TAPS = 8
 _DEC_LO_R = DB4_DEC_LO[::-1].copy()
 _DEC_HI_R = DB4_DEC_HI[::-1].copy()
 
+# the PQ knot search window, in ms before each R peak
+PQ_WINDOW_START_MS = 200.0
+PQ_WINDOW_END_MS = 66.0
+
 
 @dataclass(frozen=True)
 class HighPassSpec:
     cutoff_hz: float = 0.5
     order: int = 2
-    zero_phase: bool = True
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,8 @@ class WaveletDecomposition:
 
 
 def remove_baseline_linear(signal, spec=None):
-    """High-pass the ECG to strip baseline wander. Zero-phase by default so
-    QRS morphology is not skewed."""
+    """High-pass the ECG to strip baseline wander. Zero-phase, so QRS
+    morphology is not skewed."""
     if spec is None:
         spec = HighPassSpec()
     if signal.kind is not SignalKind.ECG:
@@ -75,22 +78,16 @@ def remove_baseline_linear(signal, spec=None):
         raise ValueError("cutoff must lie in (0, Nyquist)")
     if spec.order < 1:
         raise ValueError("order must be >= 1")
-    from scipy.signal import butter, sosfilt, sosfiltfilt
+    from scipy.signal import butter, sosfiltfilt
 
     sos = butter(spec.order, spec.cutoff_hz, btype="highpass", fs=signal.rate_hz, output="sos")
-    if spec.zero_phase:
-        filtered = sosfiltfilt(sos, signal.samples)
-    else:
-        filtered = sosfilt(sos, signal.samples)
-    return signal.replace_samples(filtered)
+    return signal.replace_samples(sosfiltfilt(sos, signal.samples))
 
 
-def select_pq_knots(signal, r_peaks, window_start_ms=200.0, window_end_ms=66.0):
+def select_pq_knots(signal, r_peaks):
     """One knot per beat: the flattest sample (minimum |local slope|) in the
-    quiet interval [R - window_start_ms, R - window_end_ms] before each R peak.
+    quiet PQ interval [R - 200 ms, R - 66 ms] before each R peak.
     """
-    if window_start_ms <= window_end_ms:
-        raise ValueError("window_start_ms must exceed window_end_ms")
     x = signal.samples
     n = len(x)
     r_peaks = np.asarray(r_peaks, dtype=int)
@@ -104,8 +101,8 @@ def select_pq_knots(signal, r_peaks, window_start_ms=200.0, window_end_ms=66.0):
     slope[1:-1] = (x[2:] - x[:-2]) / 2.0
     slope[0] = x[1] - x[0] if n > 1 else 0.0
     slope[-1] = x[-1] - x[-2] if n > 1 else 0.0
-    w0 = int(round(window_start_ms * signal.rate_hz / 1000.0))
-    w1 = int(round(window_end_ms * signal.rate_hz / 1000.0))
+    w0 = int(round(PQ_WINDOW_START_MS * signal.rate_hz / 1000.0))
+    w1 = int(round(PQ_WINDOW_END_MS * signal.rate_hz / 1000.0))
     knots = []
     for r in r_peaks:
         lo = max(0, r - w0)

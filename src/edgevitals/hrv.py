@@ -31,6 +31,7 @@ LF_BAND_HZ = (0.03, 0.15)
 HF_BAND_HZ = (0.15, 0.40)
 
 TACHOGRAM_RATE_HZ = 4.0
+SEGMENT_S = 300.0
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,10 @@ def sdnn(rr):
     return float(np.sqrt(np.mean((iv - m) ** 2)))
 
 
-def _segment_bins(rr, segment_s):
-    """Group interval values by wall-clock bins anchored at the first onset.
-    Bins holding fewer than 2 intervals are dropped."""
-    width_ms = segment_s * 1000.0
+def _segment_bins(rr):
+    """Group interval values by SEGMENT_S wall-clock bins anchored at the
+    first onset. Bins holding fewer than 2 intervals are dropped."""
+    width_ms = SEGMENT_S * 1000.0
     idx = np.floor((rr.onsets_ms - rr.onsets_ms[0]) / width_ms).astype(int)
     bins = []
     for b in np.unique(idx):
@@ -76,20 +77,20 @@ def _segment_bins(rr, segment_s):
     return bins
 
 
-def sdann(rr, segment_s=300.0):
+def sdann(rr):
     """Population SD of the per-segment interval means."""
     _require(rr, 2)
-    bins = _segment_bins(rr, segment_s)
+    bins = _segment_bins(rr)
     if len(bins) < 2:
         raise NoDataError("need at least 2 usable segments")
     means = np.array([np.mean(b) for b in bins])
     return float(np.sqrt(np.mean((means - np.mean(means)) ** 2)))
 
 
-def sdnnidx(rr, segment_s=300.0):
+def sdnnidx(rr):
     """Mean of the per-segment population SDs."""
     _require(rr, 2)
-    bins = _segment_bins(rr, segment_s)
+    bins = _segment_bins(rr)
     if len(bins) < 2:
         raise NoDataError("need at least 2 usable segments")
     sds = [np.sqrt(np.mean((b - np.mean(b)) ** 2)) for b in bins]
@@ -103,11 +104,11 @@ def _successive_diffs(rr):
     return rr.intervals_ms[pairs + 1] - rr.intervals_ms[pairs]
 
 
-def pnn50(rr, threshold_ms=50.0):
+def pnn50(rr):
     """Percent of successive differences strictly greater than 50 ms."""
     _require(rr, 2)
     diffs = _successive_diffs(rr)
-    return float(100.0 * np.count_nonzero(np.abs(diffs) > threshold_ms) / len(diffs))
+    return float(100.0 * np.count_nonzero(np.abs(diffs) > 50.0) / len(diffs))
 
 
 def rmssd(rr):
@@ -117,11 +118,11 @@ def rmssd(rr):
     return float(np.sqrt(np.mean(diffs ** 2)))
 
 
-def time_features(rr, segment_s=300.0):
+def time_features(rr):
     return HrvTimeFeatures(
         sdnn_ms=sdnn(rr),
-        sdann_ms=sdann(rr, segment_s),
-        sdnnidx_ms=sdnnidx(rr, segment_s),
+        sdann_ms=sdann(rr),
+        sdnnidx_ms=sdnnidx(rr),
         pnn50_pct=pnn50(rr),
         rmssd_ms=rmssd(rr),
     )

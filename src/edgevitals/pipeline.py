@@ -164,7 +164,7 @@ def _resp_features(signal, cfg, features):
     if len(rates):
         features["respiration_rate_bpm"] = float(sum(rates) / len(rates))
     try:
-        vol = volume_features(signal, rcfg["calibration"], rcfg["vr_litres"])
+        vol = volume_features(signal, rcfg["calibration"])
         features["tidal_volume_l"] = vol.tidal_volume
         features["vital_capacity_l"] = vol.vital_capacity
     except NoDataError:

@@ -1,9 +1,8 @@
 """Respiration-rate estimation and volume features.
 
-Rate comes from the dominant spectral line of 60 s windows; volumes come
-from per-breath excursions of the calibrated signal. Residual volume is
-not derivable from an external respiration band at all, so it rides
-through from per-patient config.
+Rate comes from the dominant spectral line of 60 s windows below 2 Hz;
+tidal volume and vital capacity come from per-breath excursions of the
+calibrated signal.
 """
 
 from dataclasses import dataclass
@@ -20,12 +19,14 @@ __all__ = [
     "volume_features",
 ]
 
+# highest breathing frequency searched for the dominant spectral line
+F_MAX_HZ = 2.0
+
 
 @dataclass(frozen=True)
 class RespirationFeatures:
     tidal_volume: float
     vital_capacity: float
-    residual_volume: float
 
 
 def _check_respiration(signal):
@@ -33,8 +34,8 @@ def _check_respiration(signal):
         raise ValueError("expected a respiration signal")
 
 
-def stft_dominant_frequency(signal, window_s=60.0, hop_s=60.0, f_max_hz=2.0):
-    """Per window: Hamming window, DFT, argmax magnitude over (0, f_max_hz].
+def stft_dominant_frequency(signal, window_s=60.0, hop_s=60.0):
+    """Per window: Hamming window, DFT, argmax magnitude over (0, F_MAX_HZ].
 
     DC is excluded and ties resolve to the lower bin. Returns a list of
     (window_start_s, dominant_frequency_hz).
@@ -53,7 +54,7 @@ def stft_dominant_frequency(signal, window_s=60.0, hop_s=60.0, f_max_hz=2.0):
         # window's sidelobes into the low bins and masks the true peak
         x = (win.samples - np.mean(win.samples)) * hamming_window(len(win.samples))
         spectrum = dft_magnitude(x, signal.rate_hz)
-        k_max = int(np.floor(f_max_hz / spectrum.bin_width_hz + 1e-9))
+        k_max = int(np.floor(F_MAX_HZ / spectrum.bin_width_hz + 1e-9))
         k_max = min(k_max, len(spectrum.magnitudes) - 1)
         if k_max < 1:
             raise NoDataError("window too short for any in-band bin")
@@ -64,13 +65,13 @@ def stft_dominant_frequency(signal, window_s=60.0, hop_s=60.0, f_max_hz=2.0):
     return out
 
 
-def respiration_rate(signal, window_s=60.0, hop_s=60.0, f_max_hz=2.0):
+def respiration_rate(signal, window_s=60.0, hop_s=60.0):
     """Breaths per minute per window: dominant frequency times 60."""
-    doms = stft_dominant_frequency(signal, window_s, hop_s, f_max_hz)
+    doms = stft_dominant_frequency(signal, window_s, hop_s)
     return np.array([f * 60.0 for _, f in doms])
 
 
-def volume_features(signal, calibration, vr_litres):
+def volume_features(signal, calibration):
     """Breath-cycle volumes from the mean-removed signal.
 
     Cycles are cut at rising zero crossings; each cycle's excursion is its
@@ -92,5 +93,4 @@ def volume_features(signal, calibration, vr_litres):
     return RespirationFeatures(
         tidal_volume=float(np.median(excursions) / calibration),
         vital_capacity=float(np.max(excursions) / calibration),
-        residual_volume=float(vr_litres),
     )

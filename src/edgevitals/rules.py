@@ -15,6 +15,7 @@ threshold, percent_change (percent, window_hours) and sustained
 
 import enum
 import json
+import math
 import operator
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -197,6 +198,8 @@ def _parse_float(elem, name, positive=False):
         v = float(raw)
     except ValueError:
         raise RuleSemanticError("<%s> attribute %r is not a number: %r" % (elem.tag, name, raw)) from None
+    if not math.isfinite(v):
+        raise RuleSemanticError("<%s> attribute %r must be finite, got %r" % (elem.tag, name, raw))
     if positive and not (v > 0):
         raise RuleSemanticError("<%s> attribute %r must be > 0" % (elem.tag, name))
     return v

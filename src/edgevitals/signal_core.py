@@ -59,7 +59,6 @@ class Spectrum:
 
     magnitudes: np.ndarray = field(repr=False)
     bin_width_hz: float
-    origin_ms: int = 0
 
 
 def hamming_window(n):
@@ -72,13 +71,12 @@ def hamming_window(n):
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
 
 
-def dft_magnitude(samples, rate_hz=None, origin_ms=0):
+def dft_magnitude(samples, rate_hz=None):
     """Magnitude spectrum up to Nyquist. No zero padding: n_fft = len(samples),
-    so bin_width is exactly rate_hz / n. Accepts a SampledSignal (rate and
-    origin taken from it) or a raw array plus an explicit rate_hz."""
+    so bin_width is exactly rate_hz / n. Accepts a SampledSignal (rate taken
+    from it) or a raw array plus an explicit rate_hz."""
     if isinstance(samples, SampledSignal):
         rate_hz = samples.rate_hz
-        origin_ms = samples.start_time_ms
         samples = samples.samples
     elif rate_hz is None:
         raise ValueError("rate_hz is required for raw sample arrays")
@@ -88,7 +86,7 @@ def dft_magnitude(samples, rate_hz=None, origin_ms=0):
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
     mags = np.abs(np.fft.rfft(x))
-    return Spectrum(magnitudes=mags, bin_width_hz=rate_hz / len(x), origin_ms=origin_ms)
+    return Spectrum(magnitudes=mags, bin_width_hz=rate_hz / len(x))
 
 
 def slice_window(signal, start_s, length_s):

@@ -60,13 +60,19 @@ def _record_from_doc(doc):
 
 def write_atomic(path, text):
     """Replaces path with text so that a crash leaves either the old file
-    or the whole new one: write a temp file, fsync it, then os.replace."""
+    or the whole new one: write a temp file, fsync it, then os.replace.
+    A failed write removes the temp file."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class MeasurementStore:

@@ -234,6 +234,25 @@ class TestRunBatch:
         assert lines[1] == "p-ok alerts=0 alarm=no decision=SCHEDULED"
         assert (tmp_path / "out" / "p-ok" / "message.xml").exists()
 
+    def test_usage_error_in_a_later_manifest_runs_no_patient(self, tmp_path, capsys):
+        first = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
+        second = tmp_path / "manifest-p-b.json"
+        second.write_text(json.dumps({"patient_id": "p-b", "out_dir": "out",
+                                      "store_dir": "store"}))
+        assert main(["run", first, str(second), "--now", NOW, "--jobs", "1"]) == 64
+        captured = capsys.readouterr()
+        assert "needs patient_id, out_dir and rules" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "store" / "p-a.cursor").exists()
+        assert not (tmp_path / "out" / "p-a").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):
+        manifest = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
+        assert main(["run", manifest, "--now", NOW, "--jobs", jobs]) == 64
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_importing_the_cli_does_not_load_scipy(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(edgevitals.__file__)))
         code = "import sys, edgevitals.cli; sys.exit('scipy' in sys.modules)"

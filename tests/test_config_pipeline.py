@@ -62,6 +62,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="qrs.bogus"):
             config_from_dict({"qrs": {"bogus": 1}})
 
+    @pytest.mark.parametrize("doc", [
+        {"rules_path": "rules.xml"}, {"model_path": "model.json"},
+        {"respiration": {"vr_litres": 1.2}}])
+    def test_removed_keys_rejected(self, doc):
+        with pytest.raises(ValueError, match="unknown config key"):
+            config_from_dict(doc)
+
     def test_unsupported_version(self):
         with pytest.raises(ValueError):
             config_from_dict({"config_version": 2})

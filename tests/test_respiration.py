@@ -74,32 +74,30 @@ class TestRespirationRate:
 class TestVolumeFeatures:
     def test_uniform_cycles(self):
         sig = resp_signal(breathing(0.25, 60.0, amplitude=1.5), fs=FS)
-        vol = volume_features(sig, calibration=2.0, vr_litres=1.2)
+        vol = volume_features(sig, calibration=2.0)
         # each cycle swings -1.5..1.5, excursion 3.0, calibrated to 1.5 L
         assert vol.tidal_volume == pytest.approx(1.5, rel=1e-3)
         assert vol.vital_capacity == pytest.approx(1.5, rel=1e-3)
-        assert vol.residual_volume == 1.2
 
     def test_one_deep_breath(self):
         t = np.arange(int(40 * FS)) / FS
         x = np.sin(2 * np.pi * 0.25 * t)
         deep = (t >= 20.0) & (t < 24.0)
         x[deep] *= 3.0
-        vol = volume_features(resp_signal(x, fs=FS), calibration=1.0, vr_litres=1.0)
+        vol = volume_features(resp_signal(x, fs=FS), calibration=1.0)
         assert vol.vital_capacity == pytest.approx(6.0, rel=1e-2)
         assert vol.tidal_volume == pytest.approx(2.0, rel=1e-2)
 
     def test_too_few_cycles(self):
         sig = resp_signal(breathing(0.25, 8.0), fs=FS)
         with pytest.raises(NoDataError):
-            volume_features(sig, calibration=1.0, vr_litres=1.0)
+            volume_features(sig, calibration=1.0)
 
     def test_calibration_validation(self):
         sig = resp_signal(breathing(0.25), fs=FS)
         with pytest.raises(ValueError):
-            volume_features(sig, calibration=0.0, vr_litres=1.0)
+            volume_features(sig, calibration=0.0)
 
     def test_requires_respiration_kind(self):
         with pytest.raises(ValueError):
-            volume_features(ecg_signal(breathing(0.25), fs=250.0),
-                            calibration=1.0, vr_litres=1.0)
+            volume_features(ecg_signal(breathing(0.25), fs=250.0), calibration=1.0)

@@ -115,6 +115,23 @@ class TestParse:
         with pytest.raises(RuleSemanticError):
             parse_rules(xml)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("element, attribute", [
+        ('<threshold kind="HEART_RATE" op="lt" value="{}"/>', "value"),
+        ('<percent_change kind="BODY_WEIGHT" op="gt" percent="{}" window_hours="24"/>',
+         "percent"),
+        ('<percent_change kind="BODY_WEIGHT" op="gt" percent="2" window_hours="{}"/>',
+         "window_hours"),
+        ('<sustained kind="SPO2" op="lt" value="90" duration_minutes="{}"/>',
+         "duration_minutes"),
+    ], ids=["value", "percent", "window_hours", "duration_minutes"])
+    def test_non_finite_number_rejected(self, element, attribute, raw):
+        xml = '<rules><rule id="a" severity="ALARM">%s</rule></rules>' % element.format(raw)
+        tag = element.split()[0][1:]
+        with pytest.raises(RuleSemanticError,
+                           match="<%s> attribute '%s' must be finite" % (tag, attribute)):
+            parse_rules(xml)
+
 
 class TestEvaluate:
     def setup_method(self):

@@ -347,6 +347,7 @@ class TestTransmissionCursor:
         store = MeasurementStore(str(tmp_path))
         store.ingest([rec(60.0, 5000), rec(61.0, 6000)])
         store.mark_transmitted("p1", 1, scheduled_at_ms=7000)
+        sidecar = (tmp_path / "p1.cursor").read_bytes()
 
         def crash(*args):
             raise OSError("disk gone")
@@ -355,6 +356,8 @@ class TestTransmissionCursor:
         with pytest.raises(OSError):
             store.mark_transmitted("p1", 1, scheduled_at_ms=8000)
         monkeypatch.undo()
+        assert sorted(os.listdir(str(tmp_path))) == ["p1.cursor", "p1.jsonl"]
+        assert (tmp_path / "p1.cursor").read_bytes() == sidecar
         assert (store.cursor("p1"), store.last_scheduled_send("p1")) == (1, 7000)
         reloaded = MeasurementStore(str(tmp_path))
         assert (reloaded.cursor("p1"), reloaded.last_scheduled_send("p1")) == (1, 7000)
