@@ -7,10 +7,11 @@ Subcommands:
   rules-check  parse-only validation of a rule XML file
 
 Exit codes: 0 success / no alarm, 2 at least one ALARM fired, 1 error,
-64 usage problem (bad flags, missing or unreadable inputs). `run` finds
-every usage problem before any patient runs. A patient that fails in `run`
-prints `<id> error=<Type>: <message>` and the others still run; the exit
-code is then 1.
+64 usage problem (bad flags, missing or unreadable inputs, a config, rules
+or model file that does not parse). `run` finds every usage problem before
+any patient runs. A patient that fails in `run` prints
+`<id> error=<Type>: <message>` and the others still run; the exit code is
+then 1.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .classify.schema import dataset_from_csv, patient_schema
 from .classify.serialize import model_from_json, model_to_json
 from .classify.tree import train_decision_tree
 from .config import default_config, load_config
-from .errors import RuleParseError, RuleSemanticError
+from .errors import RuleParseError, RuleSemanticError, SchemaMismatchError
 from .pipeline import run_patient
 from .rules import Severity, parse_rules
 from .store import MeasurementStore
@@ -88,28 +89,50 @@ def _load_manifest(path):
     return doc
 
 
-def _run_one(doc, now_ms):
-    cfg = load_config(doc["config"]) if doc.get("config") else default_config()
-    with open(doc["rules"], "r", encoding="utf-8") as fh:
-        ruleset = parse_rules(fh.read())
-    model = None
-    if doc.get("model"):
-        with open(doc["model"], "r", encoding="utf-8") as fh:
-            model = model_from_json(fh.read())
+def _parse_file(key, path):
+    if key == "config":
+        return load_config(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_rules(text) if key == "rules" else model_from_json(text)
+
+
+def _parse_inputs(manifests):
+    """Each distinct config, rules and model file the (path, manifest)
+    pairs name, parsed once before any patient runs and keyed by (manifest
+    key, file path). A file that does not parse is a usage error. Patients
+    share the parsed objects; run_patient only reads them."""
+    parsed = {}
+    for manifest, doc in manifests:
+        for key in ("config", "rules", "model"):
+            path = doc.get(key)
+            if not path or (key, path) in parsed:
+                continue
+            try:
+                parsed[key, path] = _parse_file(key, path)
+            except (ValueError, KeyError, TypeError, RuleParseError, RuleSemanticError,
+                    SchemaMismatchError) as exc:
+                raise UsageError("manifest %s: %s %s does not parse: %s" % (
+                    manifest, key, path, exc)) from None
+    return parsed
+
+
+def _run_one(doc, parsed, now_ms):
+    cfg = parsed["config", doc["config"]] if doc.get("config") else default_config()
     store_dir = doc.get("store_dir") or os.path.join(doc["out_dir"], "store")
     store = MeasurementStore(store_dir)
     return run_patient(
-        doc["patient_id"], store, cfg, ruleset, now_ms,
+        doc["patient_id"], store, cfg, parsed["rules", doc["rules"]], now_ms,
         ecg_csv=doc.get("ecg"), ecg_rate_hz=float(doc.get("ecg_rate_hz", 250.0)),
         resp_csv=doc.get("respiration"), resp_rate_hz=float(doc.get("resp_rate_hz", 25.0)),
-        measurements_csv=doc.get("measurements"), model=model,
+        measurements_csv=doc.get("measurements"), model=parsed.get(("model", doc.get("model"))),
         out_dir=doc["out_dir"])
 
 
-def _run_isolated(doc, now_ms):
+def _run_isolated(doc, parsed, now_ms):
     """The patient's result, or the exception that stopped it."""
     try:
-        return _run_one(doc, now_ms)
+        return _run_one(doc, parsed, now_ms)
     except Exception as exc:
         return exc
 
@@ -123,11 +146,12 @@ def cmd_run(args):
     ids = [m["patient_id"] for m in manifests]
     if len(set(ids)) != len(ids):
         raise UsageError("duplicate patient_id across manifests")
+    parsed = _parse_inputs(zip(args.manifest, manifests))
     if args.jobs > 1 and len(manifests) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda d: _run_isolated(d, now_ms), manifests))
+            results = list(pool.map(lambda d: _run_isolated(d, parsed, now_ms), manifests))
     else:
-        results = [_run_isolated(d, now_ms) for d in manifests]
+        results = [_run_isolated(d, parsed, now_ms) for d in manifests]
     any_alarm = any_error = False
     for pid, res in sorted(zip(ids, results), key=lambda pr: pr[0]):
         if isinstance(res, Exception):

@@ -104,14 +104,18 @@ def _fmt_value(v):
     return repr(float(v))
 
 
+# kind and mode quoted once per member, keyed by value (see
+# MeasurementRecord.key for why not by member)
+_QUOTED = {e.value: quoteattr(e.value) for e in (*MeasurementKind, *AcquisitionMode)}
+
+
 def _record_xml(tag, rec):
-    parts = ["<%s kind=%s value=%s ts=\"%d\" mode=%s" % (
-        tag, quoteattr(rec.kind.value), quoteattr(_fmt_value(rec.value)),
-        rec.timestamp_ms, quoteattr(rec.mode.value))]
-    if rec.name:
-        parts.append(" name=%s" % quoteattr(rec.name))
-    parts.append("/>")
-    return "".join(parts)
+    # a record's value is a finite float, whose repr holds no character
+    # quoteattr would escape; name is free text and goes through quoteattr
+    name = " name=" + quoteattr(rec.name) if rec.name else ""
+    return '<%s kind=%s value="%r" ts="%d" mode=%s%s/>' % (
+        tag, _QUOTED[rec.kind._value_], rec.value, rec.timestamp_ms,
+        _QUOTED[rec.mode._value_], name)
 
 
 def build_message_xml(message):

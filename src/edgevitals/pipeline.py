@@ -8,7 +8,8 @@ Steps (each optional input skips its branch):
      HEART_RATE measurement so rules can see it.
   2. Respiration: windowed dominant-frequency rate (injected as a
      RESPIRATION_RATE measurement) and breath-volume features.
-  3. Measurements CSV ingest (weight, temperature, questionnaire scores...).
+  3. Measurements CSV ingest (weight, temperature, questionnaire scores...);
+     rows the store rejects are listed in the report by line and reason.
   4. Rule evaluation at --now over the patient's history.
   5. Stress/lifestyle weighted indices from questionnaire/diary scores in
      [0, 1]; a triggered index contributes a LIGHT_ALERT.
@@ -89,8 +90,9 @@ class PipelineResult:
 
 
 def read_measurements_csv(path, patient_id):
-    """Rows: kind,value,timestamp_ms[,mode[,name]]. A value or timestamp
-    that does not parse raises IngestionError naming the file and line."""
+    """Rows: kind,value,timestamp_ms[,mode[,name]], each as an ingest dict
+    that also holds its CSV line number. A value or timestamp that does not
+    parse raises IngestionError naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"kind", "value", "timestamp_ms"}
@@ -110,6 +112,7 @@ def read_measurements_csv(path, patient_id):
                 "timestamp_ms": timestamp_ms,
                 "mode": row.get("mode") or "NOSILENT",
                 "name": row.get("name") or "",
+                "line": reader.line_num,
             })
     return out
 
@@ -229,8 +232,11 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
     features = {}
     annotations = None
 
+    rejected = []
     if measurements_csv:
-        store.ingest(read_measurements_csv(measurements_csv, patient_id))
+        ingested = store.ingest(read_measurements_csv(measurements_csv, patient_id))
+        rejected = [{"line": row["line"], "reason": reason}
+                    for row, reason in ingested.rejections]
 
     if ecg_csv:
         ecg = read_signal_csv(ecg_csv, ecg_rate_hz, SignalKind.ECG)
@@ -262,6 +268,8 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
     alerts, report = evaluate_with_report(
         ruleset, history, patient_id, now_ms, disease,
         extra_alerts=[a for a in (stress_alert, lifestyle_alert) if a is not None])
+    if rejected:
+        report["rejected_rows"] = rejected
     if stress_index is not None:
         report["stress_index"] = round(stress_index, 6)
     if lifestyle_index is not None:

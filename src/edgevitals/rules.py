@@ -69,7 +69,7 @@ class DiseaseScope(enum.Enum):
     BOTH = "BOTH"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     patient_id: str
     kind: MeasurementKind
@@ -80,12 +80,15 @@ class MeasurementRecord:
 
     def __post_init__(self):
         v = float(self.value)
-        if v != v or v in (float("inf"), float("-inf")):
+        if not math.isfinite(v):
             raise ValueError("measurement value must be finite")
         object.__setattr__(self, "value", v)
 
     def key(self):
-        return (self.patient_id, self.kind.value, self.timestamp_ms, self.value, self.name)
+        # _value_ is the member's value as a plain attribute; .value is a
+        # Python-level property and hashing a member for a lookup calls
+        # Enum.__hash__, each too slow to pay once per record
+        return (self.patient_id, self.kind._value_, self.timestamp_ms, self.value, self.name)
 
 
 _OPS = {
@@ -350,7 +353,7 @@ def _visible_by_kind(history, patient_id, now_ms):
     """The patient's records up to now_ms, time-ordered, grouped by kind."""
     visible = sorted(
         (r for r in history if r.patient_id == patient_id and r.timestamp_ms <= now_ms),
-        key=lambda r: (r.timestamp_ms, r.kind.value),
+        key=lambda r: (r.timestamp_ms, r.kind._value_),
     )
     by_kind = {}
     for rec in visible:

@@ -31,7 +31,7 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 @dataclass
 class IngestResult:
     appended: int = 0
-    rejections: list = field(default_factory=list)  # (record_repr, reason)
+    rejections: list = field(default_factory=list)  # (input item as given, reason)
 
 
 def _record_to_line(rec):
@@ -47,15 +47,24 @@ def _record_to_line(rec):
     return json.dumps(doc, separators=(",", ":"), sort_keys=False)
 
 
-def _record_from_doc(doc):
-    return MeasurementRecord(
-        patient_id=doc["patient"],
-        kind=MeasurementKind(doc["kind"]),
-        value=doc["value"],
-        timestamp_ms=int(doc["ts"]),
-        mode=AcquisitionMode(doc.get("mode", "NOSILENT")),
-        name=doc.get("name", ""),
-    )
+_KIND_BY_VALUE = {k.value: k for k in MeasurementKind}
+_MODE_BY_VALUE = {m.value: m for m in AcquisitionMode}
+_decode = json.JSONDecoder().raw_decode
+
+
+def _record_from_line(line):
+    """The record one log line (str, or bytes in a log that does not
+    decode as UTF-8) holds. Parses as json.loads would, without its
+    per-call wrapper; an unknown kind or mode is a KeyError."""
+    if isinstance(line, bytes):
+        line = line.decode(json.detect_encoding(line), "surrogatepass")
+    line = line.strip(" \t\n\r")
+    doc, end = _decode(line)
+    if end != len(line):
+        raise ValueError("extra data after the record")
+    return MeasurementRecord(doc["patient"], _KIND_BY_VALUE[doc["kind"]], doc["value"],
+                             int(doc["ts"]), _MODE_BY_VALUE[doc.get("mode", "NOSILENT")],
+                             doc.get("name", ""))
 
 
 def write_atomic(path, text):
@@ -109,7 +118,7 @@ class MeasurementStore:
         try:
             lines = data.decode("utf-8").split("\n")
         except UnicodeDecodeError:
-            lines = data.split(b"\n")  # json.loads below finds the bad line
+            lines = data.split(b"\n")  # the loop below finds the bad line
         terminated = not lines[-1]
         if terminated:
             lines.pop()
@@ -118,7 +127,7 @@ class MeasurementStore:
         # other line that does not parse is a real integrity problem
         for i, line in enumerate(lines):
             try:
-                rec = _record_from_doc(json.loads(line))
+                rec = _record_from_line(line)
             except (KeyError, TypeError, ValueError):
                 if terminated or i < len(lines) - 1:
                     raise IntegrityError(
@@ -159,7 +168,7 @@ class MeasurementStore:
                 if _NOT_XML_CHAR.search(rec.name):
                     raise ValueError("name %r holds a character XML 1.0 cannot carry" % rec.name)
             except (ValueError, KeyError, TypeError) as exc:
-                result.rejections.append((repr(raw), str(exc)))
+                result.rejections.append((raw, str(exc)))
                 continue
             if rec.patient_id not in fresh:
                 self._patient_log(rec.patient_id)
@@ -199,7 +208,7 @@ class MeasurementStore:
             out = [r for r in out if r.timestamp_ms >= since_ms]
         if until_ms is not None:
             out = [r for r in out if r.timestamp_ms <= until_ms]
-        return sorted(out, key=lambda r: (r.timestamp_ms, r.kind.value, r.name, r.value))
+        return sorted(out, key=lambda r: (r.timestamp_ms, r.kind._value_, r.name, r.value))
 
     def log_records(self, patient_id):
         """Append-order view; the transmission cursor indexes this."""

@@ -14,6 +14,8 @@ from edgevitals.classify import (
     dataset_to_csv,
     patient_schema,
 )
+from edgevitals import cli
+from edgevitals.classify.serialize import model_to_json
 from edgevitals.cli import main
 from edgevitals.messaging import parse_message_xml
 from edgevitals.rules import MeasurementKind, MeasurementRecord
@@ -245,6 +247,78 @@ class TestRunBatch:
         assert captured.out == ""
         assert not (tmp_path / "store" / "p-a.cursor").exists()
         assert not (tmp_path / "out" / "p-a").exists()
+
+    @pytest.mark.parametrize("key, text, reason", [
+        ("config", '{"rules_path": "x"}', "unknown config key 'rules_path'"),
+        ("config", "{not json", "is not valid JSON"),
+        ("rules", '<rules><rule id="a" severity="ALARM"/></rules>', "exactly one condition"),
+        ("rules", "<rules>", "no element found"),
+        ("model", "{}", "not a model document"),
+    ])
+    def test_input_that_does_not_parse_in_a_later_manifest_runs_no_patient(
+            self, tmp_path, capsys, key, text, reason):
+        first = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
+        second = shared_store_manifest(tmp_path, "p-b", HEALTHY_CSV)
+        bad = tmp_path / ("bad-" + key)
+        bad.write_text(text)
+        doc = json.loads(open(second).read())
+        doc[key] = bad.name
+        with open(second, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["run", first, second, "--now", NOW, "--jobs", "1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: manifest %s: %s %s does not parse: " % (
+            second, key, bad))
+        assert reason in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "store" / "p-a.cursor").exists()
+        assert not (tmp_path / "out" / "p-a" / "message.xml").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_shared_inputs_parsed_once_and_left_unchanged(self, tmp_path, capsys, monkeypatch,
+                                                          jobs):
+        model = str(tmp_path / "tree.json")
+        assert main(["train", write_dataset(tmp_path, "train.csv", TRAIN_PAIRS),
+                     "--algorithm", "tree", "--out", model]) == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"disease": "CKD"}))
+        manifests = []
+        for pid in ("p-a", "p-b", "p-c"):
+            path = shared_store_manifest(tmp_path, pid, HEALTHY_CSV)
+            doc = json.loads(open(path).read())
+            doc.update(config=config.name, model="tree.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            manifests.append(path)
+        calls = []
+        real = cli._parse_file
+
+        def counting(key, path):
+            calls.append(key)
+            return real(key, path)
+
+        shared = []
+        real_inputs = cli._parse_inputs
+
+        def keeping(manifests):
+            shared.append(real_inputs(manifests))
+            return shared[-1]
+
+        monkeypatch.setattr(cli, "_parse_file", counting)
+        monkeypatch.setattr(cli, "_parse_inputs", keeping)
+        capsys.readouterr()
+        assert main(["run", *manifests, "--now", NOW, "--jobs", jobs]) == 0
+        assert sorted(calls) == ["config", "model", "rules"]
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        # what the patients shared is what a fresh parse of the files gives
+        for (key, path), parsed in shared[0].items():
+            fresh = real(key, path)
+            if key == "model":
+                assert model_to_json(parsed) == model_to_json(fresh)
+            elif key == "config":
+                assert parsed.raw == fresh.raw
+            else:
+                assert parsed == fresh
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):

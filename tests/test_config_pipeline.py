@@ -395,6 +395,37 @@ class TestPipelineMeasurementsOnly:
                              out_dir=str(tmp_path / "out"))
         assert result.alerts == []
 
+    def test_rejected_rows_listed_in_report_by_line(self, tmp_path):
+        meas = tmp_path / "meas.csv"
+        meas.write_text("kind,value,timestamp_ms,mode,name\n"
+                        "BODY_WEIGHT,70.0,1000,,\n"
+                        "BODY_WEIGHT,nan,2000,,\n"
+                        "BODY_TEMPERATURE,36.8,3000,,\n"
+                        "BODY_MASS,80,4000,,\n"
+                        "QUESTIONNAIRE_ITEM,0.5,5000,,a\x01b\n"
+                        "BODY_WEIGHT,70.4,6000,,\n")
+        store = MeasurementStore(str(tmp_path / "store"))
+        result = run_patient("p1", store, default_config(), parse_rules(RULES),
+                             now_ms=10000, measurements_csv=str(meas),
+                             out_dir=str(tmp_path / "out"))
+        assert [(r.kind.value, r.timestamp_ms) for r in store.log_records("p1")] == [
+            ("BODY_WEIGHT", 1000), ("BODY_TEMPERATURE", 3000), ("BODY_WEIGHT", 6000)]
+        expected = [
+            {"line": 3, "reason": "measurement value must be finite"},
+            {"line": 5, "reason": "'BODY_MASS' is not a valid MeasurementKind"},
+            {"line": 6, "reason": "name 'a\\x01b' holds a character XML 1.0 cannot carry"},
+        ]
+        assert result.report["rejected_rows"] == expected
+        with open(tmp_path / "out" / "p1" / "report.jsonl", encoding="utf-8") as fh:
+            assert json.loads(fh.read())["rejected_rows"] == expected
+
+    def test_no_rejected_rows_key_when_every_row_ingests(self, tmp_path):
+        meas = tmp_path / "meas.csv"
+        meas.write_text("kind,value,timestamp_ms\nBODY_WEIGHT,70.0,1000\n")
+        result = run_patient("p1", MeasurementStore(str(tmp_path / "store")), default_config(),
+                             parse_rules(RULES), now_ms=10000, measurements_csv=str(meas))
+        assert "rejected_rows" not in result.report
+
 
 def run_resp_patient(tmp_path):
     fs = 25.0
