@@ -4,163 +4,10 @@ Signal path: ECG/respiration preprocessing, QRS detection, HRV and
 respiration features. Decision path: XML rules, severity classifiers,
 weighted indices. Device path: measurement store, transmission policy,
 canonical outbound XML, batch CLI.
+
+Each public name is imported from the module that defines it, for example
+`edgevitals.pipeline.run_patient` or `edgevitals.rules.explain`; importing
+the package itself loads no submodule.
 """
 
-from . import classify
-from .config import PipelineConfig, default_config, load_config
-from .ecg_preprocess import (
-    HighPassSpec,
-    WaveletDecomposition,
-    dwt_db4,
-    idwt_db4,
-    remove_baseline_linear,
-    remove_baseline_poly,
-    select_pq_knots,
-    wavelet_denoise,
-)
-from .errors import (
-    IngestionError,
-    IntegrityError,
-    NoDataError,
-    RuleParseError,
-    RuleSemanticError,
-    SchemaMismatchError,
-)
-from .hrv import (
-    HrvFreqFeatures,
-    HrvTimeFeatures,
-    band_powers,
-    pnn50,
-    rmssd,
-    sdann,
-    sdnn,
-    sdnnidx,
-    time_features,
-)
-from .messaging import (
-    DailySchedule,
-    OutboundMessage,
-    TransmissionDecision,
-    Urgency,
-    build_message_xml,
-    decide_transmission,
-    parse_message_xml,
-)
-from .pipeline import PipelineResult, run_patient
-from .qrs_detect import (
-    BeatAnnotation,
-    BeatLabel,
-    RRSeries,
-    annotate_spikes,
-    annotations_to_csv,
-    mean_heart_rate,
-    pan_tompkins,
-    rr_from_peaks,
-    wavelet_qrs,
-)
-from .respiration import (
-    RespirationFeatures,
-    respiration_rate,
-    stft_dominant_frequency,
-    volume_features,
-)
-from .rules import (
-    AcquisitionMode,
-    Alert,
-    DiseaseScope,
-    MeasurementKind,
-    MeasurementRecord,
-    Rule,
-    RuleSet,
-    Severity,
-    evaluate,
-    evaluation_report,
-    explain,
-    parse_rules,
-)
-from .signal_core import (
-    SampledSignal,
-    SignalKind,
-    Spectrum,
-    dft_magnitude,
-    hamming_window,
-    read_signal_csv,
-    slice_window,
-)
-from .store import IngestResult, MeasurementStore
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "classify",
-    "__version__",
-    "PipelineConfig",
-    "default_config",
-    "load_config",
-    "HighPassSpec",
-    "WaveletDecomposition",
-    "dwt_db4",
-    "idwt_db4",
-    "remove_baseline_linear",
-    "remove_baseline_poly",
-    "select_pq_knots",
-    "wavelet_denoise",
-    "IngestionError",
-    "IntegrityError",
-    "NoDataError",
-    "RuleParseError",
-    "RuleSemanticError",
-    "SchemaMismatchError",
-    "HrvFreqFeatures",
-    "HrvTimeFeatures",
-    "band_powers",
-    "pnn50",
-    "rmssd",
-    "sdann",
-    "sdnn",
-    "sdnnidx",
-    "time_features",
-    "DailySchedule",
-    "OutboundMessage",
-    "TransmissionDecision",
-    "Urgency",
-    "build_message_xml",
-    "decide_transmission",
-    "parse_message_xml",
-    "PipelineResult",
-    "run_patient",
-    "BeatAnnotation",
-    "BeatLabel",
-    "RRSeries",
-    "annotate_spikes",
-    "annotations_to_csv",
-    "mean_heart_rate",
-    "pan_tompkins",
-    "rr_from_peaks",
-    "wavelet_qrs",
-    "RespirationFeatures",
-    "respiration_rate",
-    "stft_dominant_frequency",
-    "volume_features",
-    "AcquisitionMode",
-    "Alert",
-    "DiseaseScope",
-    "MeasurementKind",
-    "MeasurementRecord",
-    "Rule",
-    "RuleSet",
-    "Severity",
-    "evaluate",
-    "evaluation_report",
-    "explain",
-    "parse_rules",
-    "SampledSignal",
-    "SignalKind",
-    "Spectrum",
-    "dft_magnitude",
-    "hamming_window",
-    "read_signal_csv",
-    "slice_window",
-    "IngestResult",
-    "MeasurementStore",
-]

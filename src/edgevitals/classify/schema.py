@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "RECORDING_FEATURES",
     "Attribute",
     "ClassLabel",
     "FeatureVector",
@@ -46,11 +47,13 @@ class ClassLabel(enum.Enum):
         return self.value
 
 
-_RECORDING = [
+# the features the pipeline derives from one patient's recordings, in
+# schema and features.csv column order
+RECORDING_FEATURES = (
     "sdnn_ms", "sdann_ms", "sdnnidx_ms", "pnn50_pct", "rmssd_ms",
     "lf_power", "hf_power", "respiration_rate_bpm", "tidal_volume_l",
     "vital_capacity_l", "mean_heart_rate_bpm",
-]
+)
 _FOOD = [
     "food_cereals", "food_vegetables", "food_fruit", "food_dairy",
     "food_meat", "food_fish", "food_legumes", "food_sweets",
@@ -65,7 +68,7 @@ _EXTERNAL = ["body_weight_kg", "glucose_mg_dl"]
 def patient_schema():
     """The default 41-attribute schema; 11+12+1+2+13+2."""
     attrs = []
-    attrs += [Attribute(n, NUMERIC) for n in _RECORDING]
+    attrs += [Attribute(n, NUMERIC) for n in RECORDING_FEATURES]
     attrs += [Attribute(n, NUMERIC) for n in _FOOD]
     attrs += [Attribute(n, CATEGORICAL) for n in _DRUG]
     attrs += [Attribute(n, NUMERIC) for n in _ACTIVITY]

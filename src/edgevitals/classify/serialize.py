@@ -14,7 +14,6 @@ from .bayes import NaiveBayesModel
 from .forest import ForestModel
 from .schema import Attribute, ClassLabel
 from .tree import DecisionTreeModel
-from .weighted import WeightedIndexModel
 
 __all__ = ["model_to_json", "model_from_json", "schema_hash"]
 
@@ -67,12 +66,6 @@ def model_to_json(model):
         }
     elif isinstance(model, NaiveBayesModel):
         model_type, schema, payload = "naive_bayes", model.schema, _bayes_payload(model)
-    elif isinstance(model, WeightedIndexModel):
-        model_type, schema = "weighted_index", ()
-        payload = {
-            "weights": dict(sorted(model.weights.items())),
-            "threshold": model.threshold,
-        }
     else:
         raise ValueError("unsupported model type %r" % type(model).__name__)
     doc = {
@@ -117,6 +110,4 @@ def model_from_json(text):
             for d in payload["categorical"]
         }
         return NaiveBayesModel(schema, priors, numeric, categorical)
-    if model_type == "weighted_index":
-        return WeightedIndexModel(dict(payload["weights"]), payload["threshold"])
     raise SchemaMismatchError("unknown model type %r" % model_type)

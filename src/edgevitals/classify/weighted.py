@@ -21,12 +21,13 @@ class WeightedIndexModel:
         if not self.weights:
             raise ValueError("weights must be non-empty")
         for name, w in self.weights.items():
-            if not (isinstance(w, (int, float)) and math.isfinite(w) and w >= 0):
+            if not (isinstance(w, (int, float)) and not isinstance(w, bool)
+                    and math.isfinite(w) and w >= 0):
                 raise ValueError("weight %r must be a finite number >= 0" % name)
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1 (got %r)" % total)
-        if not (0.0 < self.threshold < 1.0):
+        if not (isinstance(self.threshold, (int, float)) and 0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
         object.__setattr__(self, "weights", dict(self.weights))
 

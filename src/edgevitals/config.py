@@ -103,15 +103,28 @@ class PipelineConfig:
         return WeightedIndexModel(dict(s["weights"]), s["threshold"])
 
 
+# the types a setting accepts, by the type of its default: a float setting
+# takes any number, an int setting only an int, and none takes a bool
+_ACCEPTED = {
+    float: ((float, int), "a number"),
+    int: ((int,), "an integer"),
+    str: ((str,), "a string"),
+    dict: ((dict,), "an object"),
+}
+
+
 def _merge(base, override, path):
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
             raise ValueError("unknown config key %r" % (path + key))
-        if isinstance(base[key], dict) and key not in ("stress_index", "lifestyle_index"):
-            if not isinstance(value, dict):
-                raise ValueError("config key %r must be an object" % (path + key))
-            out[key] = _merge(base[key], value, path + key + ".")
+        default = base[key]
+        if default is not None:  # disease is checked against its values
+            types, what = _ACCEPTED[type(default)]
+            if type(value) not in types:
+                raise ValueError("config key %r must be %s, got %r" % (path + key, what, value))
+        if isinstance(default, dict) and key not in ("stress_index", "lifestyle_index"):
+            out[key] = _merge(default, value, path + key + ".")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -132,6 +145,8 @@ def config_from_dict(doc):
     cfg.lifestyle_model()
     if merged["preprocess"]["baseline_method"] not in ("linear", "poly"):
         raise ValueError("baseline_method must be linear or poly")
+    if merged["preprocess"]["threshold_mode"] not in ("soft", "hard"):
+        raise ValueError("threshold_mode must be soft or hard")
     if merged["qrs"]["detector"] not in ("pan_tompkins", "wavelet"):
         raise ValueError("detector must be pan_tompkins or wavelet")
     return cfg

@@ -16,7 +16,6 @@ from .signal_core import dft_magnitude, hamming_window
 __all__ = [
     "LF_BAND_HZ",
     "HF_BAND_HZ",
-    "HrvTimeFeatures",
     "HrvFreqFeatures",
     "sdnn",
     "sdann",
@@ -32,15 +31,6 @@ HF_BAND_HZ = (0.15, 0.40)
 
 TACHOGRAM_RATE_HZ = 4.0
 SEGMENT_S = 300.0
-
-
-@dataclass(frozen=True)
-class HrvTimeFeatures:
-    sdnn_ms: float
-    sdann_ms: float
-    sdnnidx_ms: float
-    pnn50_pct: float
-    rmssd_ms: float
 
 
 @dataclass(frozen=True)
@@ -119,13 +109,17 @@ def rmssd(rr):
 
 
 def time_features(rr):
-    return HrvTimeFeatures(
-        sdnn_ms=sdnn(rr),
-        sdann_ms=sdann(rr),
-        sdnnidx_ms=sdnnidx(rr),
-        pnn50_pct=pnn50(rr),
-        rmssd_ms=rmssd(rr),
-    )
+    """The five time-domain features keyed by feature name, in the order
+    sdnn_ms, sdann_ms, sdnnidx_ms, pnn50_pct, rmssd_ms; a feature the
+    series lacks the data for (NoDataError) is left out."""
+    out = {}
+    for name, feature in (("sdnn_ms", sdnn), ("sdann_ms", sdann), ("sdnnidx_ms", sdnnidx),
+                          ("pnn50_pct", pnn50), ("rmssd_ms", rmssd)):
+        try:
+            out[name] = feature(rr)
+        except NoDataError:
+            pass
+    return out
 
 
 def band_powers(rr):

@@ -1,20 +1,22 @@
 """Per-patient batch pipeline: signals -> features -> rules -> message.
 
 Steps (each optional input skips its branch):
-  1. ECG: baseline removal, one wavelet denoise whose output feeds both
+  1. Measurements CSV read (weight, temperature, questionnaire scores...);
+     a row that does not parse fails the run before any signal work.
+  2. ECG: baseline removal, one wavelet denoise whose output feeds both
      Pan-Tompkins and the spike annotator, QRS with the configured
      detector plus a cross-check against the other one, RR series, HRV
-     features, trailing-60 s mean heart rate injected into the store as a
-     HEART_RATE measurement so rules can see it.
-  2. Respiration: windowed dominant-frequency rate (injected as a
+     features, trailing-60 s mean heart rate, stored as a HEART_RATE
+     measurement so rules can see it.
+  3. Respiration: windowed dominant-frequency rate (stored as a
      RESPIRATION_RATE measurement) and breath-volume features.
-  3. Measurements CSV ingest (weight, temperature, questionnaire scores...);
-     rows the store rejects are listed in the report by line and reason.
-  4. Rule evaluation at --now over the patient's history.
-  5. Stress/lifestyle weighted indices from questionnaire/diary scores in
+  4. One store ingest of the CSV rows and the derived rates; rows the
+     store rejects are listed in the report by line and reason.
+  5. Rule evaluation at --now over the patient's history.
+  6. Stress/lifestyle weighted indices from questionnaire/diary scores in
      [0, 1]; a triggered index contributes a LIGHT_ALERT.
-  6. Optional classifier prediction from the assembled feature vector.
-  7. Transmission decision and canonical outbound XML.
+  7. Optional classifier prediction from the assembled feature vector.
+  8. Transmission decision and canonical outbound XML.
 
 Artifacts land in <out_dir>/<patient>/: report.jsonl, features.csv,
 beats.csv (when ECG ran), message.xml (when not held); the cursor moves last.
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import hrv
 from .classify.metrics import predict_any
-from .classify.schema import CATEGORICAL, FeatureVector, patient_schema
+from .classify.schema import CATEGORICAL, RECORDING_FEATURES, FeatureVector, patient_schema
 from .classify.weighted import weighted_index
 from .ecg_preprocess import (
     HighPassSpec,
@@ -67,12 +69,6 @@ from .signal_core import SignalKind, read_signal_csv
 from .store import write_atomic
 
 __all__ = ["PipelineResult", "run_patient", "read_measurements_csv"]
-
-FEATURE_COLUMNS = [
-    "sdnn_ms", "sdann_ms", "sdnnidx_ms", "pnn50_pct", "rmssd_ms",
-    "lf_power", "hf_power", "respiration_rate_bpm", "tidal_volume_l",
-    "vital_capacity_l", "mean_heart_rate_bpm",
-]
 
 
 @dataclass
@@ -142,13 +138,11 @@ def _ecg_features(signal, cfg, features):
     rr = rr_from_peaks(peaks, signal.rate_hz, signal.start_time_ms)
     if len(rr) >= 2:
         # a feature the series lacks the data for is left blank
-        for name, feature in (("sdnn_ms", hrv.sdnn), ("sdann_ms", hrv.sdann),
-                              ("sdnnidx_ms", hrv.sdnnidx), ("pnn50_pct", hrv.pnn50),
-                              ("rmssd_ms", hrv.rmssd), ("mean_heart_rate_bpm", mean_heart_rate)):
-            try:
-                features[name] = feature(rr)
-            except NoDataError:
-                pass
+        features.update(hrv.time_features(rr))
+        try:
+            features["mean_heart_rate_bpm"] = mean_heart_rate(rr)
+        except NoDataError:
+            pass
         try:
             ff = hrv.band_powers(rr)
             features["lf_power"] = ff.lf_power
@@ -207,7 +201,7 @@ def _index_alert(rule_id, model, named_records, patient_id, now_ms):
 def _feature_vector(features, named_records, history):
     schema = patient_schema()
     mapping = {}
-    for name in FEATURE_COLUMNS:
+    for name in RECORDING_FEATURES:
         if name in features:
             mapping[name] = features[name]
     latest = {}
@@ -224,6 +218,20 @@ def _feature_vector(features, named_records, history):
     return FeatureVector.from_mapping(schema, mapping)
 
 
+def _derived_records(patient_id, features, ecg, resp):
+    """The rates the recordings yield as SILENT store records, each
+    stamped with the end time of the recording it came from."""
+    out = []
+    for signal, kind, name in ((ecg, MeasurementKind.HEART_RATE, "mean_heart_rate_bpm"),
+                               (resp, MeasurementKind.RESPIRATION_RATE,
+                                "respiration_rate_bpm")):
+        if signal is not None and name in features:
+            end_ms = signal.start_time_ms + int(round(signal.duration_seconds * 1000.0))
+            out.append(MeasurementRecord(patient_id, kind, features[name], end_ms,
+                                         AcquisitionMode.SILENT))
+    return out
+
+
 def run_patient(patient_id, store, cfg, ruleset, now_ms,
                 ecg_csv=None, ecg_rate_hz=250.0,
                 resp_csv=None, resp_rate_hz=25.0,
@@ -232,31 +240,22 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
     features = {}
     annotations = None
 
-    rejected = []
-    if measurements_csv:
-        ingested = store.ingest(read_measurements_csv(measurements_csv, patient_id))
-        rejected = [{"line": row["line"], "reason": reason}
-                    for row, reason in ingested.rejections]
+    rows = read_measurements_csv(measurements_csv, patient_id) if measurements_csv else []
 
+    ecg = resp = None
     if ecg_csv:
         ecg = read_signal_csv(ecg_csv, ecg_rate_hz, SignalKind.ECG)
         annotations, disagreement = _ecg_features(ecg, cfg, features)
         result.qrs_disagreement_pct = disagreement
         result.qrs_flagged = disagreement > cfg["qrs"]["cross_check_pct"]
-        if "mean_heart_rate_bpm" in features:
-            end_ms = ecg.start_time_ms + int(round(ecg.duration_seconds * 1000.0))
-            store.ingest([MeasurementRecord(
-                patient_id, MeasurementKind.HEART_RATE,
-                features["mean_heart_rate_bpm"], end_ms, AcquisitionMode.SILENT)])
-
     if resp_csv:
         resp = read_signal_csv(resp_csv, resp_rate_hz, SignalKind.RESPIRATION)
         _resp_features(resp, cfg, features)
-        if "respiration_rate_bpm" in features:
-            end_ms = resp.start_time_ms + int(round(resp.duration_seconds * 1000.0))
-            store.ingest([MeasurementRecord(
-                patient_id, MeasurementKind.RESPIRATION_RATE,
-                features["respiration_rate_bpm"], end_ms, AcquisitionMode.SILENT)])
+
+    # one append; the CSV rows come first in the log, then the derived rates
+    rows += _derived_records(patient_id, features, ecg, resp)
+    rejected = [{"line": row["line"], "reason": reason}
+                for row, reason in store.ingest(rows).rejections]
 
     disease = None if cfg.disease is None else DiseaseScope(cfg.disease)
     history = store.records(patient_id, until_ms=now_ms)
@@ -332,6 +331,6 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
 def _features_csv(features):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FEATURE_COLUMNS)
-    writer.writerow([repr(features[c]) if c in features else "" for c in FEATURE_COLUMNS])
+    writer.writerow(RECORDING_FEATURES)
+    writer.writerow([repr(features[c]) if c in features else "" for c in RECORDING_FEATURES])
     return buf.getvalue()

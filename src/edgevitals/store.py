@@ -52,19 +52,25 @@ _MODE_BY_VALUE = {m.value: m for m in AcquisitionMode}
 _decode = json.JSONDecoder().raw_decode
 
 
-def _record_from_line(line):
-    """The record one log line (str, or bytes in a log that does not
-    decode as UTF-8) holds. Parses as json.loads would, without its
-    per-call wrapper; an unknown kind or mode is a KeyError."""
+def _record_from_line(line, patient_id):
+    """The record one line (str, or bytes in a log that does not decode as
+    UTF-8) of patient_id's log holds. Parses as json.loads would, without
+    its per-call wrapper. A line must hold the fields _record_to_line
+    writes, with their types: an unknown kind or mode is a KeyError, and
+    another patient, a non-int ts, a non-number or bool value or a non-str
+    name is a ValueError."""
     if isinstance(line, bytes):
         line = line.decode(json.detect_encoding(line), "surrogatepass")
     line = line.strip(" \t\n\r")
     doc, end = _decode(line)
     if end != len(line):
         raise ValueError("extra data after the record")
-    return MeasurementRecord(doc["patient"], _KIND_BY_VALUE[doc["kind"]], doc["value"],
-                             int(doc["ts"]), _MODE_BY_VALUE[doc.get("mode", "NOSILENT")],
-                             doc.get("name", ""))
+    value, ts, name = doc["value"], doc["ts"], doc.get("name", "")
+    if (doc["patient"] != patient_id or type(ts) is not int
+            or type(value) not in (float, int) or type(name) is not str):
+        raise ValueError("record field of the wrong type or patient")
+    return MeasurementRecord(patient_id, _KIND_BY_VALUE[doc["kind"]], value, ts,
+                             _MODE_BY_VALUE[doc.get("mode", "NOSILENT")], name)
 
 
 def write_atomic(path, text):
@@ -127,8 +133,8 @@ class MeasurementStore:
         # other line that does not parse is a real integrity problem
         for i, line in enumerate(lines):
             try:
-                rec = _record_from_line(line)
-            except (KeyError, TypeError, ValueError):
+                rec = _record_from_line(line, patient_id)
+            except (KeyError, TypeError, ValueError, OverflowError):
                 if terminated or i < len(lines) - 1:
                     raise IntegrityError(
                         "corrupt record at %s line %d" % (path, i + 1)) from None

@@ -2,7 +2,9 @@
 they were before they stopped paying per-record Enum and quoteattr calls.
 Kept verbatim as the test oracle: the shipped `_record_xml` must write the
 same bytes, and the shipped store must load the same records from a log,
-or reject it at the same line with the same error.
+or reject it at the same line with the same error. `load_log` takes the
+record builder as a parameter, so a test can require the field types the
+store now checks on top of it.
 """
 
 import json
@@ -37,7 +39,7 @@ def _record_from_doc(doc):
     )
 
 
-def load_log(data, path):
+def load_log(data, path, from_doc=_record_from_doc):
     """The records a patient log's bytes hold, as the store loaded them:
     a torn (unterminated, unparseable) final line is dropped, any other
     line that does not parse is an IntegrityError naming path and line."""
@@ -52,7 +54,7 @@ def load_log(data, path):
         lines.pop()
     for i, line in enumerate(lines):
         try:
-            rec = _record_from_doc(json.loads(line))
+            rec = from_doc(json.loads(line))
         except (KeyError, TypeError, ValueError):
             if terminated or i < len(lines) - 1:
                 raise IntegrityError(

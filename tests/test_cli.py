@@ -15,7 +15,7 @@ from edgevitals.classify import (
     patient_schema,
 )
 from edgevitals import cli
-from edgevitals.classify.serialize import model_to_json
+from edgevitals.classify.serialize import model_to_json, schema_hash
 from edgevitals.cli import main
 from edgevitals.messaging import parse_message_xml
 from edgevitals.rules import MeasurementKind, MeasurementRecord
@@ -72,6 +72,13 @@ def measurements_manifest(tmp_path, patient, csv_text, disease, now_note=""):
     path = tmp_path / ("manifest-%s.json" % patient)
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# a weighted-index model document, a model type that is no longer read
+WEIGHTED_INDEX_MODEL = json.dumps({
+    "format": "edgevitals-model", "version": 1, "model_type": "weighted_index",
+    "schema": [], "schema_hash": schema_hash(()),
+    "payload": {"threshold": 0.5, "weights": {"a": 1.0}}}, sort_keys=True)
 
 
 def message_path(tmp_path, patient, tag=""):
@@ -254,6 +261,14 @@ class TestRunBatch:
         ("rules", '<rules><rule id="a" severity="ALARM"/></rules>', "exactly one condition"),
         ("rules", "<rules>", "no element found"),
         ("model", "{}", "not a model document"),
+        ("model", WEIGHTED_INDEX_MODEL, "unknown model type 'weighted_index'"),
+        ("config", '{"qrs": {"cross_check_pct": "10"}}',
+         "config key 'qrs.cross_check_pct' must be a number, got '10'"),
+        ("config", '{"qrs": {"cross_check_pct": true}}', "must be a number, got True"),
+        ("config", '{"preprocess": {"wavelet_levels": 4.5}}',
+         "config key 'preprocess.wavelet_levels' must be an integer"),
+        ("config", '{"preprocess": {"threshold_mode": "SOFT"}}',
+         "threshold_mode must be soft or hard"),
     ])
     def test_input_that_does_not_parse_in_a_later_manifest_runs_no_patient(
             self, tmp_path, capsys, key, text, reason):
@@ -328,10 +343,21 @@ class TestRunBatch:
         assert not (tmp_path / "out").exists()
 
     def test_importing_the_cli_does_not_load_scipy(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(edgevitals.__file__)))
-        code = "import sys, edgevitals.cli; sys.exit('scipy' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=src)
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert fresh_python("import sys, edgevitals.cli; sys.exit('scipy' in sys.modules)") == 0
+
+    def test_device_path_modules_load_without_numpy(self):
+        # the package imports no submodule, so the store, rules and
+        # messaging load only what they import themselves
+        assert fresh_python(
+            "import sys, edgevitals.errors, edgevitals.rules, edgevitals.messaging, "
+            "edgevitals.store; sys.exit('numpy' in sys.modules or 'scipy' in sys.modules)") == 0
+
+
+def fresh_python(code):
+    """Exit status of code run in a new interpreter that imports this tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edgevitals.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
 
 
 def hr_row(schema, v):

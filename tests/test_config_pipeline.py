@@ -90,6 +90,31 @@ class TestConfig:
             config_from_dict({"stress_index": {
                 "weights": {"questionnaire_01": 0.5}, "threshold": 0.5}})
 
+    @pytest.mark.parametrize("doc", [
+        {"config_version": True},
+        {"qrs": {"cross_check_pct": "10"}},
+        {"qrs": {"cross_check_pct": True}},
+        {"preprocess": {"wavelet_levels": "4"}},
+        {"preprocess": {"wavelet_levels": 4.5}},
+        {"preprocess": {"highpass_order": False}},
+        {"preprocess": {"highpass_cutoff_hz": "0.5"}},
+        {"preprocess": {"threshold_mode": "SOFT"}},
+        {"respiration": {"window_s": [60]}},
+        {"schedule": {"send_time": 2000}},
+        {"stress_index": [["questionnaire_01", 1.0]]},
+        {"stress_index": {"weights": {"questionnaire_01": True}, "threshold": 0.5}},
+        {"lifestyle_index": {"weights": {"food_fish": 1.0}, "threshold": "0.5"}},
+    ])
+    def test_setting_of_the_wrong_type_rejected(self, doc):
+        with pytest.raises(ValueError):
+            config_from_dict(doc)
+
+    def test_int_accepted_where_the_default_is_a_float(self):
+        cfg = config_from_dict({"qrs": {"cross_check_pct": 10},
+                                "preprocess": {"highpass_cutoff_hz": 1}})
+        assert cfg["qrs"]["cross_check_pct"] == 10
+        assert cfg["preprocess"]["highpass_cutoff_hz"] == 1
+
     def test_bad_send_time_rejected(self):
         with pytest.raises(ValueError):
             config_from_dict({"schedule": {"send_time": "25:00"}})
@@ -314,6 +339,36 @@ class TestPipelineSinglePass:
         result, _ = run_ecg_patient(tmp_path, bpm=125, model=hr_model())
         assert result.prediction == "WORSENING"
         assert len(calls) == 1
+
+    def test_one_append_per_run(self, tmp_path, monkeypatch):
+        samples, _ = synth_ecg(70, duration_s=120.0)
+        write_signal_csv(str(tmp_path / "ecg.csv"), samples, 250.0)
+        t = np.arange(int(120 * 25.0)) / 25.0
+        write_signal_csv(str(tmp_path / "resp.csv"), np.sin(2 * np.pi * 0.25 * t), 25.0)
+        (tmp_path / "meas.csv").write_text("kind,value,timestamp_ms\n"
+                                          "BODY_WEIGHT,70.0,1000\n"
+                                          "BODY_WEIGHT,nan,2000\n"
+                                          "BODY_TEMPERATURE,36.8,3000\n")
+        appends = []
+        real = MeasurementStore._append
+
+        def counting(self, patient_id, new):
+            new = list(new)
+            appends.append(len(new))
+            return real(self, patient_id, new)
+
+        monkeypatch.setattr(MeasurementStore, "_append", counting)
+        store = MeasurementStore(str(tmp_path / "store"))
+        result = run_patient("p1", store, default_config(), parse_rules(RULES),
+                             now_ms=120000, ecg_csv=str(tmp_path / "ecg.csv"),
+                             resp_csv=str(tmp_path / "resp.csv"),
+                             measurements_csv=str(tmp_path / "meas.csv"))
+        assert appends == [4]
+        assert [(r.kind.value, r.timestamp_ms) for r in store.log_records("p1")] == [
+            ("BODY_WEIGHT", 1000), ("BODY_TEMPERATURE", 3000),
+            ("HEART_RATE", 120000), ("RESPIRATION_RATE", 120000)]
+        assert result.report["rejected_rows"] == [
+            {"line": 3, "reason": "measurement value must be finite"}]
 
     def test_name_xml_cannot_carry_stays_out_of_message(self, tmp_path):
         meas = tmp_path / "meas.csv"

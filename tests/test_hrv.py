@@ -103,12 +103,25 @@ class TestSegmentFeatures:
 
     def test_time_features_bundle(self, rng):
         rr = random_series(rng, 1200)
-        tf = time_features(rr)
-        assert tf.sdnn_ms == sdnn(rr)
-        assert tf.sdann_ms == sdann(rr)
-        assert tf.sdnnidx_ms == sdnnidx(rr)
-        assert tf.pnn50_pct == pnn50(rr)
-        assert tf.rmssd_ms == rmssd(rr)
+        assert time_features(rr) == {
+            "sdnn_ms": sdnn(rr),
+            "sdann_ms": sdann(rr),
+            "sdnnidx_ms": sdnnidx(rr),
+            "pnn50_pct": pnn50(rr),
+            "rmssd_ms": rmssd(rr),
+        }
+        assert list(time_features(rr)) == [
+            "sdnn_ms", "sdann_ms", "sdnnidx_ms", "pnn50_pct", "rmssd_ms"]
+
+    def test_time_features_leave_out_what_lacks_data(self):
+        # two 300 s segments of two intervals each; gaps everywhere, so no
+        # two intervals are adjacent and no successive difference exists
+        rr = RRSeries(np.array([0.0, 5000.0, 400000.0, 405000.0]),
+                      np.array([800.0, 900.0, 850.0, 1000.0]))
+        assert time_features(rr) == {
+            "sdnn_ms": sdnn(rr), "sdann_ms": sdann(rr), "sdnnidx_ms": sdnnidx(rr)}
+        one_segment = RRSeries(np.array([0.0, 5000.0]), np.array([800.0, 900.0]))
+        assert time_features(one_segment) == {"sdnn_ms": 50.0}
 
 
 class TestBandPowers:

@@ -28,7 +28,7 @@ from edgevitals.rules import (
     Severity,
 )
 from edgevitals.store import MeasurementStore, _record_to_line
-from messaging_reference import load_log, record_xml
+from messaging_reference import _record_from_doc, load_log, record_xml
 
 XML_CHARS = st.one_of(
     st.sampled_from("&<>\"'\t\r\n"),
@@ -143,6 +143,19 @@ def log_lines(draw):
     return body.encode("utf-8", "surrogatepass")
 
 
+def typed_from_doc(doc):
+    """The oracle's record builder, with each field required to be what
+    the store's writer writes: the file's patient (p1), an int ts, an int
+    or float value that is no bool and fits a float, and a str name."""
+    if not (doc["patient"] == "p1" and type(doc["ts"]) is int
+            and type(doc["value"]) in (int, float) and type(doc.get("name", "")) is str):
+        raise ValueError("field of the wrong type")
+    try:
+        return _record_from_doc(doc)
+    except OverflowError:
+        raise ValueError("value does not fit a float") from None
+
+
 def outcome(load):
     try:
         return "loaded", load()
@@ -162,7 +175,7 @@ class TestLogParser:
             with open(path, "wb") as fh:
                 fh.write(data)
             shipped = outcome(lambda: MeasurementStore(root).log_records("p1"))
-        assert shipped == outcome(lambda: load_log(data, path))
+        assert shipped == outcome(lambda: load_log(data, path, typed_from_doc))
 
     def write(self, tmp_path, text):
         (tmp_path / "p1.jsonl").write_bytes(text.encode("utf-8"))
@@ -179,6 +192,18 @@ class TestLogParser:
     def test_non_object_or_trailing_data_names_its_line(self, tmp_path, bad):
         good = _record_to_line(MeasurementRecord("p1", MeasurementKind.HEART_RATE, 72.0, 1000))
         bad = bad.replace("{good}", good).replace("{{}}", "{}")
+        store = self.write(tmp_path, "%s\n%s\n%s\n" % (good, bad, good))
+        with pytest.raises(IntegrityError, match=r"p1\.jsonl line 2$"):
+            store.log_records("p1")
+
+    @pytest.mark.parametrize("fields", [
+        '"name":[1]', '"name":{"a":1}', '"name":5', '"value":"61"', '"value":true',
+        pytest.param('"value":1' + "0" * 400, id='"value":<401 digits>'),
+        '"ts":1e999', '"ts":"2"', '"ts":2.0', '"ts":true', '"patient":"b"', '"patient":["p1"]',
+    ])
+    def test_field_the_writer_would_not_write_names_its_line(self, tmp_path, fields):
+        good = _record_to_line(MeasurementRecord("p1", MeasurementKind.HEART_RATE, 72.0, 1000))
+        bad = good[:-1] + "," + fields + "}"  # the later key wins
         store = self.write(tmp_path, "%s\n%s\n%s\n" % (good, bad, good))
         with pytest.raises(IntegrityError, match=r"p1\.jsonl line 2$"):
             store.log_records("p1")

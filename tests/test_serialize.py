@@ -13,7 +13,6 @@ from edgevitals.classify import (
     ForestModel,
     LabeledDataset,
     NaiveBayesModel,
-    WeightedIndexModel,
     model_from_json,
     model_to_json,
     predict_any,
@@ -48,7 +47,6 @@ def trained_models():
         train_decision_tree(data),
         train_random_forest(data, n_trees=4, attrs_per_split=1, seed=5),
         train_naive_bayes(data),
-        WeightedIndexModel({"a": 0.25, "b": 0.75}, threshold=0.4),
     ]
 
 
@@ -61,13 +59,12 @@ class TestRoundTrip:
 
     def test_types_preserved(self):
         types = [type(model_from_json(model_to_json(m))) for m in trained_models()]
-        assert types == [DecisionTreeModel, ForestModel, NaiveBayesModel,
-                         WeightedIndexModel]
+        assert types == [DecisionTreeModel, ForestModel, NaiveBayesModel]
 
     def test_predictions_survive_round_trip(self):
         data = training_data()
         rng = np.random.default_rng(3)
-        for model in trained_models()[:3]:
+        for model in trained_models():
             loaded = model_from_json(model_to_json(model))
             for _ in range(50):
                 q = FeatureVector(SCHEMA, (float(rng.uniform(0, 1)),
