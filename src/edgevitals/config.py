@@ -21,6 +21,7 @@ Example document (all keys optional except config_version):
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 from .classify.schema import patient_schema
@@ -123,11 +124,56 @@ def _merge(base, override, path):
             types, what = _ACCEPTED[type(default)]
             if type(value) not in types:
                 raise ValueError("config key %r must be %s, got %r" % (path + key, what, value))
-        if isinstance(default, dict) and key not in ("stress_index", "lifestyle_index"):
+        if key in ("stress_index", "lifestyle_index"):
+            _check_index_section(value, path + key + ".")
+            out[key] = copy.deepcopy(value)
+        elif isinstance(default, dict):
             out[key] = _merge(default, value, path + key + ".")
         else:
             out[key] = copy.deepcopy(value)
     return out
+
+
+def _check_index_section(section, path):
+    """An index section replaces its default whole, so it must hold
+    exactly `weights` (an object of names to numbers) and `threshold`."""
+    for key in section:
+        if key not in ("weights", "threshold"):
+            raise ValueError("unknown config key %r" % (path + key))
+    for key in ("weights", "threshold"):
+        if key not in section:
+            raise ValueError("config key %r is missing" % (path + key))
+    numbers, number = _ACCEPTED[float]
+    weights = section["weights"]
+    if type(weights) is not dict:
+        raise ValueError("config key %r must be an object, got %r" % (path + "weights", weights))
+    for name, w in weights.items():
+        if type(name) is not str or type(w) not in numbers:
+            raise ValueError("config key %r must map names to numbers, got %r: %r"
+                             % (path + "weights", name, w))
+    if type(section["threshold"]) not in numbers:
+        raise ValueError("config key %r must be %s, got %r"
+                         % (path + "threshold", number, section["threshold"]))
+
+
+def _check_ranges(merged):
+    """Settings of the right type that no run could use. The high-pass
+    cutoff's upper bound, Nyquist, depends on the recording's rate, so
+    baseline removal checks that one."""
+    for section, key in (("preprocess", "wavelet_levels"), ("preprocess", "highpass_order")):
+        if merged[section][key] < 1:
+            raise ValueError("config key '%s.%s' must be >= 1, got %r"
+                             % (section, key, merged[section][key]))
+    for section, key in (("preprocess", "highpass_cutoff_hz"), ("respiration", "calibration"),
+                         ("respiration", "window_s")):
+        value = merged[section][key]
+        if not (0 < value < math.inf):  # NaN fails too
+            raise ValueError("config key '%s.%s' must be a finite number > 0, got %r"
+                             % (section, key, value))
+    qrs = merged["qrs"]
+    if not (qrs["qrs_min_ms"] <= qrs["qrs_max_ms"]):
+        raise ValueError("config key 'qrs.qrs_min_ms' must not exceed qrs.qrs_max_ms, got %r > %r"
+                         % (qrs["qrs_min_ms"], qrs["qrs_max_ms"]))
 
 
 def config_from_dict(doc):
@@ -149,6 +195,7 @@ def config_from_dict(doc):
         raise ValueError("threshold_mode must be soft or hard")
     if merged["qrs"]["detector"] not in ("pan_tompkins", "wavelet"):
         raise ValueError("detector must be pan_tompkins or wavelet")
+    _check_ranges(merged)
     return cfg
 
 

@@ -1,6 +1,6 @@
 """Baseline-wander removal and wavelet denoising for raw ECG."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,18 +131,20 @@ def remove_baseline_poly(signal, knots):
 
 
 def _dwt_step(x):
-    # out[k] = sum_m ext[2k+1+m] * fr[m], the odd outputs of a correlation
+    # out[k] = sum_m ext[2k+1+m] * fr[m], the odd outputs of a correlation,
+    # copied so that no full-length correlation outlives the step
     ext = np.pad(x, (_TAPS - 1, _TAPS - 1), mode="symmetric")
-    return (np.correlate(ext, _DEC_LO_R, "valid")[1::2],
-            np.correlate(ext, _DEC_HI_R, "valid")[1::2])
+    return (np.correlate(ext, _DEC_LO_R, "valid")[1::2].copy(),
+            np.correlate(ext, _DEC_HI_R, "valid")[1::2].copy())
 
 
 def _idwt_step(a, d, out_len):
-    ua = np.zeros(2 * len(a) - 1)
-    ua[::2] = a
-    ud = np.zeros(2 * len(d) - 1)
-    ud[::2] = d
-    y = np.convolve(ua, DB4_REC_LO) + np.convolve(ud, DB4_REC_HI)
+    # one upsampled buffer carries a, then d; its odd positions stay zero
+    u = np.zeros(2 * len(a) - 1)
+    u[::2] = a
+    y = np.convolve(u, DB4_REC_LO)
+    u[::2] = d
+    y += np.convolve(u, DB4_REC_HI)
     return y[_TAPS - 2: len(y) - (_TAPS - 2)][:out_len]
 
 
@@ -196,10 +198,15 @@ def denoise_samples(samples, levels=4, threshold_mode="soft"):
     dec = dwt_db4(x, levels)
     sigma = np.median(np.abs(dec.details[0])) / 0.6745
     threshold = sigma * np.sqrt(2.0 * np.log(len(x)))
-    new_details = []
+    # the decomposition is ours alone, so its detail bands are thresholded
+    # in place: sign(d) * max(|d| - t, 0) when soft, d where |d| > t when hard
     for d in dec.details:
+        mag = np.abs(d)
         if threshold_mode == "soft":
-            new_details.append(np.sign(d) * np.maximum(np.abs(d) - threshold, 0.0))
+            mag -= threshold
+            np.maximum(mag, 0.0, out=mag)
+            np.sign(d, out=d)
+            d *= mag
         else:
-            new_details.append(np.where(np.abs(d) > threshold, d, 0.0))
-    return idwt_db4(replace(dec, details=tuple(new_details)))
+            d[~(mag > threshold)] = 0.0
+    return idwt_db4(dec)

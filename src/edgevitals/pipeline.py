@@ -113,7 +113,17 @@ def read_measurements_csv(path, patient_id):
     return out
 
 
-def _ecg_features(signal, cfg, features):
+def _end_ms(signal):
+    return signal.start_time_ms + int(round(signal.duration_seconds * 1000.0))
+
+
+def _ecg_features(path, rate_hz, cfg, features):
+    """The ECG branch; returns (annotations, QRS disagreement %, end time).
+    It alone holds the samples, and drops each stage's input once that
+    stage's output exists: the raw samples go after baseline removal, the
+    cleaned ones after the denoise, before Pan-Tompkins runs."""
+    signal = read_signal_csv(path, rate_hz, SignalKind.ECG)
+    end_ms = _end_ms(signal)
     pre = cfg["preprocess"]
     if pre["baseline_method"] == "linear":
         cleaned = remove_baseline_linear(signal, HighPassSpec(
@@ -122,8 +132,10 @@ def _ecg_features(signal, cfg, features):
         rough = pan_tompkins(signal)
         knots = select_pq_knots(signal, rough)
         cleaned = remove_baseline_poly(signal, knots)
+    del signal
     den = wavelet_denoise(cleaned, levels=pre["wavelet_levels"],
                           threshold_mode=pre["threshold_mode"])
+    del cleaned
     qcfg = cfg["qrs"]
     pt_peaks = pan_tompkins(den)
     annotations = annotate_spikes(
@@ -135,7 +147,7 @@ def _ecg_features(signal, cfg, features):
     if max(n_pt, n_wv) > 0:
         disagreement = abs(n_pt - n_wv) / max(n_pt, n_wv) * 100.0
     peaks = pt_peaks if qcfg["detector"] == "pan_tompkins" else wv_peaks
-    rr = rr_from_peaks(peaks, signal.rate_hz, signal.start_time_ms)
+    rr = rr_from_peaks(peaks, den.rate_hz, den.start_time_ms)
     if len(rr) >= 2:
         # a feature the series lacks the data for is left blank
         features.update(hrv.time_features(rr))
@@ -149,10 +161,12 @@ def _ecg_features(signal, cfg, features):
             features["hf_power"] = ff.hf_power
         except NoDataError:
             pass
-    return annotations, disagreement
+    return annotations, disagreement, end_ms
 
 
-def _resp_features(signal, cfg, features):
+def _resp_features(path, rate_hz, cfg, features):
+    """The respiration branch; returns the recording's end time."""
+    signal = read_signal_csv(path, rate_hz, SignalKind.RESPIRATION)
     rcfg = cfg["respiration"]
     try:
         rates = respiration_rate(signal, window_s=rcfg["window_s"], hop_s=rcfg["window_s"])
@@ -166,6 +180,7 @@ def _resp_features(signal, cfg, features):
         features["vital_capacity_l"] = vol.vital_capacity
     except NoDataError:
         pass
+    return _end_ms(signal)
 
 
 def _index_scores(model, named_values):
@@ -218,15 +233,15 @@ def _feature_vector(features, named_records, history):
     return FeatureVector.from_mapping(schema, mapping)
 
 
-def _derived_records(patient_id, features, ecg, resp):
+def _derived_records(patient_id, features, ecg_end_ms, resp_end_ms):
     """The rates the recordings yield as SILENT store records, each
-    stamped with the end time of the recording it came from."""
+    stamped with the end time of the recording it came from (None when
+    that recording was not given)."""
     out = []
-    for signal, kind, name in ((ecg, MeasurementKind.HEART_RATE, "mean_heart_rate_bpm"),
-                               (resp, MeasurementKind.RESPIRATION_RATE,
+    for end_ms, kind, name in ((ecg_end_ms, MeasurementKind.HEART_RATE, "mean_heart_rate_bpm"),
+                               (resp_end_ms, MeasurementKind.RESPIRATION_RATE,
                                 "respiration_rate_bpm")):
-        if signal is not None and name in features:
-            end_ms = signal.start_time_ms + int(round(signal.duration_seconds * 1000.0))
+        if end_ms is not None and name in features:
             out.append(MeasurementRecord(patient_id, kind, features[name], end_ms,
                                          AcquisitionMode.SILENT))
     return out
@@ -242,18 +257,16 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
 
     rows = read_measurements_csv(measurements_csv, patient_id) if measurements_csv else []
 
-    ecg = resp = None
+    ecg_end_ms = resp_end_ms = None
     if ecg_csv:
-        ecg = read_signal_csv(ecg_csv, ecg_rate_hz, SignalKind.ECG)
-        annotations, disagreement = _ecg_features(ecg, cfg, features)
+        annotations, disagreement, ecg_end_ms = _ecg_features(ecg_csv, ecg_rate_hz, cfg, features)
         result.qrs_disagreement_pct = disagreement
         result.qrs_flagged = disagreement > cfg["qrs"]["cross_check_pct"]
     if resp_csv:
-        resp = read_signal_csv(resp_csv, resp_rate_hz, SignalKind.RESPIRATION)
-        _resp_features(resp, cfg, features)
+        resp_end_ms = _resp_features(resp_csv, resp_rate_hz, cfg, features)
 
     # one append; the CSV rows come first in the log, then the derived rates
-    rows += _derived_records(patient_id, features, ecg, resp)
+    rows += _derived_records(patient_id, features, ecg_end_ms, resp_end_ms)
     rejected = [{"line": row["line"], "reason": reason}
                 for row, reason in store.ingest(rows).rejections]
 

@@ -136,13 +136,17 @@ def mean_heart_rate(rr, window_s=60.0, now_ms=None):
 def _moving_average(x, w):
     """Centred w-sample mean with zero padding, from a running sum."""
     n = len(x)
-    off = (w - 1) // 2
-    xp = np.zeros(n + w - 1)
-    xp[w - 1 - off: w - 1 - off + n] = x
-    cum = np.empty(n + w)
-    cum[0] = 0.0
-    np.cumsum(xp, out=cum[1:])
-    return (cum[w:] - cum[:n]) / w
+    lead = w - 1 - (w - 1) // 2  # zeros the padding puts before x
+    # cum[k] is the sum of the first k padded samples, built in place
+    cum = np.zeros(n + w)
+    cum[lead + 1: lead + 1 + n] = x
+    # the sum runs on from the padding's 0.0, or from x[0] when there is none
+    run = cum[max(lead, 1): lead + 1 + n]
+    np.cumsum(run, out=run)
+    cum[lead + 1 + n:] = cum[lead + n]
+    out = cum[w:] - cum[:n]
+    out /= w
+    return out
 
 
 def _validate_detector_input(signal):
@@ -187,15 +191,16 @@ def pan_tompkins(signal):
     peak = np.max(np.abs(x))
     if peak == 0:
         return np.array([], dtype=int)
-    xn = x / peak
 
     from scipy.signal import butter, find_peaks, sosfiltfilt
 
     sos_lo = butter(2, 15.0, btype="lowpass", fs=fs, output="sos")
     sos_hi = butter(2, 5.0, btype="highpass", fs=fs, output="sos")
-    bp = sosfiltfilt(sos_hi, sosfiltfilt(sos_lo, xn))
+    bp = sosfiltfilt(sos_hi, sosfiltfilt(sos_lo, x / peak))
     deriv = np.convolve(bp, np.array([1.0, 2.0, 0.0, -2.0, -1.0]) * (fs / 8.0), mode="same")
-    mwi = _moving_average(deriv * deriv, max(1, int(round(0.150 * fs))))
+    deriv *= deriv
+    mwi = _moving_average(deriv, max(1, int(round(0.150 * fs))))
+    del deriv  # not needed past the integration; find_peaks allocates next
 
     refractory = int(round(0.200 * fs))
     cand, _ = find_peaks(mwi, distance=refractory)
@@ -209,7 +214,7 @@ def pan_tompkins(signal):
     if len(cand) == 0:
         return np.array([], dtype=int)
     half_f = int(round(0.075 * fs))
-    n = len(xn)
+    n = len(x)
     cf = np.max(np.abs(bp[_window_indices(cand, half_f, n)]), axis=1)
 
     n_init = min(n, int(2 * fs))
@@ -281,7 +286,7 @@ def pan_tompkins(signal):
     # integration delays the mwi peak; relocate each detection onto the
     # strongest input excursion nearby
     idx = _window_indices(np.array(accepted, dtype=np.intp), int(round(0.080 * fs)), n)
-    strongest = np.argmax(np.abs(xn[idx]), axis=1)
+    strongest = np.argmax(np.abs(x[idx] / peak), axis=1)
     return np.unique(idx[np.arange(len(idx)), strongest]).astype(int)
 
 

@@ -269,6 +269,14 @@ class TestRunBatch:
          "config key 'preprocess.wavelet_levels' must be an integer"),
         ("config", '{"preprocess": {"threshold_mode": "SOFT"}}',
          "threshold_mode must be soft or hard"),
+        ("config", '{"preprocess": {"wavelet_levels": 0}}',
+         "config key 'preprocess.wavelet_levels' must be >= 1, got 0"),
+        ("config", '{"qrs": {"qrs_min_ms": 200.0}}',
+         "config key 'qrs.qrs_min_ms' must not exceed qrs.qrs_max_ms"),
+        ("config", '{"respiration": {"window_s": 0}}',
+         "config key 'respiration.window_s' must be a finite number > 0, got 0"),
+        ("config", '{"stress_index": {"weights": {"questionnaire_01": 1.0}, "threshold": 0.5, '
+                   '"treshold": 0.9}}', "unknown config key 'stress_index.treshold'"),
     ])
     def test_input_that_does_not_parse_in_a_later_manifest_runs_no_patient(
             self, tmp_path, capsys, key, text, reason):

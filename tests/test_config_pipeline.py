@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,44 @@ class TestConfig:
     def test_setting_of_the_wrong_type_rejected(self, doc):
         with pytest.raises(ValueError):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"preprocess": {"wavelet_levels": 0}}, "preprocess.wavelet_levels"),
+        ({"preprocess": {"wavelet_levels": -3}}, "preprocess.wavelet_levels"),
+        ({"preprocess": {"highpass_order": 0}}, "preprocess.highpass_order"),
+        ({"preprocess": {"highpass_cutoff_hz": 0}}, "preprocess.highpass_cutoff_hz"),
+        ({"preprocess": {"highpass_cutoff_hz": -0.5}}, "preprocess.highpass_cutoff_hz"),
+        ({"preprocess": {"highpass_cutoff_hz": math.nan}}, "preprocess.highpass_cutoff_hz"),
+        ({"respiration": {"calibration": 0.0}}, "respiration.calibration"),
+        ({"respiration": {"calibration": -1}}, "respiration.calibration"),
+        ({"respiration": {"window_s": 0}}, "respiration.window_s"),
+        ({"respiration": {"window_s": -60.0}}, "respiration.window_s"),
+        ({"respiration": {"window_s": math.inf}}, "respiration.window_s"),
+        ({"qrs": {"qrs_min_ms": 200.0}}, "qrs.qrs_min_ms"),
+        ({"qrs": {"qrs_min_ms": 60.0, "qrs_max_ms": 40.0}}, "qrs.qrs_min_ms"),
+    ])
+    def test_out_of_range_setting_rejected_naming_its_key(self, doc, key):
+        with pytest.raises(ValueError, match="config key '%s'" % re.escape(key)):
+            config_from_dict(doc)
+
+    def test_settings_at_their_bounds_accepted(self):
+        cfg = config_from_dict({
+            "preprocess": {"wavelet_levels": 1, "highpass_order": 1, "highpass_cutoff_hz": 1e-3},
+            "qrs": {"qrs_min_ms": 80.0, "qrs_max_ms": 80},
+            "respiration": {"calibration": 1e-6, "window_s": 1}})
+        assert cfg["qrs"]["qrs_min_ms"] == cfg["qrs"]["qrs_max_ms"]
+
+    @pytest.mark.parametrize("name", ["stress_index", "lifestyle_index"])
+    @pytest.mark.parametrize("section, message", [
+        ({"weights": {"w": 1.0}, "threshold": 0.5, "treshold": 0.9}, "unknown config key '{}.treshold'"),
+        ({"weights": {"w": 1.0}}, "config key '{}.threshold' is missing"),
+        ({"threshold": 0.5}, "config key '{}.weights' is missing"),
+        ({"weights": {1: 1.0}, "threshold": 0.5}, "config key '{}.weights' must map names to numbers"),
+        ({"weights": [["w", 1.0]], "threshold": 0.5}, "config key '{}.weights' must be an object"),
+    ])
+    def test_index_section_holds_only_weights_and_threshold(self, name, section, message):
+        with pytest.raises(ValueError, match=re.escape(message.format(name))):
+            config_from_dict({name: section})
 
     def test_int_accepted_where_the_default_is_a_float(self):
         cfg = config_from_dict({"qrs": {"cross_check_pct": 10},

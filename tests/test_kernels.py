@@ -2,9 +2,11 @@
 
 The DB4 analysis step must equal the per-output sum
 out[k] = sum_m ext[2k+1+m] * fr[m] bitwise; the synthesis step must match
-its explicit sum to rounding; the Pan-Tompkins moving average must equal
-a sequential running sum bitwise; Pan-Tompkins and the spike annotator
-must return exactly what their reference loops in qrs_reference.py return.
+its explicit sum to rounding; the synthesis step and the whole denoise must
+return exactly what their references in denoise_reference.py return; the
+Pan-Tompkins moving average must equal a sequential running sum bitwise;
+Pan-Tompkins and the spike annotator must return exactly what their
+reference loops in qrs_reference.py return.
 """
 
 import numpy as np
@@ -18,11 +20,14 @@ from edgevitals.ecg_preprocess import (
     _DEC_LO_R,
     _dwt_step,
     _idwt_step,
+    denoise_samples,
     dwt_db4,
 )
 from edgevitals.qrs_detect import _moving_average, _window_indices, annotate_spikes, pan_tompkins
 
 from conftest import ecg_signal, qrs_shape
+from denoise_reference import denoise_samples as reference_denoise_samples
+from denoise_reference import idwt_step as reference_idwt_step
 from qrs_reference import annotate_spikes as reference_annotate_spikes
 from qrs_reference import pan_tompkins as reference_pan_tompkins
 
@@ -85,6 +90,40 @@ def test_up_convolve_add_matches_explicit_sum(n, seed):
     assert np.allclose(got, want, rtol=0, atol=1e-14)
 
 
+def test_down_convolve_bands_own_their_memory():
+    # a view into the full-length correlation would keep it alive
+    lo, hi = _dwt_step(np.random.default_rng(12).normal(size=101))
+    assert lo.base is None and hi.base is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 400), short=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_up_convolve_add_equals_reference(n, short, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n)
+    d = rng.normal(size=n)
+    out_len = max(0, 2 * n - TAPS + 2 - int(short))
+    got = _idwt_step(a, d, out_len)
+    want = reference_idwt_step(a, d, out_len)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(2, 3000), levels=st.integers(1, 5), mode=st.sampled_from(["soft", "hard"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_denoise_equals_reference(n, levels, mode, seed):
+    levels = min(levels, n.bit_length() - 1)
+    x = np.random.default_rng(seed).normal(size=n)
+    before = x.copy()
+    got = denoise_samples(x, levels, mode)
+    want = reference_denoise_samples(x, levels, mode)
+    # identical bytes need the signs of zeros to match as well
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(x, before)
+
+
 def test_dwt_db4_matches_explicit_sum():
     # each level analyses the previous approximation
     x = np.random.default_rng(11).normal(size=777)
@@ -109,6 +148,24 @@ def test_moving_average_bitwise_equals_running_sum():
             cum.append(cum[-1] + v)
         want = np.array([(cum[k + w] - cum[k]) / w for k in range(n)])
         assert np.array_equal(_moving_average(x, w), want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 300), w=st.integers(1, 80), signed_zeros=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_moving_average_bytes_equal_padded_running_sum(n, w, signed_zeros, seed):
+    # the padded sum starts from 0.0, so a leading -0.0 must not survive
+    # unless there is no padding before x (w == 1)
+    x = np.random.default_rng(seed).normal(size=n)
+    if signed_zeros:
+        x[: n // 2] = -0.0
+    off = (w - 1) // 2
+    xp = np.concatenate((np.zeros(w - 1 - off), x, np.zeros(off)))
+    cum = np.empty(n + w)
+    cum[0] = 0.0
+    np.cumsum(xp, out=cum[1:])
+    want = (cum[w:] - cum[:n]) / w
+    assert _moving_average(x, w).tobytes() == want.tobytes()
 
 
 def test_moving_average_matches_numpy_convolve():
