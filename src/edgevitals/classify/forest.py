@@ -5,8 +5,6 @@ so parallel and serial training build identical models and equal seeds
 serialize byte-identically.
 """
 
-import numpy as np
-
 from .schema import ClassLabel, FeatureVector, LabeledDataset
 from .tree import DecisionTreeModel, predict_tree, train_decision_tree
 
@@ -35,6 +33,9 @@ class ForestModel:
 
 def train_random_forest(data, n_trees, attrs_per_split, seed,
                         bootstrap=True, max_depth=None, min_leaf=1):
+    # the only numpy user in classify; predicting and loading models stay numpy-free
+    import numpy as np
+
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
     if n_trees < 1:

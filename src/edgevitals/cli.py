@@ -11,13 +11,14 @@ Exit codes: 0 success / no alarm, 2 at least one ALARM fired, 1 error,
 or model file that does not parse). `run` finds every usage problem before
 any patient runs. A patient that fails in `run` prints
 `<id> error=<Type>: <message>` and the others still run; the exit code is
-then 1.
+then 1. `run --jobs N` runs the patients in up to N forked worker processes.
 """
 
 import argparse
 import concurrent.futures
 import datetime
 import json
+import multiprocessing
 import os
 import sys
 
@@ -86,6 +87,14 @@ def _load_manifest(path):
     for key in ("ecg", "respiration", "measurements", "config", "rules", "model"):
         if doc.get(key):
             _require_readable(doc[key], key)
+    for key, default in (("ecg_rate_hz", 250.0), ("resp_rate_hz", 25.0)):
+        rate = doc.get(key, default)
+        # isinstance counts a bool as an int; NaN fails both comparisons
+        if (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                or not 0 < rate <= sys.float_info.max):
+            raise UsageError("manifest %s: %s must be a finite number above 0, got %s"
+                             % (path, key, json.dumps(rate)))
+        doc[key] = float(rate)
     return doc
 
 
@@ -123,18 +132,65 @@ def _run_one(doc, parsed, now_ms):
     store = MeasurementStore(store_dir)
     return run_patient(
         doc["patient_id"], store, cfg, parsed["rules", doc["rules"]], now_ms,
-        ecg_csv=doc.get("ecg"), ecg_rate_hz=float(doc.get("ecg_rate_hz", 250.0)),
-        resp_csv=doc.get("respiration"), resp_rate_hz=float(doc.get("resp_rate_hz", 25.0)),
+        ecg_csv=doc.get("ecg"), ecg_rate_hz=doc["ecg_rate_hz"],
+        resp_csv=doc.get("respiration"), resp_rate_hz=doc["resp_rate_hz"],
         measurements_csv=doc.get("measurements"), model=parsed.get(("model", doc.get("model"))),
         out_dir=doc["out_dir"])
 
 
-def _run_isolated(doc, parsed, now_ms):
-    """The patient's result, or the exception that stopped it."""
+def _error_line(pid, exc):
+    return "%s error=%s: %s" % (pid, type(exc).__name__, exc)
+
+
+def _summarise(doc, parsed, now_ms):
+    """Runs one patient and returns (alarm, error, summary line): all the
+    parent needs, so a worker sends back no PipelineResult."""
+    pid = doc["patient_id"]
     try:
-        return _run_one(doc, parsed, now_ms)
+        res = _run_one(doc, parsed, now_ms)
     except Exception as exc:
-        return exc
+        return False, True, _error_line(pid, exc)
+    alarm = any(a.severity is Severity.ALARM for a in res.alerts)
+    return alarm, False, "%s alerts=%d alarm=%s decision=%s%s" % (
+        pid, len(res.alerts), "yes" if alarm else "no", res.decision.value,
+        " flagged-qrs-disagreement" if res.qrs_flagged else "")
+
+
+_batch = None  # (manifests, parsed inputs, now_ms); set only in a forked worker
+
+
+def _init_worker(*batch):
+    global _batch
+    _batch = batch
+
+
+def _summarise_in_worker(index):
+    manifests, parsed, now_ms = _batch
+    return _summarise(manifests[index], parsed, now_ms)
+
+
+def _summarise_forked(manifests, parsed, now_ms, jobs):
+    """Each manifest's summary, from `jobs` forked workers.
+
+    Forked workers inherit the manifests and the parsed inputs, so a task
+    is a manifest index and its result a summary; nothing else is
+    pickled. Under `edgevitals run` the parent has started no thread when
+    it forks: it has not imported numpy, whose BLAS starts threads, and
+    the executor forks its workers before it starts its own thread. A
+    worker that dies fails each patient whose summary had not come back."""
+    sys.stdout.flush()  # else each worker flushes its copy of the buffer on exit
+    pool = concurrent.futures.ProcessPoolExecutor(
+        jobs, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker, initargs=(manifests, parsed, now_ms))
+    with pool:
+        futures = [pool.submit(_summarise_in_worker, i) for i in range(len(manifests))]
+        summaries = []
+        for doc, future in zip(manifests, futures):
+            try:
+                summaries.append(future.result())
+            except concurrent.futures.BrokenExecutor as exc:
+                summaries.append((False, True, _error_line(doc["patient_id"], exc)))
+    return summaries
 
 
 def cmd_run(args):
@@ -148,25 +204,15 @@ def cmd_run(args):
         raise UsageError("duplicate patient_id across manifests")
     parsed = _parse_inputs(zip(args.manifest, manifests))
     if args.jobs > 1 and len(manifests) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda d: _run_isolated(d, parsed, now_ms), manifests))
+        summaries = _summarise_forked(manifests, parsed, now_ms,
+                                      min(args.jobs, len(manifests)))
     else:
-        results = [_run_isolated(d, parsed, now_ms) for d in manifests]
-    any_alarm = any_error = False
-    for pid, res in sorted(zip(ids, results), key=lambda pr: pr[0]):
-        if isinstance(res, Exception):
-            any_error = True
-            print("%s error=%s: %s" % (pid, type(res).__name__, res))
-            continue
-        alarm = any(a.severity is Severity.ALARM for a in res.alerts)
-        any_alarm = any_alarm or alarm
-        print("%s alerts=%d alarm=%s decision=%s%s" % (
-            pid, len(res.alerts), "yes" if alarm else "no",
-            res.decision.value,
-            " flagged-qrs-disagreement" if res.qrs_flagged else ""))
-    if any_error:
+        summaries = [_summarise(doc, parsed, now_ms) for doc in manifests]
+    for _, (_, _, line) in sorted(zip(ids, summaries), key=lambda ps: ps[0]):
+        print(line)
+    if any(error for _, error, _ in summaries):
         return EXIT_ERROR
-    return EXIT_ALARM if any_alarm else EXIT_OK
+    return EXIT_ALARM if any(alarm for alarm, _, _ in summaries) else EXIT_OK
 
 
 def _tree_summary(root):

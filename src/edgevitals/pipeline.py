@@ -10,6 +10,8 @@ Steps (each optional input skips its branch):
      measurement so rules can see it.
   3. Respiration: windowed dominant-frequency rate (stored as a
      RESPIRATION_RATE measurement) and breath-volume features.
+     Steps 2 and 3 live in `signal_features`, imported only for a patient
+     with a recording, so a measurement-only run loads no numpy.
   4. One store ingest of the CSV rows and the derived rates; rows the
      store rejects are listed in the report by line and reason.
   5. Rule evaluation at --now over the patient's history.
@@ -27,17 +29,9 @@ import io
 import os
 from dataclasses import dataclass, field
 
-from . import hrv
 from .classify.metrics import predict_any
 from .classify.schema import CATEGORICAL, RECORDING_FEATURES, FeatureVector, patient_schema
 from .classify.weighted import weighted_index
-from .ecg_preprocess import (
-    HighPassSpec,
-    remove_baseline_linear,
-    remove_baseline_poly,
-    select_pq_knots,
-    wavelet_denoise,
-)
 from .errors import IngestionError, NoDataError
 from .messaging import (
     OutboundMessage,
@@ -46,15 +40,6 @@ from .messaging import (
     build_message_xml,
     decide_transmission,
 )
-from .qrs_detect import (
-    BeatLabel,
-    annotate_spikes,
-    annotations_to_csv,
-    mean_heart_rate,
-    pan_tompkins,
-    rr_from_peaks,
-)
-from .respiration import respiration_rate, volume_features
 from .rules import (
     AcquisitionMode,
     Alert,
@@ -65,7 +50,6 @@ from .rules import (
     evaluate_with_report,
     report_to_json_line,
 )
-from .signal_core import SignalKind, read_signal_csv
 from .store import write_atomic
 
 __all__ = ["PipelineResult", "run_patient", "read_measurements_csv"]
@@ -111,76 +95,6 @@ def read_measurements_csv(path, patient_id):
                 "line": reader.line_num,
             })
     return out
-
-
-def _end_ms(signal):
-    return signal.start_time_ms + int(round(signal.duration_seconds * 1000.0))
-
-
-def _ecg_features(path, rate_hz, cfg, features):
-    """The ECG branch; returns (annotations, QRS disagreement %, end time).
-    It alone holds the samples, and drops each stage's input once that
-    stage's output exists: the raw samples go after baseline removal, the
-    cleaned ones after the denoise, before Pan-Tompkins runs."""
-    signal = read_signal_csv(path, rate_hz, SignalKind.ECG)
-    end_ms = _end_ms(signal)
-    pre = cfg["preprocess"]
-    if pre["baseline_method"] == "linear":
-        cleaned = remove_baseline_linear(signal, HighPassSpec(
-            cutoff_hz=pre["highpass_cutoff_hz"], order=pre["highpass_order"]))
-    else:
-        rough = pan_tompkins(signal)
-        knots = select_pq_knots(signal, rough)
-        cleaned = remove_baseline_poly(signal, knots)
-    del signal
-    den = wavelet_denoise(cleaned, levels=pre["wavelet_levels"],
-                          threshold_mode=pre["threshold_mode"])
-    del cleaned
-    qcfg = cfg["qrs"]
-    pt_peaks = pan_tompkins(den)
-    annotations = annotate_spikes(
-        den, spike_fraction=qcfg["spike_fraction"], qrs_min_ms=qcfg["qrs_min_ms"],
-        qrs_max_ms=qcfg["qrs_max_ms"], artifact_threshold=qcfg["artifact_threshold"])
-    wv_peaks = [a.r_peak for a in annotations if a.label is BeatLabel.QRS]
-    n_pt, n_wv = len(pt_peaks), len(wv_peaks)
-    disagreement = 0.0
-    if max(n_pt, n_wv) > 0:
-        disagreement = abs(n_pt - n_wv) / max(n_pt, n_wv) * 100.0
-    peaks = pt_peaks if qcfg["detector"] == "pan_tompkins" else wv_peaks
-    rr = rr_from_peaks(peaks, den.rate_hz, den.start_time_ms)
-    if len(rr) >= 2:
-        # a feature the series lacks the data for is left blank
-        features.update(hrv.time_features(rr))
-        try:
-            features["mean_heart_rate_bpm"] = mean_heart_rate(rr)
-        except NoDataError:
-            pass
-        try:
-            ff = hrv.band_powers(rr)
-            features["lf_power"] = ff.lf_power
-            features["hf_power"] = ff.hf_power
-        except NoDataError:
-            pass
-    return annotations, disagreement, end_ms
-
-
-def _resp_features(path, rate_hz, cfg, features):
-    """The respiration branch; returns the recording's end time."""
-    signal = read_signal_csv(path, rate_hz, SignalKind.RESPIRATION)
-    rcfg = cfg["respiration"]
-    try:
-        rates = respiration_rate(signal, window_s=rcfg["window_s"], hop_s=rcfg["window_s"])
-    except NoDataError:
-        rates = []
-    if len(rates):
-        features["respiration_rate_bpm"] = float(sum(rates) / len(rates))
-    try:
-        vol = volume_features(signal, rcfg["calibration"])
-        features["tidal_volume_l"] = vol.tidal_volume
-        features["vital_capacity_l"] = vol.vital_capacity
-    except NoDataError:
-        pass
-    return _end_ms(signal)
 
 
 def _index_scores(model, named_values):
@@ -253,17 +167,21 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
                 measurements_csv=None, model=None, out_dir=None):
     result = PipelineResult(patient_id=patient_id)
     features = {}
-    annotations = None
+    beats_csv = None
 
     rows = read_measurements_csv(measurements_csv, patient_id) if measurements_csv else []
 
     ecg_end_ms = resp_end_ms = None
+    if ecg_csv or resp_csv:
+        # the signal layers load numpy and scipy; measurement-only runs skip them
+        from . import signal_features
     if ecg_csv:
-        annotations, disagreement, ecg_end_ms = _ecg_features(ecg_csv, ecg_rate_hz, cfg, features)
+        beats_csv, disagreement, ecg_end_ms = signal_features.ecg_features(
+            ecg_csv, ecg_rate_hz, cfg, features)
         result.qrs_disagreement_pct = disagreement
         result.qrs_flagged = disagreement > cfg["qrs"]["cross_check_pct"]
     if resp_csv:
-        resp_end_ms = _resp_features(resp_csv, resp_rate_hz, cfg, features)
+        resp_end_ms = signal_features.resp_features(resp_csv, resp_rate_hz, cfg, features)
 
     # one append; the CSV rows come first in the log, then the derived rates
     rows += _derived_records(patient_id, features, ecg_end_ms, resp_end_ms)
@@ -286,7 +204,7 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
         report["stress_index"] = round(stress_index, 6)
     if lifestyle_index is not None:
         report["lifestyle_index"] = round(lifestyle_index, 6)
-    if annotations is not None:
+    if beats_csv is not None:
         report["qrs_disagreement_pct"] = round(result.qrs_disagreement_pct, 3)
         report["qrs_flagged"] = result.qrs_flagged
     result.alerts = alerts
@@ -323,8 +241,8 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
         os.makedirs(pdir, exist_ok=True)
         texts = [("report.jsonl", report_to_json_line(report) + "\n"),
                  ("features.csv", _features_csv(features))]
-        if annotations is not None:
-            texts.append(("beats.csv", annotations_to_csv(annotations)))
+        if beats_csv is not None:
+            texts.append(("beats.csv", beats_csv))
         for name, text in texts:
             path = os.path.join(pdir, name)
             with open(path, "w", encoding="utf-8") as fh:

@@ -115,14 +115,18 @@ def read_signal_csv(path, rate_hz, kind):
         raise ValueError("rate_hz must be positive")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "timestamp_ms,value":
-            raise IngestionError("%s: expected header 'timestamp_ms,value', got %r" % (path, header))
-        try:
-            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise IngestionError("%s: %s" % (path, exc)) from None
+    if header != "timestamp_ms,value":
+        raise IngestionError("%s: expected header 'timestamp_ms,value', got %r" % (path, header))
+    try:
+        # given a path, not an open file, numpy parses in C, a chunk at a time
+        data = np.loadtxt(path, delimiter=",", skiprows=1, encoding="utf-8", ndmin=2)
+    except ValueError as exc:
+        raise IngestionError("%s: %s" % (path, exc)) from None
     if data.size == 0:
         raise IngestionError("%s: no samples" % path)
+    if data.shape[1] != 2:
+        raise IngestionError("%s: expected 2 columns, timestamp_ms and value, got %d"
+                             % (path, data.shape[1]))
     ts, values = data[:, 0], data[:, 1]
     finite_ts = np.isfinite(ts)
     if not np.all(finite_ts):

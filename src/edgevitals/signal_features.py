@@ -1,0 +1,98 @@
+"""The ECG and respiration branches of a patient run.
+
+This module alone imports the signal layers, and with them numpy and
+scipy; `pipeline.run_patient` imports it only for a patient whose manifest
+gives a recording, so a measurement-only run never loads them.
+"""
+
+from . import hrv
+from .ecg_preprocess import (
+    HighPassSpec,
+    remove_baseline_linear,
+    remove_baseline_poly,
+    select_pq_knots,
+    wavelet_denoise,
+)
+from .errors import NoDataError
+from .qrs_detect import (
+    BeatLabel,
+    annotate_spikes,
+    annotations_to_csv,
+    mean_heart_rate,
+    pan_tompkins,
+    rr_from_peaks,
+)
+from .respiration import respiration_rate, volume_features
+from .signal_core import SignalKind, read_signal_csv
+
+__all__ = ["ecg_features", "resp_features"]
+
+
+def _end_ms(signal):
+    return signal.start_time_ms + int(round(signal.duration_seconds * 1000.0))
+
+
+def ecg_features(path, rate_hz, cfg, features):
+    """The ECG branch; returns (beats.csv text, QRS disagreement %, end time).
+    It alone holds the samples, and drops each stage's input once that
+    stage's output exists: the raw samples go after baseline removal, the
+    cleaned ones after the denoise, before Pan-Tompkins runs."""
+    signal = read_signal_csv(path, rate_hz, SignalKind.ECG)
+    end_ms = _end_ms(signal)
+    pre = cfg["preprocess"]
+    if pre["baseline_method"] == "linear":
+        cleaned = remove_baseline_linear(signal, HighPassSpec(
+            cutoff_hz=pre["highpass_cutoff_hz"], order=pre["highpass_order"]))
+    else:
+        rough = pan_tompkins(signal)
+        knots = select_pq_knots(signal, rough)
+        cleaned = remove_baseline_poly(signal, knots)
+    del signal
+    den = wavelet_denoise(cleaned, levels=pre["wavelet_levels"],
+                          threshold_mode=pre["threshold_mode"])
+    del cleaned
+    qcfg = cfg["qrs"]
+    pt_peaks = pan_tompkins(den)
+    annotations = annotate_spikes(
+        den, spike_fraction=qcfg["spike_fraction"], qrs_min_ms=qcfg["qrs_min_ms"],
+        qrs_max_ms=qcfg["qrs_max_ms"], artifact_threshold=qcfg["artifact_threshold"])
+    wv_peaks = [a.r_peak for a in annotations if a.label is BeatLabel.QRS]
+    n_pt, n_wv = len(pt_peaks), len(wv_peaks)
+    disagreement = 0.0
+    if max(n_pt, n_wv) > 0:
+        disagreement = abs(n_pt - n_wv) / max(n_pt, n_wv) * 100.0
+    peaks = pt_peaks if qcfg["detector"] == "pan_tompkins" else wv_peaks
+    rr = rr_from_peaks(peaks, den.rate_hz, den.start_time_ms)
+    if len(rr) >= 2:
+        # a feature the series lacks the data for is left blank
+        features.update(hrv.time_features(rr))
+        try:
+            features["mean_heart_rate_bpm"] = mean_heart_rate(rr)
+        except NoDataError:
+            pass
+        try:
+            ff = hrv.band_powers(rr)
+            features["lf_power"] = ff.lf_power
+            features["hf_power"] = ff.hf_power
+        except NoDataError:
+            pass
+    return annotations_to_csv(annotations), disagreement, end_ms
+
+
+def resp_features(path, rate_hz, cfg, features):
+    """The respiration branch; returns the recording's end time."""
+    signal = read_signal_csv(path, rate_hz, SignalKind.RESPIRATION)
+    rcfg = cfg["respiration"]
+    try:
+        rates = respiration_rate(signal, window_s=rcfg["window_s"], hop_s=rcfg["window_s"])
+    except NoDataError:
+        rates = []
+    if len(rates):
+        features["respiration_rate_bpm"] = float(sum(rates) / len(rates))
+    try:
+        vol = volume_features(signal, rcfg["calibration"])
+        features["tidal_volume_l"] = vol.tidal_volume
+        features["vital_capacity_l"] = vol.vital_capacity
+    except NoDataError:
+        pass
+    return _end_ms(signal)

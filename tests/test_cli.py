@@ -350,22 +350,131 @@ class TestRunBatch:
         assert "--jobs must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_importing_the_cli_does_not_load_scipy(self):
-        assert fresh_python("import sys, edgevitals.cli; sys.exit('scipy' in sys.modules)") == 0
+    def test_importing_the_cli_and_pipeline_loads_no_numpy(self):
+        assert fresh_python(
+            "import sys, edgevitals.cli, edgevitals.pipeline; "
+            "sys.exit('numpy' in sys.modules or 'scipy' in sys.modules)").returncode == 0
 
     def test_device_path_modules_load_without_numpy(self):
         # the package imports no submodule, so the store, rules and
         # messaging load only what they import themselves
         assert fresh_python(
             "import sys, edgevitals.errors, edgevitals.rules, edgevitals.messaging, "
-            "edgevitals.store; sys.exit('numpy' in sys.modules or 'scipy' in sys.modules)") == 0
+            "edgevitals.store; sys.exit('numpy' in sys.modules or 'scipy' in sys.modules)"
+        ).returncode == 0
+
+    @pytest.mark.parametrize("key, value", [
+        ("ecg_rate_hz", "fast"), ("ecg_rate_hz", True), ("ecg_rate_hz", None),
+        ("ecg_rate_hz", float("nan")), ("resp_rate_hz", float("inf")),
+        ("resp_rate_hz", 10 ** 400), ("resp_rate_hz", 0), ("resp_rate_hz", -25.0)])
+    def test_bad_rate_in_a_later_manifest_runs_no_patient(self, tmp_path, capsys, key, value):
+        first = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
+        second = shared_store_manifest(tmp_path, "p-b", HEALTHY_CSV)
+        doc = json.loads(open(second).read())
+        doc[key] = value
+        with open(second, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["run", first, second, "--now", NOW]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "usage error: manifest %s: %s must be a finite number above 0, got %s\n"
+            % (second, key, json.dumps(value)))
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "p-a").exists()
+
+    def test_integer_rates_are_accepted(self, tmp_path, capsys):
+        manifest = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
+        doc = json.loads(open(manifest).read())
+        doc.update(ecg_rate_hz=250, resp_rate_hz=25)
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["run", manifest, "--now", NOW]) == 0
+        assert capsys.readouterr().out == "p-a alerts=0 alarm=no decision=SCHEDULED\n"
+
+
+class TestForkedJobs:
+    def test_measurement_only_run_with_a_model_loads_no_numpy(self, tmp_path):
+        model = str(tmp_path / "tree.json")
+        assert main(["train", write_dataset(tmp_path, "train.csv", TRAIN_PAIRS),
+                     "--algorithm", "tree", "--out", model]) == 0
+        manifest = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
+        doc = json.loads(open(manifest).read())
+        doc["model"] = "tree.json"
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        argv = ["run", manifest, "--now", NOW]
+        proc = fresh_python(
+            "import sys; from edgevitals.cli import main; code = main(%r); "
+            "sys.exit(code or 3 * ('numpy' in sys.modules or 'scipy' in sys.modules))" % argv)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        report = json.loads((tmp_path / "out" / "p-a" / "report.jsonl").read_text())
+        assert "prediction" in report
+
+    def test_jobs_run_patients_in_worker_processes(self, tmp_path, capsys, monkeypatch):
+        pids = tmp_path / "pids"
+        real = cli._run_one
+
+        def recording(doc, parsed, now_ms):
+            with open(pids, "a") as fh:
+                fh.write("%d\n" % os.getpid())
+            return real(doc, parsed, now_ms)
+
+        monkeypatch.setattr(cli, "_run_one", recording)
+        manifests = [shared_store_manifest(tmp_path, "p%d" % i, HEALTHY_CSV) for i in range(4)]
+        assert main(["run", *manifests, "--now", NOW, "--jobs", "2"]) == 0
+        workers = [int(pid) for pid in pids.read_text().split()]
+        assert len(workers) == 4
+        assert os.getpid() not in workers and len(set(workers)) <= 2
+        assert capsys.readouterr().out.splitlines() == [
+            "p%d alerts=0 alarm=no decision=SCHEDULED" % i for i in range(4)]
+
+    def test_a_dead_worker_fails_the_run_without_hanging(self, tmp_path):
+        manifests = [shared_store_manifest(tmp_path, pid, HEALTHY_CSV)
+                     for pid in ("p-a", "p-b", "p-c")]
+        argv = ["run", *manifests, "--now", NOW, "--jobs", "2"]
+        proc = fresh_python(
+            "import os, sys\n"
+            "from edgevitals import cli\n"
+            "real = cli._run_one\n"
+            "def dying(doc, parsed, now_ms):\n"
+            "    if doc['patient_id'] == 'p-b':\n"
+            "        os._exit(3)\n"
+            "    return real(doc, parsed, now_ms)\n"
+            "cli._run_one = dying\n"
+            "sys.exit(cli.main(%r))\n" % argv)
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["p-a", "p-b", "p-c"]
+        assert lines[1].startswith("p-b error=BrokenProcessPool: ")
+
+    def test_forked_and_in_process_batches_write_the_same_bytes(self, tmp_path, capsys):
+        runs = {}
+        for jobs in ("1", "2"):
+            work = tmp_path / ("jobs-" + jobs)
+            work.mkdir()
+            manifests = [
+                ecg_manifest(work, "pat-copd", bpm=125, disease="COPD"),
+                measurements_manifest(work, "pat-ckd", "kind,value,timestamp_ms\n"
+                                      "BODY_WEIGHT,70.0,0\nBODY_WEIGHT,71.5,50000\n", "CKD"),
+                shared_store_manifest(work, "pat-ok", HEALTHY_CSV)]
+            code = main(["run", *manifests, "--now", NOW, "--jobs", jobs])
+            files = {str(p.relative_to(work)): p.read_bytes()
+                     for p in sorted(work.rglob("*")) if p.is_file()}
+            runs[jobs] = code, capsys.readouterr().out, files
+        assert runs["1"] == runs["2"]
+        code, out, files = runs["1"]
+        assert code == 2 and len(out.splitlines()) == 3
+        assert "out-pat-copd/pat-copd/beats.csv" in files
+        assert "out/pat-ok/message.xml" in files
 
 
 def fresh_python(code):
-    """Exit status of code run in a new interpreter that imports this tree."""
+    """The finished run, output captured, of code in a new interpreter
+    that imports this tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(edgevitals.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def hr_row(schema, v):

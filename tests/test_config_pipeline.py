@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import qrs_shape, synth_ecg, write_signal_csv
-from edgevitals import ecg_preprocess, pipeline, qrs_detect, respiration, rules
+from edgevitals import ecg_preprocess, qrs_detect, respiration, rules, signal_features
 from edgevitals.classify import (
     Attribute,
     ClassLabel,
@@ -336,7 +336,7 @@ class TestPipelineEcgStages:
             seen.append((signal, out.samples))
             return out
 
-        monkeypatch.setattr(pipeline, "remove_baseline_linear", spy)
+        monkeypatch.setattr(signal_features, "remove_baseline_linear", spy)
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         run_ecg_patient(tmp_path / "a", bpm=70)
@@ -553,7 +553,7 @@ class TestPipelineRespiration:
 
         # both modules bind the name; a second pass from either shows
         monkeypatch.setattr(respiration, "respiration_rate", counting)
-        monkeypatch.setattr(pipeline, "respiration_rate", counting)
+        monkeypatch.setattr(signal_features, "respiration_rate", counting)
         result, _ = run_resp_patient(tmp_path)
         assert "tidal_volume_l" in result.features
         assert len(calls) == 1

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from conftest import ecg_signal, synth_ecg, write_signal_csv
-from edgevitals import pipeline
+from edgevitals import pipeline, signal_features
 from edgevitals.config import default_config
 from edgevitals.ecg_preprocess import wavelet_denoise
 from edgevitals.qrs_detect import pan_tompkins
@@ -70,7 +70,7 @@ def test_run_patient_drops_raw_and_cleaned_samples_before_pan_tompkins(record, t
         alive_at_detection.append(tracemalloc.get_traced_memory()[0])
         return pan_tompkins(signal)
 
-    monkeypatch.setattr(pipeline, "pan_tompkins", measured)
+    monkeypatch.setattr(signal_features, "pan_tompkins", measured)
     cfg, rules = default_config(), parse_rules(RULES)
 
     def run(name):

@@ -129,6 +129,18 @@ class TestReadSignalCsv:
         with pytest.raises(IngestionError):
             read_signal_csv(str(path), 250.0, SignalKind.ECG)
 
+    def test_rejects_one_data_column(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("timestamp_ms,value\n0\n4\n8\n")
+        with pytest.raises(IngestionError, match="sig.csv: expected 2 columns, .* got 1$"):
+            read_signal_csv(str(path), 250.0, SignalKind.ECG)
+
+    def test_rejects_three_data_columns(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("timestamp_ms,value\n0,1.0,9\n4,1.5,9\n8,2.0,9\n")
+        with pytest.raises(IngestionError, match="sig.csv: expected 2 columns, .* got 3$"):
+            read_signal_csv(str(path), 250.0, SignalKind.ECG)
+
     def test_rejects_jitter_above_one_percent(self, tmp_path):
         period = 1000.0 / 250.0
         rows = ["timestamp_ms,value"]
