@@ -1,47 +1,1 @@
 """Supervised severity classification: schema, trainers, indices, metrics."""
-
-from .bayes import NaiveBayesModel, predict_bayes, train_naive_bayes
-from .forest import ForestModel, predict_forest, train_random_forest
-from .metrics import evaluate_classifier, predict_any
-from .schema import (
-    CATEGORICAL,
-    NUMERIC,
-    Attribute,
-    ClassLabel,
-    FeatureVector,
-    LabeledDataset,
-    dataset_from_csv,
-    dataset_to_csv,
-    patient_schema,
-)
-from .serialize import model_from_json, model_to_json, schema_hash
-from .tree import DecisionTreeModel, predict_tree, train_decision_tree
-from .weighted import WeightedIndexModel, weighted_index
-
-__all__ = [
-    "NUMERIC",
-    "CATEGORICAL",
-    "Attribute",
-    "ClassLabel",
-    "FeatureVector",
-    "LabeledDataset",
-    "patient_schema",
-    "dataset_from_csv",
-    "dataset_to_csv",
-    "DecisionTreeModel",
-    "train_decision_tree",
-    "predict_tree",
-    "ForestModel",
-    "train_random_forest",
-    "predict_forest",
-    "NaiveBayesModel",
-    "train_naive_bayes",
-    "predict_bayes",
-    "WeightedIndexModel",
-    "weighted_index",
-    "evaluate_classifier",
-    "predict_any",
-    "model_to_json",
-    "model_from_json",
-    "schema_hash",
-]

@@ -9,12 +9,11 @@ attributes are skipped in the product.
 
 import math
 
-from .schema import NUMERIC, ClassLabel, FeatureVector
+from .schema import NUMERIC, ClassLabel, FeatureVector, likeliest_class
 
 __all__ = ["NaiveBayesModel", "train_naive_bayes", "predict_bayes", "VARIANCE_FLOOR"]
 
 VARIANCE_FLOOR = 1e-9
-_CLASSES = tuple(ClassLabel)
 
 
 class NaiveBayesModel:
@@ -105,6 +104,5 @@ def predict_bayes(model, x):
     peak = max(log_scores.values())
     expd = {lab: math.exp(s - peak) for lab, s in log_scores.items()}
     total = sum(expd.values())
-    posterior = tuple(expd.get(c, 0.0) / total for c in _CLASSES)
-    best = max(range(len(posterior)), key=lambda i: (posterior[i], -i))
-    return _CLASSES[best], posterior
+    posterior = tuple(expd.get(c, 0.0) / total for c in ClassLabel)
+    return likeliest_class(posterior), posterior

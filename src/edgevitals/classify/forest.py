@@ -5,12 +5,10 @@ so parallel and serial training build identical models and equal seeds
 serialize byte-identically.
 """
 
-from .schema import ClassLabel, FeatureVector, LabeledDataset
+from .schema import ClassLabel, FeatureVector, LabeledDataset, likeliest_class
 from .tree import DecisionTreeModel, predict_tree, train_decision_tree
 
 __all__ = ["ForestModel", "train_random_forest", "predict_forest"]
-
-_CLASSES = tuple(ClassLabel)
 
 
 class ForestModel:
@@ -69,10 +67,9 @@ def train_random_forest(data, n_trees, attrs_per_split, seed,
 def predict_forest(model, x):
     if not isinstance(x, FeatureVector) or x.schema != model.schema:
         raise ValueError("feature vector does not match the model schema")
-    votes = [0] * len(_CLASSES)
+    votes = [0] * len(ClassLabel)
     for tree in model.trees:
         label, _ = predict_tree(tree, x)
         votes[label.ordinal] += 1
-    best = max(range(len(votes)), key=lambda i: (votes[i], -i))
     dist = tuple(v / len(model.trees) for v in votes)
-    return _CLASSES[best], dist
+    return likeliest_class(votes), dist

@@ -15,8 +15,6 @@ from .tree import DecisionTreeModel, predict_tree
 
 __all__ = ["evaluate_classifier", "predict_any"]
 
-_CLASSES = tuple(ClassLabel)
-
 
 def predict_any(model, x):
     if isinstance(model, DecisionTreeModel):
@@ -37,7 +35,7 @@ def evaluate_classifier(model, test):
     correct = 0
     for fv, y in zip(test.features, targets):
         label, dist = predict_any(model, fv)
-        pred = sum(p * c.ordinal for p, c in zip(dist, _CLASSES))
+        pred = sum(p * c.ordinal for p, c in zip(dist, ClassLabel))
         err = pred - y
         abs_errs.append(abs(err))
         sq_errs.append(err * err)

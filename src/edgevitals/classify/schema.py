@@ -16,6 +16,7 @@ __all__ = [
     "RECORDING_FEATURES",
     "Attribute",
     "ClassLabel",
+    "likeliest_class",
     "FeatureVector",
     "LabeledDataset",
     "patient_schema",
@@ -45,6 +46,12 @@ class ClassLabel(enum.Enum):
     @property
     def ordinal(self):
         return self.value
+
+
+def likeliest_class(dist):
+    """The class with the largest entry of dist (one entry per class, in
+    ordinal order); ties go to the lowest ordinal."""
+    return max(ClassLabel, key=lambda c: (dist[c.ordinal], -c.ordinal))
 
 
 # the features the pipeline derives from one patient's recordings, in
@@ -122,12 +129,6 @@ class FeatureVector:
         if unknown:
             raise ValueError("unknown attributes: %s" % sorted(unknown))
         return cls(schema, tuple(mapping.get(a.name) for a in schema))
-
-    def get(self, name):
-        for attr, v in zip(self.schema, self.values):
-            if attr.name == name:
-                return v
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)

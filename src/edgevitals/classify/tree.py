@@ -13,12 +13,11 @@ split attribute follow the majority-population child.
 
 import math
 
-from .schema import CATEGORICAL, NUMERIC, ClassLabel, FeatureVector
+from .schema import CATEGORICAL, NUMERIC, ClassLabel, FeatureVector, likeliest_class
 
 __all__ = ["DecisionTreeModel", "train_decision_tree", "predict_tree"]
 
 _EPS = 1e-12
-_CLASSES = tuple(ClassLabel)
 
 
 class DecisionTreeModel:
@@ -44,7 +43,7 @@ def _entropy(counts):
 
 
 def _counts(labels):
-    out = [0] * len(_CLASSES)
+    out = [0] * len(ClassLabel)
     for lab in labels:
         out[lab.ordinal] += 1
     return out
@@ -204,5 +203,4 @@ def predict_tree(model, x):
             else:
                 node = node["children"][v]
     dist = tuple(node["distribution"])
-    best = max(range(len(dist)), key=lambda i: (dist[i], -i))
-    return _CLASSES[best], dist
+    return likeliest_class(dist), dist

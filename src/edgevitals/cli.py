@@ -67,6 +67,12 @@ def _require_readable(path, what):
         raise UsageError("%s not readable: %s" % (what, path))
 
 
+# the keys a manifest may hold; the file keys name inputs run reads
+_FILE_KEYS = ("ecg", "respiration", "measurements", "config", "rules", "model")
+_MANIFEST_KEYS = frozenset(_FILE_KEYS + ("patient_id", "out_dir", "store_dir",
+                                         "ecg_rate_hz", "resp_rate_hz"))
+
+
 def _load_manifest(path):
     _require_readable(path, "manifest")
     with open(path, "r", encoding="utf-8") as fh:
@@ -76,15 +82,14 @@ def _load_manifest(path):
             raise UsageError("manifest %s is not valid JSON: %s" % (path, exc)) from None
     if not (isinstance(doc, dict) and all(doc.get(k) for k in ("patient_id", "out_dir", "rules"))):
         raise UsageError("manifest %s needs patient_id, out_dir and rules" % path)
+    unknown = sorted(set(doc) - _MANIFEST_KEYS)
+    if unknown:
+        raise UsageError("manifest %s: unknown key %s" % (path, ", ".join(map(repr, unknown))))
     base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(key):
+    for key in _FILE_KEYS + ("out_dir", "store_dir"):
         if doc.get(key):
-            doc[key] = os.path.join(base, doc[key]) if not os.path.isabs(doc[key]) else doc[key]
-    for key in ("ecg", "respiration", "measurements", "config", "rules", "model",
-                "out_dir", "store_dir"):
-        resolve(key)
-    for key in ("ecg", "respiration", "measurements", "config", "rules", "model"):
+            doc[key] = os.path.join(base, doc[key])
+    for key in _FILE_KEYS:
         if doc.get(key):
             _require_readable(doc[key], key)
     for key, default in (("ecg_rate_hz", 250.0), ("resp_rate_hz", 25.0)):
@@ -106,11 +111,17 @@ def _parse_file(key, path):
     return parse_rules(text) if key == "rules" else model_from_json(text)
 
 
+def _config(doc, parsed):
+    return parsed["config", doc["config"]] if doc.get("config") else default_config()
+
+
 def _parse_inputs(manifests):
     """Each distinct config, rules and model file the (path, manifest)
     pairs name, parsed once before any patient runs and keyed by (manifest
-    key, file path). A file that does not parse is a usage error. Patients
-    share the parsed objects; run_patient only reads them."""
+    key, file path). A file that does not parse is a usage error, and so
+    is a high-pass cutoff at or above the Nyquist frequency of an ECG that
+    a linear baseline removal would filter. Patients share the parsed
+    objects; run_patient only reads them."""
     parsed = {}
     for manifest, doc in manifests:
         for key in ("config", "rules", "model"):
@@ -123,19 +134,26 @@ def _parse_inputs(manifests):
                     SchemaMismatchError) as exc:
                 raise UsageError("manifest %s: %s %s does not parse: %s" % (
                     manifest, key, path, exc)) from None
+        if not doc.get("ecg"):
+            continue
+        pre, nyquist = _config(doc, parsed)["preprocess"], doc["ecg_rate_hz"] / 2
+        if pre["baseline_method"] == "linear" and not pre["highpass_cutoff_hz"] < nyquist:
+            raise UsageError(
+                "manifest %s: highpass_cutoff_hz %r in config %s must lie below %r Hz, "
+                "the Nyquist frequency of ecg_rate_hz %r" % (
+                    manifest, pre["highpass_cutoff_hz"], doc.get("config") or "<default>",
+                    nyquist, doc["ecg_rate_hz"]))
     return parsed
 
 
 def _run_one(doc, parsed, now_ms):
-    cfg = parsed["config", doc["config"]] if doc.get("config") else default_config()
     store_dir = doc.get("store_dir") or os.path.join(doc["out_dir"], "store")
     store = MeasurementStore(store_dir)
     return run_patient(
-        doc["patient_id"], store, cfg, parsed["rules", doc["rules"]], now_ms,
-        ecg_csv=doc.get("ecg"), ecg_rate_hz=doc["ecg_rate_hz"],
+        doc["patient_id"], store, _config(doc, parsed), parsed["rules", doc["rules"]], now_ms,
+        doc["out_dir"], ecg_csv=doc.get("ecg"), ecg_rate_hz=doc["ecg_rate_hz"],
         resp_csv=doc.get("respiration"), resp_rate_hz=doc["resp_rate_hz"],
-        measurements_csv=doc.get("measurements"), model=parsed.get(("model", doc.get("model"))),
-        out_dir=doc["out_dir"])
+        measurements_csv=doc.get("measurements"), model=parsed.get(("model", doc.get("model"))))
 
 
 def _error_line(pid, exc):
@@ -260,8 +278,7 @@ def cmd_train(args):
 def cmd_eval(args):
     _require_readable(args.model, "model")
     _require_readable(args.testset, "testset")
-    with open(args.model, "r", encoding="utf-8") as fh:
-        model = model_from_json(fh.read())
+    model = _parse_file("model", args.model)
     with open(args.testset, "r", encoding="utf-8") as fh:
         text = fh.read()
     data = dataset_from_csv(text, patient_schema())
@@ -280,10 +297,8 @@ def cmd_eval(args):
 
 def cmd_rules_check(args):
     _require_readable(args.rules, "rules")
-    with open(args.rules, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        ruleset = parse_rules(text)
+        ruleset = _parse_file("rules", args.rules)
     except (RuleParseError, RuleSemanticError) as exc:
         print("invalid: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

@@ -159,7 +159,7 @@ def _check_index_section(section, path):
 def _check_ranges(merged):
     """Settings of the right type that no run could use. The high-pass
     cutoff's upper bound, Nyquist, depends on the recording's rate, so
-    baseline removal checks that one."""
+    `run` checks that one against each manifest's ecg_rate_hz."""
     for section, key in (("preprocess", "wavelet_levels"), ("preprocess", "highpass_order")):
         if merged[section][key] < 1:
             raise ValueError("config key '%s.%s' must be >= 1, got %r"

@@ -80,8 +80,6 @@ def decide_transmission(alerts, schedule, now_ms, last_scheduled_send_ms=None):
         return TransmissionDecision.IMMEDIATE
     offset = schedule.offset_ms()
     latest_slot = ((now_ms - offset) // _DAY_MS) * _DAY_MS + offset
-    if latest_slot > now_ms:
-        latest_slot -= _DAY_MS
     last = -float("inf") if last_scheduled_send_ms is None else last_scheduled_send_ms
     if latest_slot > last:
         return TransmissionDecision.SCHEDULED

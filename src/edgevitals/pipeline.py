@@ -161,10 +161,10 @@ def _derived_records(patient_id, features, ecg_end_ms, resp_end_ms):
     return out
 
 
-def run_patient(patient_id, store, cfg, ruleset, now_ms,
+def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
                 ecg_csv=None, ecg_rate_hz=250.0,
                 resp_csv=None, resp_rate_hz=25.0,
-                measurements_csv=None, model=None, out_dir=None):
+                measurements_csv=None, model=None):
     result = PipelineResult(patient_id=patient_id)
     features = {}
     beats_csv = None
@@ -236,22 +236,21 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms,
         )
         result.message_xml = build_message_xml(message)
 
-    if out_dir is not None:
-        pdir = os.path.join(out_dir, patient_id)
-        os.makedirs(pdir, exist_ok=True)
-        texts = [("report.jsonl", report_to_json_line(report) + "\n"),
-                 ("features.csv", _features_csv(features))]
-        if beats_csv is not None:
-            texts.append(("beats.csv", beats_csv))
-        for name, text in texts:
-            path = os.path.join(pdir, name)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            result.artifacts.append(path)
-        if result.message_xml:
-            path = os.path.join(pdir, "message.xml")
-            write_atomic(path, result.message_xml)
-            result.artifacts.append(path)
+    pdir = os.path.join(out_dir, patient_id)
+    os.makedirs(pdir, exist_ok=True)
+    texts = [("report.jsonl", report_to_json_line(report) + "\n"),
+             ("features.csv", _features_csv(features))]
+    if beats_csv is not None:
+        texts.append(("beats.csv", beats_csv))
+    for name, text in texts:
+        path = os.path.join(pdir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        result.artifacts.append(path)
+    if result.message_xml:
+        path = os.path.join(pdir, "message.xml")
+        write_atomic(path, result.message_xml)
+        result.artifacts.append(path)
     # the last write: records count as sent only once their message is on disk
     if decision is not TransmissionDecision.HOLD:
         scheduled = decision is TransmissionDecision.SCHEDULED

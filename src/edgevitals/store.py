@@ -53,21 +53,20 @@ _decode = json.JSONDecoder().raw_decode
 
 
 def _record_from_line(line, patient_id):
-    """The record one line (str, or bytes in a log that does not decode as
-    UTF-8) of patient_id's log holds. Parses as json.loads would, without
-    its per-call wrapper. A line must hold the fields _record_to_line
-    writes, with their types: an unknown kind or mode is a KeyError, and
-    another patient, a non-int ts, a non-number or bool value or a non-str
-    name is a ValueError."""
-    if isinstance(line, bytes):
-        line = line.decode(json.detect_encoding(line), "surrogatepass")
+    """The record one line of patient_id's log holds. Parses as json.loads
+    would, without its per-call wrapper. A line must hold the fields
+    _record_to_line writes, with their types: an unknown kind or mode is a
+    KeyError, and another patient, a non-int ts, a non-number or bool value,
+    or a name that is not a str or holds a character ingest rejects is a
+    ValueError."""
     line = line.strip(" \t\n\r")
     doc, end = _decode(line)
     if end != len(line):
         raise ValueError("extra data after the record")
     value, ts, name = doc["value"], doc["ts"], doc.get("name", "")
     if (doc["patient"] != patient_id or type(ts) is not int
-            or type(value) not in (float, int) or type(name) is not str):
+            or type(value) not in (float, int) or type(name) is not str
+            or (name and _NOT_XML_CHAR.search(name))):
         raise ValueError("record field of the wrong type or patient")
     return MeasurementRecord(patient_id, _KIND_BY_VALUE[doc["kind"]], value, ts,
                              _MODE_BY_VALUE[doc.get("mode", "NOSILENT")], name)
@@ -121,10 +120,9 @@ class MeasurementStore:
                 data = fh.read()
         except FileNotFoundError:
             data = b""
-        try:
-            lines = data.decode("utf-8").split("\n")
-        except UnicodeDecodeError:
-            lines = data.split(b"\n")  # the loop below finds the bad line
+        # the writer writes ASCII; a byte that is not UTF-8 decodes to a lone
+        # surrogate, and a field that holds one fails its check below
+        lines = data.decode("utf-8", "surrogateescape").split("\n")
         terminated = not lines[-1]
         if terminated:
             lines.pop()

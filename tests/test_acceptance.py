@@ -15,25 +15,20 @@ import scipy.signal
 
 from conftest import match_beats, resp_signal, synth_ecg, write_signal_csv
 from edgevitals import cli
-from edgevitals.classify import (
+from edgevitals.classify.bayes import predict_bayes, train_naive_bayes
+from edgevitals.classify.forest import predict_forest, train_random_forest
+from edgevitals.classify.metrics import evaluate_classifier
+from edgevitals.classify.schema import (
     CATEGORICAL,
     NUMERIC,
     Attribute,
     ClassLabel,
     FeatureVector,
     LabeledDataset,
-    WeightedIndexModel,
-    evaluate_classifier,
-    model_to_json,
-    predict_bayes,
-    predict_forest,
-    predict_tree,
-    train_decision_tree,
-    train_naive_bayes,
-    train_random_forest,
-    weighted_index,
 )
-from edgevitals.classify.tree import _entropy, _split_quality
+from edgevitals.classify.serialize import model_to_json
+from edgevitals.classify.tree import _entropy, _split_quality, predict_tree, train_decision_tree
+from edgevitals.classify.weighted import WeightedIndexModel, weighted_index
 from edgevitals.ecg_preprocess import (
     DB4_DEC_LO,
     HighPassSpec,

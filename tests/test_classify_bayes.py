@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from edgevitals.classify import (
+from edgevitals.classify.bayes import VARIANCE_FLOOR, predict_bayes, train_naive_bayes
+from edgevitals.classify.schema import (
     CATEGORICAL,
     NUMERIC,
     Attribute,
     ClassLabel,
     FeatureVector,
     LabeledDataset,
-    predict_bayes,
-    train_naive_bayes,
 )
-from edgevitals.classify.bayes import VARIANCE_FLOOR
 
 S = ClassLabel.STABLE
 L = ClassLabel.LIGHT_WORSENING

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from edgevitals.classify import (
+from edgevitals.classify.forest import ForestModel, predict_forest, train_random_forest
+from edgevitals.classify.schema import (
     NUMERIC,
     Attribute,
     ClassLabel,
     FeatureVector,
-    ForestModel,
     LabeledDataset,
-    model_to_json,
-    predict_forest,
-    predict_tree,
-    train_decision_tree,
-    train_random_forest,
 )
+from edgevitals.classify.serialize import model_to_json
+from edgevitals.classify.tree import DecisionTreeModel, predict_tree, train_decision_tree
 
 S = ClassLabel.STABLE
 L = ClassLabel.LIGHT_WORSENING
@@ -99,7 +96,6 @@ class TestPrediction:
         schema = num_schema(1)
         leaf_s = {"kind": "leaf", "n": 1, "distribution": [1.0, 0.0, 0.0]}
         leaf_w = {"kind": "leaf", "n": 1, "distribution": [0.0, 0.0, 1.0]}
-        from edgevitals.classify import DecisionTreeModel
         forest = ForestModel(schema,
                              [DecisionTreeModel(schema, leaf_s),
                               DecisionTreeModel(schema, leaf_w)],

@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from edgevitals.classify import (
+from edgevitals.classify.bayes import train_naive_bayes
+from edgevitals.classify.forest import train_random_forest
+from edgevitals.classify.metrics import evaluate_classifier, predict_any
+from edgevitals.classify.schema import (
     NUMERIC,
     Attribute,
     ClassLabel,
     FeatureVector,
     LabeledDataset,
-    WeightedIndexModel,
-    evaluate_classifier,
-    predict_any,
-    train_decision_tree,
-    train_naive_bayes,
-    train_random_forest,
-    weighted_index,
 )
+from edgevitals.classify.tree import train_decision_tree
+from edgevitals.classify.weighted import WeightedIndexModel, weighted_index
 from edgevitals.errors import NoDataError
 
 S = ClassLabel.STABLE

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from edgevitals.classify import (
+from edgevitals.classify.schema import (
     CATEGORICAL,
     NUMERIC,
     Attribute,
     ClassLabel,
     FeatureVector,
     LabeledDataset,
-    predict_tree,
-    train_decision_tree,
 )
-from edgevitals.classify.tree import _entropy, _split_quality
+from edgevitals.classify.tree import _entropy, _split_quality, predict_tree, train_decision_tree
 
 S = ClassLabel.STABLE
 L = ClassLabel.LIGHT_WORSENING

@@ -7,19 +7,19 @@ import pytest
 
 import edgevitals
 from conftest import synth_ecg, write_signal_csv
-from edgevitals.classify import (
+from edgevitals.classify.schema import (
     ClassLabel,
     FeatureVector,
     LabeledDataset,
     dataset_to_csv,
     patient_schema,
 )
-from edgevitals import cli
 from edgevitals.classify.serialize import model_to_json, schema_hash
+from edgevitals import cli
 from edgevitals.cli import main
 from edgevitals.messaging import parse_message_xml
 from edgevitals.rules import MeasurementKind, MeasurementRecord
-from edgevitals.store import MeasurementStore
+from edgevitals.store import MeasurementStore, _record_to_line
 
 RULES = """<rules>
   <rule id="hr-high" severity="ALARM"><threshold kind="HEART_RATE" op="gt" value="120"/></rule>
@@ -390,6 +390,69 @@ class TestRunBatch:
             json.dump(doc, fh)
         assert main(["run", manifest, "--now", NOW]) == 0
         assert capsys.readouterr().out == "p-a alerts=0 alarm=no decision=SCHEDULED\n"
+
+
+    def test_misspelt_manifest_key_in_a_later_manifest_runs_no_patient(self, tmp_path, capsys):
+        first = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
+        second = shared_store_manifest(tmp_path, "p-b", HEALTHY_CSV)
+        doc = json.loads(open(second).read())
+        doc.update(measurement=doc.pop("measurements"), confg="nope.json")
+        with open(second, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["run", first, second, "--now", NOW]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == ("usage error: manifest %s: unknown key 'confg', 'measurement'\n"
+                                % second)
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "p-a").exists()
+
+    @pytest.mark.parametrize("cutoff", [125.0, 200.0])
+    def test_cutoff_at_or_above_nyquist_in_a_later_manifest_runs_no_patient(
+            self, tmp_path, capsys, cutoff):
+        first = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
+        second = ecg_manifest(tmp_path, "p-b", bpm=70)
+        config = tmp_path / "cfg-hp.json"
+        config.write_text(json.dumps({"preprocess": {"highpass_cutoff_hz": cutoff}}))
+        doc = json.loads(open(second).read())
+        doc["config"] = config.name
+        with open(second, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["run", first, second, "--now", NOW]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "usage error: manifest %s: highpass_cutoff_hz %r in config %s must lie below "
+            "125.0 Hz, the Nyquist frequency of ecg_rate_hz 250.0\n" % (second, cutoff, config))
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "p-a").exists()
+
+    def test_poly_baseline_runs_whatever_the_cutoff(self, tmp_path, capsys):
+        manifest = ecg_manifest(tmp_path, "p-a", bpm=70)
+        config = tmp_path / "cfg-poly.json"
+        config.write_text(json.dumps({"preprocess": {"baseline_method": "poly",
+                                                     "highpass_cutoff_hz": 200.0}}))
+        doc = json.loads(open(manifest).read())
+        doc["config"] = config.name
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["run", manifest, "--now", NOW]) == 0
+        assert capsys.readouterr().out == "p-a alerts=0 alarm=no decision=SCHEDULED\n"
+
+    def test_log_name_xml_cannot_carry_fails_its_patient_and_sends_nothing(
+            self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        log = store_dir / "p1.jsonl"
+        log.write_text(_record_to_line(MeasurementRecord(
+            "p1", MeasurementKind.QUESTIONNAIRE_ITEM, 0.5, 1000, name="a\x01b")) + "\n")
+        cursor = store_dir / "p1.cursor"
+        cursor.write_text('{"sent": 0, "last_scheduled_ms": null}')
+        manifest = shared_store_manifest(tmp_path, "p1", HEALTHY_CSV)
+        assert main(["run", manifest, "--now", NOW]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("p1 error=IntegrityError: corrupt record at ")
+        assert out.endswith("p1.jsonl line 1\n")
+        assert not (tmp_path / "out" / "p1" / "message.xml").exists()
+        assert cursor.read_text() == '{"sent": 0, "last_scheduled_ms": null}'
 
 
 class TestForkedJobs:

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import qrs_shape, synth_ecg, write_signal_csv
-from edgevitals import ecg_preprocess, qrs_detect, respiration, rules, signal_features
-from edgevitals.classify import (
+from edgevitals import ecg_preprocess, pipeline, qrs_detect, respiration, rules, signal_features
+from edgevitals.classify.schema import (
     Attribute,
     ClassLabel,
     FeatureVector,
     LabeledDataset,
     patient_schema,
-    train_decision_tree,
 )
+from edgevitals.classify.tree import train_decision_tree
 from edgevitals.config import config_from_dict, default_config, load_config
 from edgevitals.errors import IngestionError
 from edgevitals.ecg_preprocess import HighPassSpec, remove_baseline_linear
@@ -401,7 +401,8 @@ class TestPipelineSinglePass:
         result = run_patient("p1", store, default_config(), parse_rules(RULES),
                              now_ms=120000, ecg_csv=str(tmp_path / "ecg.csv"),
                              resp_csv=str(tmp_path / "resp.csv"),
-                             measurements_csv=str(tmp_path / "meas.csv"))
+                             measurements_csv=str(tmp_path / "meas.csv"),
+                             out_dir=str(tmp_path / "out"))
         assert appends == [4]
         assert [(r.kind.value, r.timestamp_ms) for r in store.log_records("p1")] == [
             ("BODY_WEIGHT", 1000), ("BODY_TEMPERATURE", 3000),
@@ -513,11 +514,42 @@ class TestPipelineMeasurementsOnly:
         with open(tmp_path / "out" / "p1" / "report.jsonl", encoding="utf-8") as fh:
             assert json.loads(fh.read())["rejected_rows"] == expected
 
+    def test_model_sees_glucose_weight_and_named_scores(self, tmp_path, monkeypatch):
+        seen = []
+        real = pipeline.predict_any
+
+        def spy(model, x):
+            seen.append(x)
+            return real(model, x)
+
+        monkeypatch.setattr(pipeline, "predict_any", spy)
+        meas = tmp_path / "meas.csv"
+        meas.write_text("kind,value,timestamp_ms,mode,name\n"
+                        "GLUCOSE,105.5,1000,,\n"
+                        "BODY_WEIGHT,71.0,2000,,\n"
+                        "BODY_WEIGHT,70.0,1000,,\n"
+                        "QUESTIONNAIRE_ITEM,0.5,1000,,questionnaire_01\n"
+                        "QUESTIONNAIRE_ITEM,0.25,1000,,food_fish\n"
+                        "QUESTIONNAIRE_ITEM,0.9,1000,,mood\n")
+        result = run_patient("p1", MeasurementStore(str(tmp_path / "store")), default_config(),
+                             parse_rules(RULES), now_ms=10000, out_dir=str(tmp_path / "out"),
+                             measurements_csv=str(meas), model=hr_model())
+        (fv,) = seen
+        assert fv.schema == patient_schema()
+        # the latest weight by time; a categorical attribute gets its "%g" code;
+        # a name outside the schema reaches no attribute
+        assert {a.name: v for a, v in zip(fv.schema, fv.values) if v is not None} == {
+            "glucose_mg_dl": 105.5, "body_weight_kg": 71.0,
+            "questionnaire_01": "0.5", "food_fish": 0.25}
+        assert result.report["stress_index"] == 0.5
+        assert result.report["lifestyle_index"] == 0.25
+
     def test_no_rejected_rows_key_when_every_row_ingests(self, tmp_path):
         meas = tmp_path / "meas.csv"
         meas.write_text("kind,value,timestamp_ms\nBODY_WEIGHT,70.0,1000\n")
         result = run_patient("p1", MeasurementStore(str(tmp_path / "store")), default_config(),
-                             parse_rules(RULES), now_ms=10000, measurements_csv=str(meas))
+                             parse_rules(RULES), now_ms=10000, measurements_csv=str(meas),
+                             out_dir=str(tmp_path / "out"))
         assert "rejected_rows" not in result.report
 
 

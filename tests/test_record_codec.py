@@ -143,17 +143,34 @@ def log_lines(draw):
     return body.encode("utf-8", "surrogatepass")
 
 
+def xml_char(c):
+    """Whether XML 1.0's Char production admits c."""
+    return (c in "\t\n\r" or "\x20" <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd"
+            or c >= "\U00010000")
+
+
 def typed_from_doc(doc):
     """The oracle's record builder, with each field required to be what
     the store's writer writes: the file's patient (p1), an int ts, an int
-    or float value that is no bool and fits a float, and a str name."""
+    or float value that is no bool and fits a float, and a str name that
+    ingest would accept, every character of it one XML 1.0 can carry."""
     if not (doc["patient"] == "p1" and type(doc["ts"]) is int
-            and type(doc["value"]) in (int, float) and type(doc.get("name", "")) is str):
+            and type(doc["value"]) in (int, float) and type(doc.get("name", "")) is str
+            and all(map(xml_char, doc.get("name", "")))):
         raise ValueError("field of the wrong type")
     try:
         return _record_from_doc(doc)
     except OverflowError:
         raise ValueError("value does not fit a float") from None
+
+
+class SurrogateEscaped(bytes):
+    """Log bytes that decode as the store decodes them: a byte that is not
+    UTF-8 becomes a lone surrogate. Handed to load_log, they run the
+    oracle's line loop over the lines the store splits."""
+
+    def decode(self, *args):
+        return bytes.decode(self, "utf-8", "surrogateescape")
 
 
 def outcome(load):
@@ -163,6 +180,20 @@ def outcome(load):
         return "integrity", str(exc)
     except Exception as exc:
         return "raised", type(exc)
+
+
+GOOD = MeasurementRecord("p1", MeasurementKind.HEART_RATE, 72.0, 1000)
+_NAMED = _record_to_line(GOOD)[:-1] + ',"name":"a%sb"}'
+# lines the writer never writes, which a store used to load depending on the
+# bytes of other lines, or loaded into a message parse_message_xml rejects
+NOT_WRITTEN = {
+    b"\xef\xbb\xbf" + _record_to_line(GOOD).encode(): "bom",
+    _record_to_line(GOOD).encode("utf-16-le"): "utf16",
+    (_NAMED % "\xff").encode("latin-1"): "name-byte-ff",
+    (_NAMED % "\\u0001").encode(): "name-escaped-u0001",
+    (_NAMED % "\\ud800").encode(): "name-escaped-ud800",
+    (_NAMED % "\ud800").encode("utf-8", "surrogatepass"): "name-encoded-ed-a0-80",
+}
 
 
 class TestLogParser:
@@ -175,6 +206,10 @@ class TestLogParser:
             with open(path, "wb") as fh:
                 fh.write(data)
             shipped = outcome(lambda: MeasurementStore(root).log_records("p1"))
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            data = SurrogateEscaped(data)
         assert shipped == outcome(lambda: load_log(data, path, typed_from_doc))
 
     def write(self, tmp_path, text):
@@ -208,12 +243,23 @@ class TestLogParser:
         with pytest.raises(IntegrityError, match=r"p1\.jsonl line 2$"):
             store.log_records("p1")
 
-    def test_undecodable_log_decodes_each_line_as_json_loads_did(self, tmp_path):
-        # a torn non-UTF-8 tail sends the whole log down the bytes path,
-        # where json.loads detected each line's encoding on its own
-        good = _record_to_line(MeasurementRecord("p1", MeasurementKind.HEART_RATE, 72.0, 1000))
-        data = b"\n".join([b"\xef\xbb\xbf" + good.encode(), good.encode("utf-16-le"), b"{\xff"])
-        (tmp_path / "p1.jsonl").write_bytes(data)
-        loaded = MeasurementStore(str(tmp_path)).log_records("p1")
-        assert loaded == load_log(data, str(tmp_path / "p1.jsonl"))
-        assert len(loaded) == 2
+    @pytest.mark.parametrize("bad", list(NOT_WRITTEN), ids=list(NOT_WRITTEN.values()))
+    @pytest.mark.parametrize("tail", [b"", b"{\xff"], ids=["no-tail", "undecodable-tail"])
+    def test_undecodable_or_unsendable_line_names_its_line(self, tmp_path, bad, tail):
+        # whether the rest of the log decodes as UTF-8 does not matter
+        good = _record_to_line(GOOD).encode()
+        (tmp_path / "p1.jsonl").write_bytes(b"%s\n%s\n%s\n%s" % (good, bad, good, tail))
+        with pytest.raises(IntegrityError, match=r"p1\.jsonl line 2$"):
+            MeasurementStore(str(tmp_path)).log_records("p1")
+
+    @pytest.mark.parametrize("bad", list(NOT_WRITTEN), ids=list(NOT_WRITTEN.values()))
+    def test_same_bytes_as_a_torn_tail_are_dropped_and_cut_off(self, tmp_path, bad):
+        good = _record_to_line(GOOD).encode() + b"\n"
+        path = tmp_path / "p1.jsonl"
+        path.write_bytes(good + bad)
+        store = MeasurementStore(str(tmp_path))
+        assert store.log_records("p1") == [GOOD]
+        later = MeasurementRecord("p1", MeasurementKind.SPO2, 97.0, 2000)
+        assert store.ingest([later]).appended == 1
+        assert path.read_bytes() == good + _record_to_line(later).encode() + b"\n"
+        assert MeasurementStore(str(tmp_path)).log_records("p1") == [GOOD, later]

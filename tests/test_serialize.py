@@ -3,24 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from edgevitals.classify import (
+from edgevitals.classify.bayes import NaiveBayesModel, train_naive_bayes
+from edgevitals.classify.forest import ForestModel, train_random_forest
+from edgevitals.classify.metrics import predict_any
+from edgevitals.classify.schema import (
     CATEGORICAL,
     NUMERIC,
     Attribute,
     ClassLabel,
-    DecisionTreeModel,
     FeatureVector,
-    ForestModel,
     LabeledDataset,
-    NaiveBayesModel,
-    model_from_json,
-    model_to_json,
-    predict_any,
-    schema_hash,
-    train_decision_tree,
-    train_naive_bayes,
-    train_random_forest,
 )
+from edgevitals.classify.serialize import model_from_json, model_to_json, schema_hash
+from edgevitals.classify.tree import DecisionTreeModel, train_decision_tree
 from edgevitals.errors import SchemaMismatchError
 
 S = ClassLabel.STABLE
