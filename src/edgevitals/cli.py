@@ -15,10 +15,8 @@ then 1. `run --jobs N` runs the patients in up to N forked worker processes.
 """
 
 import argparse
-import concurrent.futures
 import datetime
 import json
-import multiprocessing
 import os
 import sys
 
@@ -69,8 +67,8 @@ def _require_readable(path, what):
 
 # the keys a manifest may hold; the file keys name inputs run reads
 _FILE_KEYS = ("ecg", "respiration", "measurements", "config", "rules", "model")
-_MANIFEST_KEYS = frozenset(_FILE_KEYS + ("patient_id", "out_dir", "store_dir",
-                                         "ecg_rate_hz", "resp_rate_hz"))
+_STRING_KEYS = ("patient_id",) + _FILE_KEYS + ("out_dir", "store_dir")
+_MANIFEST_KEYS = frozenset(_STRING_KEYS + ("ecg_rate_hz", "resp_rate_hz"))
 
 
 def _load_manifest(path):
@@ -85,6 +83,9 @@ def _load_manifest(path):
     unknown = sorted(set(doc) - _MANIFEST_KEYS)
     if unknown:
         raise UsageError("manifest %s: unknown key %s" % (path, ", ".join(map(repr, unknown))))
+    for key in _STRING_KEYS:
+        if doc.get(key) is not None and not isinstance(doc[key], str):
+            raise UsageError("manifest %s: %s must be a string" % (path, key))
     base = os.path.dirname(os.path.abspath(path))
     for key in _FILE_KEYS + ("out_dir", "store_dir"):
         if doc.get(key):
@@ -195,7 +196,11 @@ def _summarise_forked(manifests, parsed, now_ms, jobs):
     pickled. Under `edgevitals run` the parent has started no thread when
     it forks: it has not imported numpy, whose BLAS starts threads, and
     the executor forks its workers before it starts its own thread. A
-    worker that dies fails each patient whose summary had not come back."""
+    worker that dies fails each patient whose summary had not come back.
+    The pool modules are imported here, so a run without workers skips them."""
+    import concurrent.futures
+    import multiprocessing
+
     sys.stdout.flush()  # else each worker flushes its copy of the buffer on exit
     pool = concurrent.futures.ProcessPoolExecutor(
         jobs, mp_context=multiprocessing.get_context("fork"),

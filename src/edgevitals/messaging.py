@@ -17,7 +17,6 @@ import datetime
 import enum
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import IntegrityError, SchemaMismatchError
 from .rules import AcquisitionMode, Alert, MeasurementKind, MeasurementRecord, Severity
@@ -96,6 +95,25 @@ def _parse_iso8601(text):
     dt = datetime.datetime.strptime(text, "%Y-%m-%dT%H:%M:%S.%fZ")
     dt = dt.replace(tzinfo=datetime.timezone.utc)
     return round(dt.timestamp() * 1000)
+
+
+# what xml.sax.saxutils.quoteattr escapes, in its order: "&" first
+_ATTR_ESCAPES = (("&", "&amp;"), (">", "&gt;"), ("<", "&lt;"),
+                 ("\n", "&#10;"), ("\r", "&#13;"), ("\t", "&#9;"))
+
+
+def quoteattr(data):
+    """`data` escaped and quoted as an XML attribute value, the bytes of
+    xml.sax.saxutils.quoteattr: double quotes unless the value holds one
+    and no single quote, and &quot; only when it holds both. saxutils
+    itself imports urllib and email, which every run would pay for."""
+    for char, entity in _ATTR_ESCAPES:
+        data = data.replace(char, entity)
+    if '"' not in data:
+        return '"%s"' % data
+    if "'" not in data:
+        return "'%s'" % data
+    return '"%s"' % data.replace('"', "&quot;")
 
 
 def _fmt_value(v):

@@ -3,7 +3,9 @@
 Steps (each optional input skips its branch):
   1. Measurements CSV read (weight, temperature, questionnaire scores...);
      a row that does not parse fails the run before any signal work.
-  2. ECG: baseline removal, one wavelet denoise whose output feeds both
+  2. ECG: the CSV is parsed in a forked child process while this one
+     imports numpy and scipy; the child sends the samples back and exits.
+     Then baseline removal, one wavelet denoise whose output feeds both
      Pan-Tompkins and the spike annotator, QRS with the configured
      detector plus a cross-check against the other one, RR series, HRV
      features, trailing-60 s mean heart rate, stored as a HEART_RATE
@@ -24,9 +26,13 @@ Artifacts land in <out_dir>/<patient>/: report.jsonl, features.csv,
 beats.csv (when ECG ran), message.xml (when not held); the cursor moves last.
 """
 
+import contextlib
 import csv
 import io
 import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field
 
 from .classify.metrics import predict_any
@@ -161,6 +167,75 @@ def _derived_records(patient_id, features, ecg_end_ms, resp_end_ms):
     return out
 
 
+def _read_ecg_in_child(fd, path, rate_hz):
+    """The forked reader's whole life. It parses with read_signal_csv, sends
+    (exception or None, samples, start time) down the pipe and leaves with
+    os._exit, so no atexit handler or stdio buffer of the parent runs twice."""
+    status = 1
+    try:
+        from .signal_core import SignalKind, read_signal_csv
+        try:
+            ecg = read_signal_csv(path, rate_hz, SignalKind.ECG)
+            payload = (None, ecg.samples, ecg.start_time_ms)
+        except Exception as exc:
+            payload = (exc, None, None)
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(payload, fh, protocol=5)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _forked_ecg_reader(path, rate_hz):
+    """Parses the ECG CSV in a forked child while the caller goes on, and
+    yields a function that waits for the child and returns (samples, start
+    time in ms), or raises what read_signal_csv raised there. Forked before
+    this process imports numpy, whose BLAS starts threads, so under
+    `edgevitals run` the first fork comes from a process with one thread.
+    The child is reaped on every path, killed first if it still runs."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    fd_in, fd_out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd_in)
+        os.close(fd_out)
+        raise
+    if pid == 0:
+        os.close(fd_in)
+        _read_ecg_in_child(fd_out, path, rate_hz)
+    os.close(fd_out)
+    pipe = os.fdopen(fd_in, "rb")
+    reaped = False
+
+    def wait():
+        nonlocal reaped
+        try:
+            payload = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            payload = None
+        pipe.close()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        if payload is None:
+            raise IngestionError("%s: ECG reader exited with status %d before sending the "
+                                 "samples" % (path, os.waitstatus_to_exitcode(status)))
+        exc, samples, start_time_ms = payload
+        if exc is not None:
+            raise exc
+        return samples, start_time_ms
+
+    try:
+        yield wait
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
                 ecg_csv=None, ecg_rate_hz=250.0,
                 resp_csv=None, resp_rate_hz=25.0,
@@ -172,14 +247,16 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
     rows = read_measurements_csv(measurements_csv, patient_id) if measurements_csv else []
 
     ecg_end_ms = resp_end_ms = None
-    if ecg_csv or resp_csv:
-        # the signal layers load numpy and scipy; measurement-only runs skip them
-        from . import signal_features
-    if ecg_csv:
-        beats_csv, disagreement, ecg_end_ms = signal_features.ecg_features(
-            ecg_csv, ecg_rate_hz, cfg, features)
-        result.qrs_disagreement_pct = disagreement
-        result.qrs_flagged = disagreement > cfg["qrs"]["cross_check_pct"]
+    with (_forked_ecg_reader(ecg_csv, ecg_rate_hz) if ecg_csv
+          else contextlib.nullcontext()) as read_ecg:
+        if ecg_csv or resp_csv:
+            # the signal layers load numpy and scipy; measurement-only runs skip them
+            from . import signal_features
+        if ecg_csv:
+            beats_csv, disagreement, ecg_end_ms = signal_features.ecg_features(
+                read_ecg, ecg_rate_hz, cfg, features)
+            result.qrs_disagreement_pct = disagreement
+            result.qrs_flagged = disagreement > cfg["qrs"]["cross_check_pct"]
     if resp_csv:
         resp_end_ms = signal_features.resp_features(resp_csv, resp_rate_hz, cfg, features)
 

@@ -23,7 +23,7 @@ from .qrs_detect import (
     rr_from_peaks,
 )
 from .respiration import respiration_rate, volume_features
-from .signal_core import SignalKind, read_signal_csv
+from .signal_core import SampledSignal, SignalKind, read_signal_csv
 
 __all__ = ["ecg_features", "resp_features"]
 
@@ -32,12 +32,19 @@ def _end_ms(signal):
     return signal.start_time_ms + int(round(signal.duration_seconds * 1000.0))
 
 
-def ecg_features(path, rate_hz, cfg, features):
+def ecg_features(read_samples, rate_hz, cfg, features):
     """The ECG branch; returns (beats.csv text, QRS disagreement %, end time).
-    It alone holds the samples, and drops each stage's input once that
-    stage's output exists: the raw samples go after baseline removal, the
-    cleaned ones after the denoise, before Pan-Tompkins runs."""
-    signal = read_signal_csv(path, rate_hz, SignalKind.ECG)
+    `read_samples()` waits for the forked reader that `run_patient` started
+    and returns (samples, start time in ms). scipy.signal is imported before
+    that wait, so the import runs while the reader parses. From then on this
+    function alone holds the samples, and drops each stage's input once that
+    stage's output exists: the received array once the signal is built, the
+    raw samples after baseline removal, the cleaned ones after the denoise,
+    before Pan-Tompkins runs."""
+    import scipy.signal  # noqa: F401 -- loaded here, while the reader parses
+    samples, start_time_ms = read_samples()
+    signal = SampledSignal(samples, rate_hz, start_time_ms, SignalKind.ECG)
+    del samples
     end_ms = _end_ms(signal)
     pre = cfg["preprocess"]
     if pre["baseline_method"] == "linear":

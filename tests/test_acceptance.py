@@ -82,7 +82,10 @@ def test_criterion_01_dft_oracle(capsys):
         x = rng.normal(size=n)
         got = dft_magnitude(x, 1.0).magnitudes
         k = np.arange(n // 2 + 1)
-        mat = np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n)
+        # the n distinct twiddles, indexed by k*j mod n: one exp per sample,
+        # not one per matrix entry, and no rounding from large k*j angles
+        w = np.exp(-2j * np.pi * np.arange(n) / n)
+        mat = w[np.outer(k, np.arange(n)) % n]
         want = np.abs(mat @ x)
         scale = np.max(want) if np.max(want) > 0 else 1.0
         worst = max(worst, float(np.max(np.abs(got - want)) / scale))

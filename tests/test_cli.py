@@ -15,10 +15,13 @@ from edgevitals.classify.schema import (
     patient_schema,
 )
 from edgevitals.classify.serialize import model_to_json, schema_hash
-from edgevitals import cli
+from edgevitals import cli, pipeline, signal_core, signal_features
 from edgevitals.cli import main
+from edgevitals.config import default_config
+from edgevitals.errors import IngestionError
 from edgevitals.messaging import parse_message_xml
-from edgevitals.rules import MeasurementKind, MeasurementRecord
+from edgevitals.rules import MeasurementKind, MeasurementRecord, parse_rules
+from edgevitals.signal_core import SignalKind, read_signal_csv
 from edgevitals.store import MeasurementStore, _record_to_line
 
 RULES = """<rules>
@@ -363,6 +366,32 @@ class TestRunBatch:
             "edgevitals.store; sys.exit('numpy' in sys.modules or 'scipy' in sys.modules)"
         ).returncode == 0
 
+    def test_importing_the_cli_loads_no_pool_or_sax_modules(self):
+        # a run without --jobs needs neither, and messaging escapes by itself
+        assert fresh_python(
+            "import sys, edgevitals.cli; sys.exit(sorted(m for m in ("
+            "'multiprocessing', 'concurrent.futures', 'xml.sax', 'urllib.request') "
+            "if m in sys.modules) or 0)").returncode == 0
+
+    @pytest.mark.parametrize("key, value", [
+        ("patient_id", 5), ("ecg", 5), ("respiration", True), ("measurements", 1.5),
+        ("config", {"disease": "CKD"}), ("rules", ["rules.xml"]), ("model", 0),
+        ("out_dir", 7), ("store_dir", ["s"])])
+    def test_path_key_of_another_type_in_a_later_manifest_runs_no_patient(
+            self, tmp_path, capsys, key, value):
+        first = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
+        second = shared_store_manifest(tmp_path, "p-b", HEALTHY_CSV)
+        with open(second) as fh:
+            doc = json.load(fh)
+        doc[key] = value
+        with open(second, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["run", first, second, "--now", NOW]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: manifest %s: %s must be a string\n" % (second, key)
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "p-a").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("ecg_rate_hz", "fast"), ("ecg_rate_hz", True), ("ecg_rate_hz", None),
         ("ecg_rate_hz", float("nan")), ("resp_rate_hz", float("inf")),
@@ -529,6 +558,117 @@ class TestForkedJobs:
         assert code == 2 and len(out.splitlines()) == 3
         assert "out-pat-copd/pat-copd/beats.csv" in files
         assert "out/pat-ok/message.xml" in files
+
+
+BAD_ECG = {
+    "header": "time,value\n0,0.1\n4,0.2\n",
+    "three-columns": "timestamp_ms,value\n0,0.1,1\n4,0.2,1\n",
+    "non-finite-timestamp": "timestamp_ms,value\n0,0.1\nnan,0.2\n8,0.3\n",
+    "jitter": "timestamp_ms,value\n0,0.1\n4,0.2\n9,0.3\n",
+}
+
+
+def no_child_left():
+    # waitpid(-1) raises only when this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedEcgReader:
+    """The ECG CSV is parsed in a forked child; these pin what the parent
+    reports and that the child never outlives run_patient."""
+
+    def batch(self, tmp_path):
+        """An ECG patient and a measurement-only one; returns the manifests
+        and the ECG path as run resolves it."""
+        ecg = ecg_manifest(tmp_path, "p-ecg", bpm=70)
+        return [ecg, shared_store_manifest(tmp_path, "p-ok", HEALTHY_CSV)], str(
+            tmp_path / "ecg-p-ecg.csv")
+
+    @pytest.mark.parametrize("case", sorted(BAD_ECG))
+    def test_a_rejected_recording_fails_only_its_patient_with_the_readers_message(
+            self, tmp_path, capsys, case):
+        manifests, ecg = self.batch(tmp_path)
+        with open(ecg, "w") as fh:
+            fh.write(BAD_ECG[case])
+        with pytest.raises(IngestionError) as expected:
+            read_signal_csv(ecg, 250.0, SignalKind.ECG)
+        assert main(["run", *manifests, "--now", NOW]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "p-ecg error=IngestionError: %s" % expected.value,
+            "p-ok alerts=0 alarm=no decision=SCHEDULED"]
+        no_child_left()
+
+    def test_with_both_recordings_bad_the_ecg_error_is_reported(self, tmp_path, capsys):
+        manifests, ecg = self.batch(tmp_path)
+        with open(ecg, "w") as fh:
+            fh.write(BAD_ECG["header"])
+        (tmp_path / "resp.csv").write_text(BAD_ECG["jitter"])
+        with open(manifests[0]) as fh:
+            doc = json.load(fh)
+        doc["respiration"] = "resp.csv"
+        with open(manifests[0], "w") as fh:
+            json.dump(doc, fh)
+        assert main(["run", *manifests, "--now", NOW]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "p-ecg error=IngestionError: %s: expected header 'timestamp_ms,value', "
+            "got 'time,value'" % ecg)
+        no_child_left()
+
+    def test_a_reader_that_dies_fails_only_its_patient_naming_the_recording(
+            self, tmp_path, capsys, monkeypatch):
+        manifests, ecg = self.batch(tmp_path)
+        # the parent never reads an ECG itself, so only the child calls this
+        monkeypatch.setattr(signal_core, "read_signal_csv", lambda *args: os._exit(3))
+        assert main(["run", *manifests, "--now", NOW]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "p-ecg error=IngestionError: %s: ECG reader exited with status 3 before "
+            "sending the samples" % ecg,
+            "p-ok alerts=0 alarm=no decision=SCHEDULED"]
+        no_child_left()
+
+    @pytest.mark.parametrize("case", ["returns", "reader-raises", "parent-raises"])
+    def test_the_reader_is_reaped_however_run_patient_ends(self, tmp_path, monkeypatch, case):
+        samples, _ = synth_ecg(70, duration_s=60.0)
+        ecg = str(tmp_path / "ecg.csv")
+        write_signal_csv(ecg, samples, 250.0)
+        if case == "reader-raises":
+            with open(ecg, "w") as fh:
+                fh.write(BAD_ECG["jitter"])
+        if case == "parent-raises":
+            # raises before it waits, while the child still parses or writes
+            def failing(read_samples, rate_hz, cfg, features):
+                raise RuntimeError("parent failed")
+            monkeypatch.setattr(signal_features, "ecg_features", failing)
+        no_child_left()
+        args = ("p1", MeasurementStore(str(tmp_path / "store")), default_config(),
+                parse_rules(RULES), 60000, str(tmp_path / "out"))
+        if case == "returns":
+            assert pipeline.run_patient(*args, ecg_csv=ecg).decision.value == "SCHEDULED"
+        else:
+            with pytest.raises((IngestionError, RuntimeError)):
+                pipeline.run_patient(*args, ecg_csv=ecg)
+        no_child_left()
+
+    def test_a_one_patient_ecg_run_forks_once_before_loading_numpy(self, tmp_path):
+        argv = ["run", ecg_manifest(tmp_path, "p-a", bpm=70), "--now", NOW]
+        proc = fresh_python(
+            "import os, sys\n"
+            "real, forks = os.fork, []\n"
+            "def fork():\n"
+            "    tasks = '/proc/self/task'\n"
+            "    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else 1\n"
+            "    forks.append(('numpy' in sys.modules, threads))\n"
+            "    return real()\n"
+            "os.fork = fork\n"
+            "from edgevitals.cli import main\n"
+            "code = main(%r)\n"
+            "print(forks)\n"
+            "sys.exit(code)\n" % argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "p-a alerts=0 alarm=no decision=SCHEDULED", "[(False, 1)]"]
+        assert proc.stderr == ""
 
 
 def fresh_python(code):

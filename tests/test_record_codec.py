@@ -7,6 +7,7 @@ values at the edges of the float range."""
 import json
 import os
 import tempfile
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from edgevitals.messaging import (
     _record_xml,
     build_message_xml,
     parse_message_xml,
+    quoteattr,
 )
 from edgevitals.rules import (
     AcquisitionMode,
@@ -47,6 +49,22 @@ TIMESTAMPS = st.integers(-2**53, 2**53)
 
 RECORDS = st.builds(MeasurementRecord, st.just("p1"), st.sampled_from(MeasurementKind),
                     VALUES, TIMESTAMPS, st.sampled_from(AcquisitionMode), NAMES)
+
+
+class TestQuoteattr:
+    """messaging.quoteattr against xml.sax.saxutils.quoteattr, the oracle."""
+
+    @pytest.mark.parametrize("text", ["", "plain", 'a"b', "a'b", "a'\"b", "\"'\"'",
+                                      "&amp;", "<&>", "\t\r\n", "&quot;'\""])
+    def test_pinned_values(self, text):
+        assert quoteattr(text) == saxutils.quoteattr(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(st.sampled_from("\"'&<>\t\r\n;#"), XML_CHARS,
+                             st.characters()), max_size=16))
+    def test_bytes_match_saxutils(self, text):
+        ours, oracle = quoteattr(text), saxutils.quoteattr(text)
+        assert ours.encode("utf-8", "surrogatepass") == oracle.encode("utf-8", "surrogatepass")
 
 
 class TestRecordXml:
