@@ -109,7 +109,14 @@ def _parse_file(key, path):
         return load_config(path)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_rules(text) if key == "rules" else model_from_json(text)
+    if key == "rules":
+        return parse_rules(text)
+    model, schema = model_from_json(text), patient_schema()
+    if model.schema != schema:
+        # run_patient builds its feature vectors on the patient schema
+        raise SchemaMismatchError("the model's %d-attribute schema is not the %d-attribute "
+                                  "patient schema" % (len(model.schema), len(schema)))
+    return model
 
 
 def _config(doc, parsed):
@@ -120,9 +127,10 @@ def _parse_inputs(manifests):
     """Each distinct config, rules and model file the (path, manifest)
     pairs name, parsed once before any patient runs and keyed by (manifest
     key, file path). A file that does not parse is a usage error, and so
-    is a high-pass cutoff at or above the Nyquist frequency of an ECG that
-    a linear baseline removal would filter. Patients share the parsed
-    objects; run_patient only reads them."""
+    are a model trained on another attribute schema and a high-pass cutoff
+    at or above the Nyquist frequency of an ECG that a linear baseline
+    removal would filter. Patients share the parsed objects; run_patient
+    only reads them."""
     parsed = {}
     for manifest, doc in manifests:
         for key in ("config", "rules", "model"):

@@ -134,11 +134,14 @@ def _record_xml(tag, rec):
         _QUOTED[rec.mode._value_], name)
 
 
+def _check_urgency(urgency, alerts):
+    """A message is IMMEDIATE exactly when it carries an ALARM."""
+    if (urgency is Urgency.IMMEDIATE) != any(a.severity is Severity.ALARM for a in alerts):
+        raise IntegrityError("urgency %s does not match alarm presence" % urgency.value)
+
+
 def build_message_xml(message):
-    has_alarm = any(a.severity is Severity.ALARM for a in message.alerts)
-    if (message.urgency is Urgency.IMMEDIATE) != has_alarm:
-        raise IntegrityError("urgency %s does not match alarm presence" %
-                             message.urgency.value)
+    _check_urgency(message.urgency, message.alerts)
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
     out.append("<chronious-msg schema=\"1\" patient=%s urgency=%s created=%s>" % (
         quoteattr(message.patient_id), quoteattr(message.urgency.value),
@@ -223,6 +226,7 @@ def parse_message_xml(text):
                 measurements.append(_record_from_elem(m, patient))
         else:
             raise SchemaMismatchError("unknown section <%s>" % section.tag)
+    _check_urgency(urgency, alerts)
     return OutboundMessage(
         patient_id=patient,
         created_at_ms=created,

@@ -193,7 +193,15 @@ def _forked_ecg_reader(path, rate_hz):
     time in ms), or raises what read_signal_csv raised there. Forked before
     this process imports numpy, whose BLAS starts threads, so under
     `edgevitals run` the first fork comes from a process with one thread.
-    The child is reaped on every path, killed first if it still runs."""
+    The child is reaped on every path, killed first if it still runs.
+
+    It does not reuse the --jobs executor. A one-worker fork
+    ProcessPoolExecutor reading the ECG was about 35 lines shorter, but over
+    5 interleaved holter pairs (perfbench seed 301) it raised peak RSS from
+    284.3 to 313.5 MB in every pair and median wall time from 2.65 to
+    2.86 s. The likely cause, not isolated: concurrent.futures builds the
+    whole pickle in memory at the default protocol, while this reader
+    streams protocol 5 into the pipe."""
     sys.stdout.flush()
     sys.stderr.flush()
     fd_in, fd_out = os.pipe()

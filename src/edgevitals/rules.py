@@ -17,7 +17,9 @@ import enum
 import json
 import math
 import operator
+import re
 import xml.etree.ElementTree as ET
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import IntegrityError, RuleParseError, RuleSemanticError
@@ -26,6 +28,7 @@ __all__ = [
     "MeasurementKind",
     "AcquisitionMode",
     "MeasurementRecord",
+    "history_key",
     "Severity",
     "DiseaseScope",
     "Rule",
@@ -69,8 +72,17 @@ class DiseaseScope(enum.Enum):
     BOTH = "BOTH"
 
 
+# characters outside the XML 1.0 Char production; a name holding one would
+# make the outbound message unparseable
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 @dataclass(frozen=True, slots=True)
 class MeasurementRecord:
+    """One stored measurement, with the field types the store log holds,
+    checked here and nowhere else: enum members, an int timestamp, a finite
+    int or float value (kept as a float; a bool is neither) and a name XML
+    1.0 can carry. Anything else is a ValueError."""
     patient_id: str
     kind: MeasurementKind
     value: float
@@ -79,16 +91,39 @@ class MeasurementRecord:
     name: str = ""
 
     def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v):
+        if type(self.kind) is not MeasurementKind or type(self.mode) is not AcquisitionMode:
+            raise ValueError("kind %r or mode %r is not a member" % (self.kind, self.mode))
+        if type(self.timestamp_ms) is not int:
+            raise ValueError("timestamp must be an int, got %r" % (self.timestamp_ms,))
+        value = self.value
+        if type(value) is not float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError("measurement value must be a number, got %r" % (value,))
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError("measurement value is too large for a float") from None
+            object.__setattr__(self, "value", value)
+        if not math.isfinite(value):
             raise ValueError("measurement value must be finite")
-        object.__setattr__(self, "value", v)
+        name = self.name
+        if type(name) is not str:
+            raise ValueError("name must be a str, got %r" % (name,))
+        if name and _NOT_XML_CHAR.search(name):
+            raise ValueError("name %r holds a character XML 1.0 cannot carry" % name)
 
     def key(self):
         # _value_ is the member's value as a plain attribute; .value is a
         # Python-level property and hashing a member for a lookup calls
         # Enum.__hash__, each too slow to pay once per record
         return (self.patient_id, self.kind._value_, self.timestamp_ms, self.value, self.name)
+
+
+def history_key(rec):
+    """The one order of a patient's history: time, then kind, name and
+    value, so records that tie on time and kind sort the same whatever
+    order they were given in."""
+    return (rec.timestamp_ms, rec.kind._value_, rec.name, rec.value)
 
 
 _OPS = {
@@ -124,19 +159,24 @@ class Sustained:
     duration_minutes: float
 
 
+# each predicate element's node and number attributes, in field order
+_PREDICATES = {
+    "threshold": (Threshold, ("value",)),
+    "percent_change": (PercentChange, ("percent", "window_hours")),
+    "sustained": (Sustained, ("value", "duration_minutes")),
+}
+_POSITIVE = {"window_hours", "duration_minutes"}
+
+# <and>, <or> and <not>: each verdict from the children's verdicts, and
+# how explain() introduces the children
+_LOGIC = {"and": all, "or": any, "not": lambda verdicts: not verdicts[0]}
+_LOGIC_LABEL = {"and": "all of", "or": "any of", "not": "not"}
+
+
 @dataclass(frozen=True)
-class And:
+class Logic:
+    op: str  # a key of _LOGIC
     children: tuple
-
-
-@dataclass(frozen=True)
-class Or:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class Not:
-    child: object
 
 
 @dataclass(frozen=True)
@@ -146,6 +186,7 @@ class Rule:
     severity: Severity
     message: str
     condition: object
+    kinds: tuple  # the measurement kinds the condition reads, ordered by value
 
 
 @dataclass(frozen=True)
@@ -166,12 +207,10 @@ class Alert:
     evidence: tuple = field(repr=False)
 
 
-def _attr(elem, name, required=True, default=None):
-    if name in elem.attrib:
-        return elem.attrib[name]
-    if required:
+def _attr(elem, name):
+    if name not in elem.attrib:
         raise RuleSemanticError("<%s> missing attribute %r" % (elem.tag, name))
-    return default
+    return elem.attrib[name]
 
 
 def _check_attrs(elem, allowed):
@@ -180,12 +219,11 @@ def _check_attrs(elem, allowed):
             raise RuleSemanticError("<%s> has unknown attribute %r" % (elem.tag, a))
 
 
-def _parse_kind(elem):
-    raw = _attr(elem, "kind")
+def _member(enum_cls, raw, what):
     try:
-        return MeasurementKind(raw)
+        return enum_cls(raw)
     except ValueError:
-        raise RuleSemanticError("unknown measurement kind %r" % raw) from None
+        raise RuleSemanticError("unknown %s %r" % (what, raw)) from None
 
 
 def _parse_op(elem):
@@ -208,36 +246,24 @@ def _parse_float(elem, name, positive=False):
     return v
 
 
-def _parse_condition(elem):
+def _parse_condition(elem, kinds):
+    """The condition elem holds; adds each measurement kind it reads to kinds."""
     tag = elem.tag
-    if tag == "threshold":
-        _check_attrs(elem, {"kind", "op", "value"})
-        return Threshold(_parse_kind(elem), _parse_op(elem), _parse_float(elem, "value"))
-    if tag == "percent_change":
-        _check_attrs(elem, {"kind", "op", "percent", "window_hours"})
-        return PercentChange(
-            _parse_kind(elem), _parse_op(elem),
-            _parse_float(elem, "percent"),
-            _parse_float(elem, "window_hours", positive=True),
-        )
-    if tag == "sustained":
-        _check_attrs(elem, {"kind", "op", "value", "duration_minutes"})
-        return Sustained(
-            _parse_kind(elem), _parse_op(elem),
-            _parse_float(elem, "value"),
-            _parse_float(elem, "duration_minutes", positive=True),
-        )
-    if tag in ("and", "or"):
-        children = [_parse_condition(c) for c in elem]
-        if len(children) < 2:
-            raise RuleSemanticError("<%s> needs at least 2 children" % tag)
-        return And(tuple(children)) if tag == "and" else Or(tuple(children))
-    if tag == "not":
-        children = list(elem)
-        if len(children) != 1:
-            raise RuleSemanticError("<not> needs exactly 1 child")
-        return Not(_parse_condition(children[0]))
-    raise RuleSemanticError("unknown condition element <%s>" % tag)
+    if tag == "not" and len(elem) != 1:
+        raise RuleSemanticError("<not> needs exactly 1 child")
+    if tag in ("and", "or") and len(elem) < 2:
+        raise RuleSemanticError("<%s> needs at least 2 children" % tag)
+    if tag in _LOGIC:
+        return Logic(tag, tuple(_parse_condition(c, kinds) for c in elem))
+    if tag not in _PREDICATES:
+        raise RuleSemanticError("unknown condition element <%s>" % tag)
+    node, numbers = _PREDICATES[tag]
+    _check_attrs(elem, {"kind", "op", *numbers})
+    cond = node(_member(MeasurementKind, _attr(elem, "kind"), "measurement kind"),
+                _parse_op(elem),
+                *(_parse_float(elem, n, positive=n in _POSITIVE) for n in numbers))
+    kinds.add(cond.kind)
+    return cond
 
 
 def parse_rules(xml_text):
@@ -262,66 +288,36 @@ def parse_rules(xml_text):
         if rule_id in seen_ids:
             raise RuleSemanticError("duplicate rule id %r" % rule_id)
         seen_ids.add(rule_id)
-        try:
-            scope = DiseaseScope(child.attrib.get("scope", "BOTH"))
-        except ValueError:
-            raise RuleSemanticError("unknown scope %r" % child.attrib["scope"]) from None
-        try:
-            severity = Severity(_attr(child, "severity"))
-        except ValueError:
-            raise RuleSemanticError("unknown severity %r" % child.attrib["severity"]) from None
+        scope = _member(DiseaseScope, child.attrib.get("scope", "BOTH"), "scope")
+        severity = _member(Severity, _attr(child, "severity"), "severity")
         conditions = list(child)
         if len(conditions) != 1:
             raise RuleSemanticError("rule %r must hold exactly one condition" % rule_id)
+        kinds = set()
+        condition = _parse_condition(conditions[0], kinds)
         rules.append(Rule(
             id=rule_id,
             scope=scope,
             severity=severity,
             message=child.attrib.get("message", ""),
-            condition=_parse_condition(conditions[0]),
+            condition=condition,
+            kinds=tuple(sorted(kinds, key=lambda k: k.value)),
         ))
     return RuleSet(rules=tuple(rules), schema=schema)
 
 
-def _referenced_kinds(condition):
-    if isinstance(condition, (Threshold, PercentChange, Sustained)):
-        return {condition.kind}
-    if isinstance(condition, (And, Or)):
-        kinds = set()
-        for c in condition.children:
-            kinds |= _referenced_kinds(c)
-        return kinds
-    if isinstance(condition, Not):
-        return _referenced_kinds(condition.child)
-    raise TypeError("unknown condition node %r" % condition)
-
-
-@dataclass(frozen=True)
-class _Trace:
-    """A condition node after evaluation. value is what the verdict was
-    computed from: the latest value (threshold), the percent change with
-    the reference as consulted[0] (percent_change; None when there is no
-    usable reference) or the number of observations in the window
-    (sustained); None for and/or/not."""
-    condition: object
-    verdict: bool
-    value: object
-    consulted: tuple
-    children: tuple = ()
+# A condition node after evaluation. value is what the verdict was computed
+# from: the latest value (threshold), the percent change with the reference
+# as consulted[0] (percent_change; None when there is no usable reference)
+# or the number of observations in the window (sustained); None for logic.
+_Trace = namedtuple("_Trace", "condition verdict value consulted children", defaults=((),))
 
 
 def _trace(condition, by_kind, now_ms):
     """The one evaluation pass behind alerts, reports and explain."""
-    if isinstance(condition, (And, Or, Not)):
-        kids = (condition.child,) if isinstance(condition, Not) else condition.children
-        children = tuple(_trace(c, by_kind, now_ms) for c in kids)
-        verdicts = [t.verdict for t in children]
-        if isinstance(condition, And):
-            verdict = all(verdicts)
-        elif isinstance(condition, Or):
-            verdict = any(verdicts)
-        else:
-            verdict = not verdicts[0]
+    if isinstance(condition, Logic):
+        children = tuple(_trace(c, by_kind, now_ms) for c in condition.children)
+        verdict = _LOGIC[condition.op]([t.verdict for t in children])
         consulted = tuple(r for t in children for r in t.consulted)
         return _Trace(condition, verdict, None, consulted, children)
     records = by_kind[condition.kind]
@@ -351,12 +347,9 @@ def _trace(condition, by_kind, now_ms):
 
 def _visible_by_kind(history, patient_id, now_ms):
     """The patient's records up to now_ms, time-ordered, grouped by kind."""
-    visible = sorted(
-        (r for r in history if r.patient_id == patient_id and r.timestamp_ms <= now_ms),
-        key=lambda r: (r.timestamp_ms, r.kind._value_),
-    )
+    visible = (r for r in history if r.patient_id == patient_id and r.timestamp_ms <= now_ms)
     by_kind = {}
-    for rec in visible:
+    for rec in sorted(visible, key=history_key):
         by_kind.setdefault(rec.kind, []).append(rec)
     return by_kind
 
@@ -377,8 +370,7 @@ def evaluate_with_report(ruleset, history, patient_id, now_ms, disease=None,
     for rule in ruleset.rules:
         if disease is not None and rule.scope not in (DiseaseScope.BOTH, disease):
             continue
-        kinds = _referenced_kinds(rule.condition)
-        missing = sorted(k.value for k in kinds if k not in by_kind)
+        missing = [k.value for k in rule.kinds if k not in by_kind]
         if missing:
             skipped.append({"rule": rule.id, "missing_kinds": missing})
             continue
@@ -392,7 +384,7 @@ def evaluate_with_report(ruleset, history, patient_id, now_ms, disease=None,
         if not evidence:
             # negated conditions can fire without touching a record;
             # cite the latest record of each referenced kind instead
-            evidence = tuple(by_kind[k][-1] for k in sorted(kinds, key=lambda k: k.value))
+            evidence = tuple(by_kind[k][-1] for k in rule.kinds)
         alerts.append(Alert(rule.id, patient_id, rule.severity, int(now_ms), evidence))
     alerts.extend(extra_alerts)
     alerts.sort(key=_alert_order)
@@ -456,8 +448,7 @@ def _render(trace, lines, depth):
             pad, cond.kind.value, _OP_SYMBOL[cond.op], cond.value,
             cond.duration_minutes, trace.value))
     else:
-        lines.append("%s%s:" % (pad, "all of" if isinstance(cond, And)
-                                else "any of" if isinstance(cond, Or) else "not"))
+        lines.append("%s%s:" % (pad, _LOGIC_LABEL[cond.op]))
         for child in trace.children:
             _render(child, lines, depth + 1)
 

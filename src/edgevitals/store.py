@@ -18,14 +18,11 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import IntegrityError
-from .rules import AcquisitionMode, MeasurementKind, MeasurementRecord
+from .rules import AcquisitionMode, MeasurementKind, MeasurementRecord, history_key
 
 __all__ = ["MeasurementStore", "IngestResult", "write_atomic"]
 
 _PATIENT_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-# characters outside the XML 1.0 Char production; a name holding one would
-# make the outbound message unparseable
-_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass
@@ -54,22 +51,17 @@ _decode = json.JSONDecoder().raw_decode
 
 def _record_from_line(line, patient_id):
     """The record one line of patient_id's log holds. Parses as json.loads
-    would, without its per-call wrapper. A line must hold the fields
-    _record_to_line writes, with their types: an unknown kind or mode is a
-    KeyError, and another patient, a non-int ts, a non-number or bool value,
-    or a name that is not a str or holds a character ingest rejects is a
-    ValueError."""
+    would, without its per-call wrapper. The line must be one JSON object
+    of patient_id's whose kind and mode are known, or this raises KeyError,
+    TypeError or ValueError; MeasurementRecord checks the field types."""
     line = line.strip(" \t\n\r")
     doc, end = _decode(line)
     if end != len(line):
         raise ValueError("extra data after the record")
-    value, ts, name = doc["value"], doc["ts"], doc.get("name", "")
-    if (doc["patient"] != patient_id or type(ts) is not int
-            or type(value) not in (float, int) or type(name) is not str
-            or (name and _NOT_XML_CHAR.search(name))):
-        raise ValueError("record field of the wrong type or patient")
-    return MeasurementRecord(patient_id, _KIND_BY_VALUE[doc["kind"]], value, ts,
-                             _MODE_BY_VALUE[doc.get("mode", "NOSILENT")], name)
+    if doc["patient"] != patient_id:
+        raise ValueError("record of another patient")
+    return MeasurementRecord(patient_id, _KIND_BY_VALUE[doc["kind"]], doc["value"], doc["ts"],
+                             _MODE_BY_VALUE[doc.get("mode", "NOSILENT")], doc.get("name", ""))
 
 
 def write_atomic(path, text):
@@ -121,7 +113,7 @@ class MeasurementStore:
         except FileNotFoundError:
             data = b""
         # the writer writes ASCII; a byte that is not UTF-8 decodes to a lone
-        # surrogate, and a field that holds one fails its check below
+        # surrogate, which no patient, kind, mode or record name may hold
         lines = data.decode("utf-8", "surrogateescape").split("\n")
         terminated = not lines[-1]
         if terminated:
@@ -132,7 +124,7 @@ class MeasurementStore:
         for i, line in enumerate(lines):
             try:
                 rec = _record_from_line(line, patient_id)
-            except (KeyError, TypeError, ValueError, OverflowError):
+            except (KeyError, TypeError, ValueError):
                 if terminated or i < len(lines) - 1:
                     raise IntegrityError(
                         "corrupt record at %s line %d" % (path, i + 1)) from None
@@ -159,18 +151,9 @@ class MeasurementStore:
         for raw in records:
             try:
                 rec = raw if isinstance(raw, MeasurementRecord) else MeasurementRecord(
-                    patient_id=raw["patient_id"],
-                    kind=raw["kind"] if isinstance(raw["kind"], MeasurementKind)
-                    else MeasurementKind(raw["kind"]),
-                    value=raw["value"],
-                    timestamp_ms=int(raw["timestamp_ms"]),
-                    mode=raw.get("mode", AcquisitionMode.NOSILENT)
-                    if not isinstance(raw.get("mode"), str)
-                    else AcquisitionMode(raw["mode"]),
-                    name=raw.get("name", ""),
-                )
-                if _NOT_XML_CHAR.search(rec.name):
-                    raise ValueError("name %r holds a character XML 1.0 cannot carry" % rec.name)
+                    raw["patient_id"], MeasurementKind(raw["kind"]), raw["value"],
+                    raw["timestamp_ms"], AcquisitionMode(raw.get("mode", "NOSILENT")),
+                    raw.get("name", ""))
             except (ValueError, KeyError, TypeError) as exc:
                 result.rejections.append((raw, str(exc)))
                 continue
@@ -212,7 +195,7 @@ class MeasurementStore:
             out = [r for r in out if r.timestamp_ms >= since_ms]
         if until_ms is not None:
             out = [r for r in out if r.timestamp_ms <= until_ms]
-        return sorted(out, key=lambda r: (r.timestamp_ms, r.kind._value_, r.name, r.value))
+        return sorted(out, key=history_key)
 
     def log_records(self, patient_id):
         """Append-order view; the transmission cursor indexes this."""

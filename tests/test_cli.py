@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import edgevitals
 from conftest import synth_ecg, write_signal_csv
 from edgevitals.classify.schema import (
+    NUMERIC,
+    Attribute,
     ClassLabel,
     FeatureVector,
     LabeledDataset,
@@ -15,6 +18,7 @@ from edgevitals.classify.schema import (
     patient_schema,
 )
 from edgevitals.classify.serialize import model_to_json, schema_hash
+from edgevitals.classify.tree import DecisionTreeModel
 from edgevitals import cli, pipeline, signal_core, signal_features
 from edgevitals.cli import main
 from edgevitals.config import default_config
@@ -22,7 +26,7 @@ from edgevitals.errors import IngestionError
 from edgevitals.messaging import parse_message_xml
 from edgevitals.rules import MeasurementKind, MeasurementRecord, parse_rules
 from edgevitals.signal_core import SignalKind, read_signal_csv
-from edgevitals.store import MeasurementStore, _record_to_line
+from edgevitals.store import MeasurementStore
 
 RULES = """<rules>
   <rule id="hr-high" severity="ALARM"><threshold kind="HEART_RATE" op="gt" value="120"/></rule>
@@ -82,6 +86,10 @@ WEIGHTED_INDEX_MODEL = json.dumps({
     "format": "edgevitals-model", "version": 1, "model_type": "weighted_index",
     "schema": [], "schema_hash": schema_hash(()),
     "payload": {"threshold": 0.5, "weights": {"a": 1.0}}}, sort_keys=True)
+# a model trained on an attribute schema other than the patient schema
+TWO_ATTRIBUTE_TREE = model_to_json(DecisionTreeModel(
+    (Attribute("a", NUMERIC), Attribute("b", NUMERIC)),
+    {"kind": "leaf", "n": 1, "distribution": [1.0, 0.0, 0.0]}))
 
 
 def message_path(tmp_path, patient, tag=""):
@@ -265,6 +273,8 @@ class TestRunBatch:
         ("rules", "<rules>", "no element found"),
         ("model", "{}", "not a model document"),
         ("model", WEIGHTED_INDEX_MODEL, "unknown model type 'weighted_index'"),
+        ("model", TWO_ATTRIBUTE_TREE,
+         "the model's 2-attribute schema is not the 41-attribute patient schema"),
         ("config", '{"qrs": {"cross_check_pct": "10"}}',
          "config key 'qrs.cross_check_pct' must be a number, got '10'"),
         ("config", '{"qrs": {"cross_check_pct": true}}', "must be a number, got True"),
@@ -287,7 +297,7 @@ class TestRunBatch:
         second = shared_store_manifest(tmp_path, "p-b", HEALTHY_CSV)
         bad = tmp_path / ("bad-" + key)
         bad.write_text(text)
-        doc = json.loads(open(second).read())
+        doc = json.loads(Path(second).read_text())
         doc[key] = bad.name
         with open(second, "w") as fh:
             json.dump(doc, fh)
@@ -311,7 +321,7 @@ class TestRunBatch:
         manifests = []
         for pid in ("p-a", "p-b", "p-c"):
             path = shared_store_manifest(tmp_path, pid, HEALTHY_CSV)
-            doc = json.loads(open(path).read())
+            doc = json.loads(Path(path).read_text())
             doc.update(config=config.name, model="tree.json")
             with open(path, "w") as fh:
                 json.dump(doc, fh)
@@ -399,7 +409,7 @@ class TestRunBatch:
     def test_bad_rate_in_a_later_manifest_runs_no_patient(self, tmp_path, capsys, key, value):
         first = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
         second = shared_store_manifest(tmp_path, "p-b", HEALTHY_CSV)
-        doc = json.loads(open(second).read())
+        doc = json.loads(Path(second).read_text())
         doc[key] = value
         with open(second, "w") as fh:
             json.dump(doc, fh)
@@ -413,7 +423,7 @@ class TestRunBatch:
 
     def test_integer_rates_are_accepted(self, tmp_path, capsys):
         manifest = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
-        doc = json.loads(open(manifest).read())
+        doc = json.loads(Path(manifest).read_text())
         doc.update(ecg_rate_hz=250, resp_rate_hz=25)
         with open(manifest, "w") as fh:
             json.dump(doc, fh)
@@ -424,7 +434,7 @@ class TestRunBatch:
     def test_misspelt_manifest_key_in_a_later_manifest_runs_no_patient(self, tmp_path, capsys):
         first = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
         second = shared_store_manifest(tmp_path, "p-b", HEALTHY_CSV)
-        doc = json.loads(open(second).read())
+        doc = json.loads(Path(second).read_text())
         doc.update(measurement=doc.pop("measurements"), confg="nope.json")
         with open(second, "w") as fh:
             json.dump(doc, fh)
@@ -442,7 +452,7 @@ class TestRunBatch:
         second = ecg_manifest(tmp_path, "p-b", bpm=70)
         config = tmp_path / "cfg-hp.json"
         config.write_text(json.dumps({"preprocess": {"highpass_cutoff_hz": cutoff}}))
-        doc = json.loads(open(second).read())
+        doc = json.loads(Path(second).read_text())
         doc["config"] = config.name
         with open(second, "w") as fh:
             json.dump(doc, fh)
@@ -459,7 +469,7 @@ class TestRunBatch:
         config = tmp_path / "cfg-poly.json"
         config.write_text(json.dumps({"preprocess": {"baseline_method": "poly",
                                                      "highpass_cutoff_hz": 200.0}}))
-        doc = json.loads(open(manifest).read())
+        doc = json.loads(Path(manifest).read_text())
         doc["config"] = config.name
         with open(manifest, "w") as fh:
             json.dump(doc, fh)
@@ -471,8 +481,8 @@ class TestRunBatch:
         store_dir = tmp_path / "store"
         store_dir.mkdir()
         log = store_dir / "p1.jsonl"
-        log.write_text(_record_to_line(MeasurementRecord(
-            "p1", MeasurementKind.QUESTIONNAIRE_ITEM, 0.5, 1000, name="a\x01b")) + "\n")
+        log.write_text('{"patient":"p1","kind":"QUESTIONNAIRE_ITEM","value":0.5,"ts":1000,'
+                       '"mode":"NOSILENT","name":"a\\u0001b"}\n')
         cursor = store_dir / "p1.cursor"
         cursor.write_text('{"sent": 0, "last_scheduled_ms": null}')
         manifest = shared_store_manifest(tmp_path, "p1", HEALTHY_CSV)
@@ -490,7 +500,7 @@ class TestForkedJobs:
         assert main(["train", write_dataset(tmp_path, "train.csv", TRAIN_PAIRS),
                      "--algorithm", "tree", "--out", model]) == 0
         manifest = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
-        doc = json.loads(open(manifest).read())
+        doc = json.loads(Path(manifest).read_text())
         doc["model"] = "tree.json"
         with open(manifest, "w") as fh:
             json.dump(doc, fh)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,10 +267,10 @@ class TestPipelineEcg:
         assert names == ["beats.csv", "features.csv", "message.xml", "report.jsonl"]
         for p in result.artifacts:
             assert os.path.getsize(p) > 0
-        report = json.loads(open(result.artifacts[0]).read())
+        report = json.loads(Path(result.artifacts[0]).read_text())
         assert report["patient"] == "p1"
         assert report["alerts"][0]["rule"] == "hr-high"
-        feat_csv = open([p for p in result.artifacts if p.endswith("features.csv")][0]).read()
+        feat_csv = Path([p for p in result.artifacts if p.endswith("features.csv")][0]).read_text()
         header, row = feat_csv.strip().split("\n")
         assert header.split(",")[0] == "sdnn_ms"
         assert row.split(",")[header.split(",").index("mean_heart_rate_bpm")] != ""

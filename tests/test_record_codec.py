@@ -10,7 +10,7 @@ import tempfile
 from xml.sax import saxutils
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgevitals.errors import IntegrityError
@@ -95,6 +95,31 @@ class TestRecordXml:
         assert parse_message_xml(build_message_xml(message)) == message
 
 
+# inputs an ingest caller can hand the store, most of which it must refuse
+_ABSENT = object()  # no "mode" key in the dict; the record's default mode
+ANY_KINDS = st.one_of(st.sampled_from(MeasurementKind),
+                      st.sampled_from([k.value for k in MeasurementKind]),
+                      st.sampled_from(["NOT_A_KIND", "heart_rate", "", None]))
+ANY_MODES = st.one_of(st.just(_ABSENT), st.sampled_from(AcquisitionMode),
+                      st.sampled_from(["SILENT", "NOSILENT", "LOUD", None]))
+ANY_VALUES = st.one_of(VALUES, st.booleans(), st.text(max_size=3),
+                       st.sampled_from([float("nan"), 1e400, -1e400, 10**400, -10**400]))
+ANY_TIMESTAMPS = st.one_of(TIMESTAMPS, st.floats(), st.booleans(), st.text(max_size=3))
+ANY_NAMES = st.one_of(
+    st.text(st.one_of(XML_CHARS, st.sampled_from(
+        "\x00\x01\x08\x0b\x0c\x1f\ud800\udbff\udc00\udfff\ufffe\uffff")), max_size=6),
+    st.integers(0, 9))
+SEED = MeasurementRecord("p1", MeasurementKind.FEATURE, 1.0, -2**60, name="seed")
+
+
+def files(root):
+    out = {}
+    for name in sorted(os.listdir(root)):
+        with open(os.path.join(root, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
 class TestStoreRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(RECORDS, max_size=12, unique_by=lambda r: r.key()))
@@ -104,6 +129,49 @@ class TestStoreRoundTrip:
             loaded = MeasurementStore(root).log_records("p1")
         assert loaded == recs
         assert [r.key() for r in loaded] == [r.key() for r in recs]
+
+    # ingest either rejects an input, leaving every file as it was, or
+    # appends a line that a fresh store reads back as the same record: it
+    # cannot write what _load_patient refuses
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.sampled_from(["p1", "p-2", "../p1"]), ANY_KINDS, ANY_VALUES,
+           ANY_TIMESTAMPS, ANY_MODES, ANY_NAMES)
+    @example(as_record=False, patient="p1", kind="HEART_RATE", value=60.0, ts=1000.5,
+             mode=_ABSENT, name="")
+    @example(as_record=True, patient="p1", kind=MeasurementKind.HEART_RATE, value=60.0,
+             ts=1000.5, mode=_ABSENT, name="")
+    def test_ingest_appends_only_what_a_fresh_store_reads_back(
+            self, as_record, patient, kind, value, ts, mode, name):
+        modes = {} if mode is _ABSENT else {"mode": mode}
+        if as_record:
+            try:
+                item = MeasurementRecord(patient, kind, value, ts, name=name, **modes)
+            except ValueError:
+                return  # the record refuses itself; nothing reaches the store
+        else:
+            item = {"patient_id": patient, "kind": kind, "value": value,
+                    "timestamp_ms": ts, "name": name, **modes}
+        with tempfile.TemporaryDirectory() as root:
+            store = MeasurementStore(root)
+            store.ingest([SEED])
+            before = files(root)
+            try:
+                result = store.ingest([item])
+            except ValueError as exc:
+                assert patient == "../p1" and "not filesystem-safe" in str(exc)
+                assert files(root) == before
+                return
+            if result.rejections:
+                ((rejected, reason),) = result.rejections
+                assert rejected is item and reason and result.appended == 0
+                assert files(root) == before
+                return
+            assert result.appended == 1
+            expected = MeasurementRecord(
+                patient, MeasurementKind(kind), value, ts,
+                AcquisitionMode(modes.get("mode", "NOSILENT")), name)
+            assert store.log_records(patient)[-1] == expected
+            assert MeasurementStore(root).log_records(patient) == store.log_records(patient)
 
 
 JSON_VALUES = st.recursive(

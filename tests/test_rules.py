@@ -85,6 +85,17 @@ class TestParse:
         with pytest.raises(RuleSemanticError, match="op"):
             parse_rules(xml)
 
+    def test_kinds_found_at_parse_ordered_by_value(self):
+        xml = """<rules><rule id="a" severity="ALARM"><or>
+            <not><threshold kind="SPO2" op="lt" value="90"/></not>
+            <and><threshold kind="HEART_RATE" op="gt" value="100"/>
+                 <sustained kind="SPO2" op="lt" value="92" duration_minutes="5"/></and>
+        </or></rule></rules>"""
+        (rule,) = parse_rules(xml).rules
+        assert rule.kinds == (MeasurementKind.HEART_RATE, MeasurementKind.SPO2)
+        assert [c.op for c in rule.condition.children] == ["not", "and"]
+        assert parse_rules(GOLDEN).rules[1].kinds == (MeasurementKind.BODY_WEIGHT,)
+
     def test_unknown_element(self):
         xml = '<rules><rule id="a" severity="ALARM"><trend kind="SPO2" op="gt" value="1"/></rule></rules>'
         with pytest.raises(RuleSemanticError):
@@ -238,6 +249,14 @@ class TestEvaluate:
             rec(MeasurementKind.SPO2, 95.0, 120000),
         ]
         assert evaluate(rules, history, "p1", 180000) == []
+
+    def test_verdict_does_not_depend_on_the_order_of_tied_records(self):
+        rules = parse_rules(GOLDEN)
+        tied = [rec(MeasurementKind.HEART_RATE, 110.0, 1000),
+                rec(MeasurementKind.HEART_RATE, 130.0, 1000)]
+        forward = evaluate(rules, tied, "p1", 2000)
+        assert [a.rule_id for a in forward] == ["hr-high"]
+        assert evaluate(rules, tied[::-1], "p1", 2000) == forward
 
     def test_compound_conditions(self):
         xml = """<rules><rule id="combo" severity="ALARM">
@@ -537,6 +556,24 @@ class TestRecordValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             MeasurementRecord("p1", MeasurementKind.SPO2, float("nan"), 0)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("timestamp_ms", 1000.5), ("timestamp_ms", 1000.0), ("timestamp_ms", True),
+        ("timestamp_ms", "1000"), ("value", True), ("value", "61"), ("value", None),
+        ("value", float("inf")), ("value", 10**400), ("value", -10**400),
+        ("kind", "SPO2"), ("mode", "SILENT"), ("name", 5), ("name", "a\x00"),
+        ("name", "\ud800"), ("name", "a\ufffeb"),
+    ])
+    def test_field_of_another_type_is_a_value_error(self, field, bad):
+        fields = {"patient_id": "p1", "kind": MeasurementKind.SPO2, "value": 97.0,
+                  "timestamp_ms": 0, "mode": AcquisitionMode.NOSILENT, "name": ""}
+        fields[field] = bad
+        with pytest.raises(ValueError):
+            MeasurementRecord(**fields)
+
+    def test_int_value_kept_as_float(self):
+        r = rec(MeasurementKind.SPO2, 97, 0)
+        assert type(r.value) is float and r.value == 97.0
 
     def test_mode_default(self):
         r = rec(MeasurementKind.SPO2, 97.0, 0)

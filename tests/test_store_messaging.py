@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -66,7 +67,9 @@ class TestStoreIngest:
                "a\ud800b", "\udfff"]
         good = ["tab\there", "lf\nhere", "cr\rhere", "del\x7f", "c1\x85\x9f",
                 "bmp\ufffd", "astral\U0001f600"]
-        result = store.ingest([rec(60.0, i, name=n) for i, n in enumerate(bad + good)])
+        result = store.ingest([{"patient_id": "p1", "kind": "HEART_RATE", "value": 60.0,
+                                "timestamp_ms": i, "name": n}
+                               for i, n in enumerate(bad + good)])
         assert result.appended == len(good)
         assert len(result.rejections) == len(bad)
         assert all("XML" in reason for _, reason in result.rejections)
@@ -280,7 +283,7 @@ class TestStorePersistence:
         store = MeasurementStore(str(tmp_path))
         store.ingest([rec(60.0, 1000), rec(61.0, 2000)])
         path = os.path.join(str(tmp_path), "p1.jsonl")
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         lines.insert(1, "garbage not json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -470,6 +473,14 @@ class TestMessageXml:
         msg = OutboundMessage("p1", 0, Urgency.SCHEDULED, (alarm(),), (), ())
         with pytest.raises(IntegrityError):
             build_message_xml(msg)
+
+    def test_parse_checks_the_urgency_alarm_invariant(self):
+        scheduled = build_message_xml(self.empty_message())
+        with pytest.raises(IntegrityError, match="urgency IMMEDIATE does not match"):
+            parse_message_xml(scheduled.replace('urgency="SCHEDULED"', 'urgency="IMMEDIATE"'))
+        immediate = build_message_xml(self.alarm_message())
+        with pytest.raises(IntegrityError, match="urgency SCHEDULED does not match"):
+            parse_message_xml(immediate.replace('urgency="IMMEDIATE"', 'urgency="SCHEDULED"'))
 
     def test_builds_are_byte_identical(self):
         assert build_message_xml(self.alarm_message()) == \
