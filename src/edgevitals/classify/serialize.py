@@ -8,11 +8,12 @@ attribute schema before loading.
 
 import hashlib
 import json
+import math
 
 from ..errors import SchemaMismatchError
 from .bayes import NaiveBayesModel
 from .forest import ForestModel
-from .schema import Attribute, ClassLabel
+from .schema import CATEGORICAL, NUMERIC, Attribute, ClassLabel
 from .tree import DecisionTreeModel
 
 __all__ = ["model_to_json", "model_from_json", "schema_hash"]
@@ -79,6 +80,71 @@ def model_to_json(model):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _finite(v):
+    """v is a JSON number (a bool is not) that a float holds finitely."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _require(ok, message):
+    if not ok:
+        raise ValueError("model payload: " + message)
+
+
+def _check_tree(root, schema):
+    """Raises ValueError unless predict_tree can walk root over schema."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kind = node.get("kind") if isinstance(node, dict) else None
+        if kind == "leaf":
+            dist = node.get("distribution")
+            _require(isinstance(dist, list) and len(dist) == len(ClassLabel)
+                     and all(_finite(p) and p >= 0 for p in dist),
+                     "a leaf needs a distribution of %d finite numbers >= 0, got %s"
+                     % (len(ClassLabel), json.dumps(dist)))
+            continue
+        _require(kind in ("split", "split_cat"),
+                 "node kind %s is not leaf, split or split_cat" % json.dumps(kind))
+        ai, children = node.get("attribute"), node.get("children")
+        want = NUMERIC if kind == "split" else CATEGORICAL
+        _require(type(ai) is int and 0 <= ai < len(schema) and schema[ai].kind == want,
+                 "a %s names attribute %s, which is not a %s attribute of the schema"
+                 % (kind, json.dumps(ai), want))
+        if kind == "split":
+            majority = node.get("majority_child")
+            _require(_finite(node.get("threshold")) and isinstance(children, list)
+                     and len(children) == 2 and type(majority) is int and majority in (0, 1),
+                     "a split needs a finite threshold, two children and majority_child "
+                     "0 or 1")
+            stack.extend(children)
+        else:
+            majority = node.get("majority_category")
+            _require(isinstance(children, dict) and type(majority) is str
+                     and majority in children,
+                     "a split_cat needs children that include its majority_category")
+            stack.extend(children.values())
+
+
+def _check_bayes(payload):
+    """Raises ValueError unless predict_bayes can score with payload."""
+    names = ClassLabel.__members__
+    _require(isinstance(payload["priors"], list) and payload["priors"] and all(
+        isinstance(p, list) and len(p) == 2 and type(p[0]) is str and p[0] in names
+        and _finite(p[1]) and p[1] > 0 for p in payload["priors"]),
+        "naive bayes priors need class names with finite values > 0")
+    _require(all(_finite(d["mean"]) and _finite(d["var"]) and d["var"] > 0
+                 for d in payload["numeric"]),
+             "naive bayes means must be finite and variances finite and > 0")
+    _require(all(isinstance(d["counts"], dict)
+                 and all(_finite(n) and n >= 0 for n in d["counts"].values())
+                 and _finite(d["total"]) and d["total"] >= 0
+                 and _finite(d["vocab"]) and d["vocab"] > 0 for d in payload["categorical"]),
+             "naive bayes counts and totals must be finite and >= 0, vocab sizes > 0")
+
+
 def model_from_json(text):
     try:
         doc = json.loads(text)
@@ -94,12 +160,23 @@ def model_from_json(text):
     payload = doc["payload"]
     model_type = doc.get("model_type")
     if model_type == "decision_tree":
+        _check_tree(payload["root"], schema)
         return DecisionTreeModel(schema, payload["root"])
     if model_type == "random_forest":
+        _require(isinstance(payload["trees"], list) and payload["trees"],
+                 "a forest needs at least one tree")
+        _require(type(payload["seed"]) is int and type(payload["bootstrap"]) is bool
+                 and type(payload["attrs_per_split"]) is int
+                 and 1 <= payload["attrs_per_split"] <= len(schema),
+                 "a forest needs an int seed, a bool bootstrap and attrs_per_split "
+                 "in [1, %d]" % len(schema))
+        for t in payload["trees"]:
+            _check_tree(t["root"], schema)
         trees = [DecisionTreeModel(schema, t["root"]) for t in payload["trees"]]
         return ForestModel(schema, trees, payload["seed"],
                            payload["attrs_per_split"], payload["bootstrap"])
     if model_type == "naive_bayes":
+        _check_bayes(payload)
         priors = {ClassLabel[name]: p for name, p in payload["priors"]}
         numeric = {(ClassLabel[d["class"]], d["attribute"]): (d["mean"], d["var"])
                    for d in payload["numeric"]}

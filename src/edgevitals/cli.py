@@ -11,10 +11,13 @@ Exit codes: 0 success / no alarm, 2 at least one ALARM fired, 1 error,
 or model file that does not parse). `run` finds every usage problem before
 any patient runs. A patient that fails in `run` prints
 `<id> error=<Type>: <message>` and the others still run; the exit code is
-then 1. `run --jobs N` runs the patients in up to N forked worker processes.
+then 1. `run --jobs N` forks min(N, patients) workers, and worker k runs
+every Nth manifest from the k-th; a worker that dies fails only its own
+patients, each with `<id> error=ChildProcessError: ...`.
 """
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -28,9 +31,9 @@ from .classify.serialize import model_from_json, model_to_json
 from .classify.tree import train_decision_tree
 from .config import default_config, load_config
 from .errors import RuleParseError, RuleSemanticError, SchemaMismatchError
-from .pipeline import run_patient
+from .pipeline import forked, run_patient
 from .rules import Severity, parse_rules
-from .store import MeasurementStore
+from .store import _PATIENT_RE, MeasurementStore
 
 __all__ = ["main"]
 
@@ -86,6 +89,9 @@ def _load_manifest(path):
     for key in _STRING_KEYS:
         if doc.get(key) is not None and not isinstance(doc[key], str):
             raise UsageError("manifest %s: %s must be a string" % (path, key))
+    if not _PATIENT_RE.fullmatch(doc["patient_id"]):
+        raise UsageError("manifest %s: patient_id %r may hold only ASCII letters, digits, "
+                         "'_' and '-'" % (path, doc["patient_id"]))
     base = os.path.dirname(os.path.abspath(path))
     for key in _FILE_KEYS + ("out_dir", "store_dir"):
         if doc.get(key):
@@ -165,10 +171,6 @@ def _run_one(doc, parsed, now_ms):
         measurements_csv=doc.get("measurements"), model=parsed.get(("model", doc.get("model"))))
 
 
-def _error_line(pid, exc):
-    return "%s error=%s: %s" % (pid, type(exc).__name__, exc)
-
-
 def _summarise(doc, parsed, now_ms):
     """Runs one patient and returns (alarm, error, summary line): all the
     parent needs, so a worker sends back no PipelineResult."""
@@ -176,51 +178,34 @@ def _summarise(doc, parsed, now_ms):
     try:
         res = _run_one(doc, parsed, now_ms)
     except Exception as exc:
-        return False, True, _error_line(pid, exc)
+        return False, True, "%s error=%s: %s" % (pid, type(exc).__name__, exc)
     alarm = any(a.severity is Severity.ALARM for a in res.alerts)
     return alarm, False, "%s alerts=%d alarm=%s decision=%s%s" % (
         pid, len(res.alerts), "yes" if alarm else "no", res.decision.value,
         " flagged-qrs-disagreement" if res.qrs_flagged else "")
 
 
-_batch = None  # (manifests, parsed inputs, now_ms); set only in a forked worker
-
-
-def _init_worker(*batch):
-    global _batch
-    _batch = batch
-
-
-def _summarise_in_worker(index):
-    manifests, parsed, now_ms = _batch
-    return _summarise(manifests[index], parsed, now_ms)
+def _summarise_all(manifests, parsed, now_ms):
+    return [_summarise(doc, parsed, now_ms) for doc in manifests]
 
 
 def _summarise_forked(manifests, parsed, now_ms, jobs):
-    """Each manifest's summary, from `jobs` forked workers.
-
-    Forked workers inherit the manifests and the parsed inputs, so a task
-    is a manifest index and its result a summary; nothing else is
-    pickled. Under `edgevitals run` the parent has started no thread when
-    it forks: it has not imported numpy, whose BLAS starts threads, and
-    the executor forks its workers before it starts its own thread. A
-    worker that dies fails each patient whose summary had not come back.
-    The pool modules are imported here, so a run without workers skips them."""
-    import concurrent.futures
-    import multiprocessing
-
-    sys.stdout.flush()  # else each worker flushes its copy of the buffer on exit
-    pool = concurrent.futures.ProcessPoolExecutor(
-        jobs, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker, initargs=(manifests, parsed, now_ms))
-    with pool:
-        futures = [pool.submit(_summarise_in_worker, i) for i in range(len(manifests))]
-        summaries = []
-        for doc, future in zip(manifests, futures):
+    """Each manifest's summary, from `jobs` forked workers: worker k runs
+    the share manifests[k::jobs] and sends back its summaries once, at the
+    end. Workers inherit the manifests and the parsed inputs, so nothing
+    else is pickled. A worker that dies fails only its own share."""
+    shares = [manifests[k::jobs] for k in range(jobs)]
+    summaries = [None] * len(manifests)
+    with contextlib.ExitStack() as stack:
+        waits = [stack.enter_context(forked(_summarise_all, share, parsed, now_ms))
+                 for share in shares]
+        for k, (share, wait) in enumerate(zip(shares, waits)):
             try:
-                summaries.append(future.result())
-            except concurrent.futures.BrokenExecutor as exc:
-                summaries.append((False, True, _error_line(doc["patient_id"], exc)))
+                summaries[k::jobs] = wait()
+            except ChildProcessError as exc:
+                summaries[k::jobs] = [(False, True, "%s error=ChildProcessError: worker %s before "
+                                       "reporting, so its run may have finished"
+                                       % (doc["patient_id"], exc)) for doc in share]
     return summaries
 
 
@@ -238,7 +223,7 @@ def cmd_run(args):
         summaries = _summarise_forked(manifests, parsed, now_ms,
                                       min(args.jobs, len(manifests)))
     else:
-        summaries = [_summarise(doc, parsed, now_ms) for doc in manifests]
+        summaries = _summarise_all(manifests, parsed, now_ms)
     for _, (_, _, line) in sorted(zip(ids, summaries), key=lambda ps: ps[0]):
         print(line)
     if any(error for _, error, _ in summaries):

@@ -3,8 +3,9 @@
 Steps (each optional input skips its branch):
   1. Measurements CSV read (weight, temperature, questionnaire scores...);
      a row that does not parse fails the run before any signal work.
-  2. ECG: the CSV is parsed in a forked child process while this one
-     imports numpy and scipy; the child sends the samples back and exits.
+  2. ECG: the CSV is parsed in a child process (`forked`, which `run
+     --jobs` also forks its workers with) while this one imports numpy and
+     scipy; the child sends the samples back and exits.
      Then baseline removal, one wavelet denoise whose output feeds both
      Pan-Tompkins and the spike annotator, QRS with the configured
      detector plus a cross-check against the other one, RR series, HRV
@@ -167,41 +168,18 @@ def _derived_records(patient_id, features, ecg_end_ms, resp_end_ms):
     return out
 
 
-def _read_ecg_in_child(fd, path, rate_hz):
-    """The forked reader's whole life. It parses with read_signal_csv, sends
-    (exception or None, samples, start time) down the pipe and leaves with
-    os._exit, so no atexit handler or stdio buffer of the parent runs twice."""
-    status = 1
-    try:
-        from .signal_core import SignalKind, read_signal_csv
-        try:
-            ecg = read_signal_csv(path, rate_hz, SignalKind.ECG)
-            payload = (None, ecg.samples, ecg.start_time_ms)
-        except Exception as exc:
-            payload = (exc, None, None)
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(payload, fh, protocol=5)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 @contextlib.contextmanager
-def _forked_ecg_reader(path, rate_hz):
-    """Parses the ECG CSV in a forked child while the caller goes on, and
-    yields a function that waits for the child and returns (samples, start
-    time in ms), or raises what read_signal_csv raised there. Forked before
-    this process imports numpy, whose BLAS starts threads, so under
-    `edgevitals run` the first fork comes from a process with one thread.
-    The child is reaped on every path, killed first if it still runs.
-
-    It does not reuse the --jobs executor. A one-worker fork
-    ProcessPoolExecutor reading the ECG was about 35 lines shorter, but over
-    5 interleaved holter pairs (perfbench seed 301) it raised peak RSS from
-    284.3 to 313.5 MB in every pair and median wall time from 2.65 to
-    2.86 s. The likely cause, not isolated: concurrent.futures builds the
-    whole pickle in memory at the default protocol, while this reader
-    streams protocol 5 into the pipe."""
+def forked(fn, *args):
+    """Runs fn(*args) in a forked child while the caller goes on, and yields
+    a function that waits for the child and returns fn's result, raises
+    what fn raised, or raises ChildProcessError("exited with status S")
+    when the child died before reporting; the caller names the child. The
+    child streams (exception or None, result) into a pipe at pickle
+    protocol 5 and leaves with os._exit, so no atexit handler or stdio
+    buffer of the parent runs twice. It is reaped on every path, killed
+    first if it still runs. Under `edgevitals run` nothing has imported
+    numpy, whose BLAS starts threads, before the first fork, so the parent
+    forks with one thread."""
     sys.stdout.flush()
     sys.stderr.flush()
     fd_in, fd_out = os.pipe()
@@ -212,8 +190,18 @@ def _forked_ecg_reader(path, rate_hz):
         os.close(fd_out)
         raise
     if pid == 0:
-        os.close(fd_in)
-        _read_ecg_in_child(fd_out, path, rate_hz)
+        status = 1
+        try:
+            os.close(fd_in)
+            try:
+                payload = (None, fn(*args))
+            except Exception as exc:
+                payload = (exc, None)
+            with os.fdopen(fd_out, "wb") as fh:
+                pickle.dump(payload, fh, protocol=5)
+            status = 0
+        finally:
+            os._exit(status)
     os.close(fd_out)
     pipe = os.fdopen(fd_in, "rb")
     reaped = False
@@ -228,12 +216,12 @@ def _forked_ecg_reader(path, rate_hz):
         status = os.waitpid(pid, 0)[1]
         reaped = True
         if payload is None:
-            raise IngestionError("%s: ECG reader exited with status %d before sending the "
-                                 "samples" % (path, os.waitstatus_to_exitcode(status)))
-        exc, samples, start_time_ms = payload
+            raise ChildProcessError(
+                "exited with status %d" % os.waitstatus_to_exitcode(status))
+        exc, result = payload
         if exc is not None:
             raise exc
-        return samples, start_time_ms
+        return result
 
     try:
         yield wait
@@ -242,6 +230,12 @@ def _forked_ecg_reader(path, rate_hz):
         if not reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _read_ecg(path, rate_hz):
+    from .signal_core import SignalKind, read_signal_csv
+    ecg = read_signal_csv(path, rate_hz, SignalKind.ECG)
+    return ecg.samples, ecg.start_time_ms
 
 
 def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
@@ -255,12 +249,19 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
     rows = read_measurements_csv(measurements_csv, patient_id) if measurements_csv else []
 
     ecg_end_ms = resp_end_ms = None
-    with (_forked_ecg_reader(ecg_csv, ecg_rate_hz) if ecg_csv
-          else contextlib.nullcontext()) as read_ecg:
+    with (forked(_read_ecg, ecg_csv, ecg_rate_hz) if ecg_csv
+          else contextlib.nullcontext()) as wait:
         if ecg_csv or resp_csv:
             # the signal layers load numpy and scipy; measurement-only runs skip them
             from . import signal_features
         if ecg_csv:
+            def read_ecg():
+                try:
+                    return wait()
+                except ChildProcessError as exc:
+                    raise IngestionError("%s: ECG reader %s before sending the samples"
+                                         % (ecg_csv, exc)) from None
+
             beats_csv, disagreement, ecg_end_ms = signal_features.ecg_features(
                 read_ecg, ecg_rate_hz, cfg, features)
             result.qrs_disagreement_pct = disagreement

@@ -80,9 +80,10 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 @dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     """One stored measurement, with the field types the store log holds,
-    checked here and nowhere else: enum members, an int timestamp, a finite
-    int or float value (kept as a float; a bool is neither) and a name XML
-    1.0 can carry. Anything else is a ValueError."""
+    checked here and nowhere else: a str patient id (the store checks that
+    it names a file), enum members, an int timestamp, a finite int or float
+    value (kept as a float; a bool is neither) and a name XML 1.0 can
+    carry. Anything else is a ValueError."""
     patient_id: str
     kind: MeasurementKind
     value: float
@@ -91,6 +92,8 @@ class MeasurementRecord:
     name: str = ""
 
     def __post_init__(self):
+        if type(self.patient_id) is not str:
+            raise ValueError("patient id must be a str, got %r" % (self.patient_id,))
         if type(self.kind) is not MeasurementKind or type(self.mode) is not AcquisitionMode:
             raise ValueError("kind %r or mode %r is not a member" % (self.kind, self.mode))
         if type(self.timestamp_ms) is not int:

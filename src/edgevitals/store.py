@@ -22,7 +22,8 @@ from .rules import AcquisitionMode, MeasurementKind, MeasurementRecord, history_
 
 __all__ = ["MeasurementStore", "IngestResult", "write_atomic"]
 
-_PATIENT_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+# a patient id names its files; fullmatch, since "$" would also match before a final "\n"
+_PATIENT_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 
 @dataclass
@@ -64,6 +65,10 @@ def _record_from_line(line, patient_id):
                              _MODE_BY_VALUE[doc.get("mode", "NOSILENT")], doc.get("name", ""))
 
 
+def _unsafe_id(patient_id):
+    return "patient id %r is not filesystem-safe" % patient_id
+
+
 def write_atomic(path, text):
     """Replaces path with text so that a crash leaves either the old file
     or the whole new one: write a temp file, fsync it, then os.replace.
@@ -91,8 +96,8 @@ class MeasurementStore:
         self._cursors = {}  # patient -> (sent, last_scheduled_ms), once loaded
 
     def _path(self, patient_id):
-        if not _PATIENT_RE.match(patient_id):
-            raise ValueError("patient id %r is not filesystem-safe" % patient_id)
+        if not _PATIENT_RE.fullmatch(patient_id):
+            raise ValueError(_unsafe_id(patient_id))
         return os.path.join(self.root, patient_id + ".jsonl")
 
     def _cursor_path(self, patient_id):
@@ -144,10 +149,12 @@ class MeasurementStore:
 
     def ingest(self, records):
         """Appends new records; duplicates are dropped, bad records are
-        rejected with a reason and the batch continues. Each patient's new
+        rejected with a reason and the batch continues, and so is each
+        record whose patient id is not filesystem-safe. Each patient's new
         records are written with one append."""
         result = IngestResult()
         fresh = {}  # patient -> {key: record} new in this batch, in batch order
+        unsafe = set()  # ids in this batch that name no file; each checked once
         for raw in records:
             try:
                 rec = raw if isinstance(raw, MeasurementRecord) else MeasurementRecord(
@@ -158,6 +165,10 @@ class MeasurementStore:
                 result.rejections.append((raw, str(exc)))
                 continue
             if rec.patient_id not in fresh:
+                if rec.patient_id in unsafe or not _PATIENT_RE.fullmatch(rec.patient_id):
+                    unsafe.add(rec.patient_id)
+                    result.rejections.append((raw, _unsafe_id(rec.patient_id)))
+                    continue
                 self._patient_log(rec.patient_id)
                 fresh[rec.patient_id] = {}
             key = rec.key()

@@ -90,6 +90,9 @@ WEIGHTED_INDEX_MODEL = json.dumps({
 TWO_ATTRIBUTE_TREE = model_to_json(DecisionTreeModel(
     (Attribute("a", NUMERIC), Attribute("b", NUMERIC)),
     {"kind": "leaf", "n": 1, "distribution": [1.0, 0.0, 0.0]}))
+# a leaf with one class's probability, where predict_tree reads three
+ONE_CLASS_LEAF_TREE = model_to_json(DecisionTreeModel(
+    patient_schema(), {"kind": "leaf", "n": 1, "distribution": [1.0]}))
 
 
 def message_path(tmp_path, patient, tag=""):
@@ -275,6 +278,8 @@ class TestRunBatch:
         ("model", WEIGHTED_INDEX_MODEL, "unknown model type 'weighted_index'"),
         ("model", TWO_ATTRIBUTE_TREE,
          "the model's 2-attribute schema is not the 41-attribute patient schema"),
+        ("model", ONE_CLASS_LEAF_TREE,
+         "model payload: a leaf needs a distribution of 3 finite numbers >= 0, got [1.0]"),
         ("config", '{"qrs": {"cross_check_pct": "10"}}',
          "config key 'qrs.cross_check_pct' must be a number, got '10'"),
         ("config", '{"qrs": {"cross_check_pct": true}}', "must be a number, got True"),
@@ -376,12 +381,28 @@ class TestRunBatch:
             "edgevitals.store; sys.exit('numpy' in sys.modules or 'scipy' in sys.modules)"
         ).returncode == 0
 
-    def test_importing_the_cli_loads_no_pool_or_sax_modules(self):
-        # a run without --jobs needs neither, and messaging escapes by itself
+    def test_importing_the_cli_loads_no_pool_or_sax_modules(self, tmp_path):
+        # messaging escapes by itself, and --jobs forks its workers itself
         assert fresh_python(
             "import sys, edgevitals.cli; sys.exit(sorted(m for m in ("
             "'multiprocessing', 'concurrent.futures', 'xml.sax', 'urllib.request') "
             "if m in sys.modules) or 0)").returncode == 0
+        manifests = [shared_store_manifest(tmp_path, pid, HEALTHY_CSV) for pid in ("p-a", "p-b")]
+        proc = fresh_python(
+            "import sys\n"
+            "from edgevitals import cli\n"
+            "POOL = ('multiprocessing', 'concurrent.futures')\n"
+            "real = cli._run_one\n"
+            "def checking(doc, parsed, now_ms):\n"
+            "    assert not any(m in sys.modules for m in POOL), 'a worker loaded a pool module'\n"
+            "    return real(doc, parsed, now_ms)\n"
+            "cli._run_one = checking\n"
+            "code = cli.main(%r)\n"
+            "sys.exit(code or sorted(m for m in POOL if m in sys.modules) or 0)\n"
+            % ["run", *manifests, "--now", NOW, "--jobs", "2"])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == [
+            "p-a alerts=0 alarm=no decision=SCHEDULED", "p-b alerts=0 alarm=no decision=SCHEDULED"]
 
     @pytest.mark.parametrize("key, value", [
         ("patient_id", 5), ("ecg", 5), ("respiration", True), ("measurements", 1.5),
@@ -418,6 +439,23 @@ class TestRunBatch:
         assert captured.err == (
             "usage error: manifest %s: %s must be a finite number above 0, got %s\n"
             % (second, key, json.dumps(value)))
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "p-a").exists()
+
+    @pytest.mark.parametrize("patient", ["../escape", "a/b", "p1\n", "p 1", "é"])
+    def test_unsafe_patient_id_in_a_later_manifest_runs_no_patient(
+            self, tmp_path, capsys, patient):
+        first = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
+        second = shared_store_manifest(tmp_path, "p-b", HEALTHY_CSV)
+        doc = json.loads(Path(second).read_text())
+        doc["patient_id"] = patient
+        with open(second, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["run", first, second, "--now", NOW]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "usage error: manifest %s: patient_id %r may hold only ASCII letters, digits, "
+            "'_' and '-'\n" % (second, patient))
         assert captured.out == ""
         assert not (tmp_path / "out" / "p-a").exists()
 
@@ -530,42 +568,73 @@ class TestForkedJobs:
         assert capsys.readouterr().out.splitlines() == [
             "p%d alerts=0 alarm=no decision=SCHEDULED" % i for i in range(4)]
 
-    def test_a_dead_worker_fails_the_run_without_hanging(self, tmp_path):
-        manifests = [shared_store_manifest(tmp_path, pid, HEALTHY_CSV)
-                     for pid in ("p-a", "p-b", "p-c")]
+    @staticmethod
+    def run_with_a_dying_patient(tmp_path, patients, dying):
+        """`run --jobs 2` over measurement-only patients in a new
+        interpreter, where the worker that runs `dying` exits with status 3
+        in its place."""
+        manifests = [shared_store_manifest(tmp_path, pid, HEALTHY_CSV) for pid in patients]
         argv = ["run", *manifests, "--now", NOW, "--jobs", "2"]
-        proc = fresh_python(
+        return fresh_python(
             "import os, sys\n"
             "from edgevitals import cli\n"
             "real = cli._run_one\n"
             "def dying(doc, parsed, now_ms):\n"
-            "    if doc['patient_id'] == 'p-b':\n"
+            "    if doc['patient_id'] == %r:\n"
             "        os._exit(3)\n"
             "    return real(doc, parsed, now_ms)\n"
             "cli._run_one = dying\n"
-            "sys.exit(cli.main(%r))\n" % argv)
+            "sys.exit(cli.main(%r))\n" % (dying, argv))
+
+    def test_a_dead_worker_fails_the_run_without_hanging(self, tmp_path):
+        # p-b is the second worker's whole share
+        proc = self.run_with_a_dying_patient(tmp_path, ("p-a", "p-b", "p-c"), "p-b")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "p-a alerts=0 alarm=no decision=SCHEDULED",
+            "p-b error=ChildProcessError: worker exited with status 3 before reporting, so "
+            "its run may have finished",
+            "p-c alerts=0 alarm=no decision=SCHEDULED"]
+
+    def test_a_dead_worker_fails_only_its_own_share(self, tmp_path):
+        patients = ["p-" + c for c in "abcdefgh"]
+        proc = self.run_with_a_dying_patient(tmp_path, patients, "p-c")
         assert proc.returncode == 1, proc.stderr
         lines = proc.stdout.splitlines()
-        assert [line.split()[0] for line in lines] == ["p-a", "p-b", "p-c"]
-        assert lines[1].startswith("p-b error=BrokenProcessPool: ")
+        assert [line.split()[0] for line in lines] == patients
+        for pid, line in zip(patients, lines):
+            if pid in ("p-a", "p-c", "p-e", "p-g"):  # the first worker's share
+                assert line == ("%s error=ChildProcessError: worker exited with status 3 "
+                                "before reporting, so its run may have finished" % pid)
+            else:
+                assert line == "%s alerts=0 alarm=no decision=SCHEDULED" % pid
+                assert (tmp_path / "out" / pid / "message.xml").is_file()
+        # p-a finished before its worker died; p-c's death ended p-e and p-g unrun
+        assert (tmp_path / "out" / "p-a").is_dir()
+        assert not any((tmp_path / "out" / pid).exists() for pid in ("p-c", "p-e", "p-g"))
 
-    def test_forked_and_in_process_batches_write_the_same_bytes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs, extra", [("2", 0), ("3", 2)])
+    def test_forked_and_in_process_batches_write_the_same_bytes(self, tmp_path, capsys, jobs,
+                                                                 extra):
         runs = {}
-        for jobs in ("1", "2"):
-            work = tmp_path / ("jobs-" + jobs)
+        for n in ("1", jobs):
+            work = tmp_path / ("jobs-" + n)
             work.mkdir()
             manifests = [
                 ecg_manifest(work, "pat-copd", bpm=125, disease="COPD"),
                 measurements_manifest(work, "pat-ckd", "kind,value,timestamp_ms\n"
                                       "BODY_WEIGHT,70.0,0\nBODY_WEIGHT,71.5,50000\n", "CKD"),
                 shared_store_manifest(work, "pat-ok", HEALTHY_CSV)]
-            code = main(["run", *manifests, "--now", NOW, "--jobs", jobs])
+            # with 5 patients and 3 workers, two shares hold two patients
+            manifests += [shared_store_manifest(work, "pat-ok%d" % i, HEALTHY_CSV)
+                          for i in range(extra)]
+            code = main(["run", *manifests, "--now", NOW, "--jobs", n])
             files = {str(p.relative_to(work)): p.read_bytes()
                      for p in sorted(work.rglob("*")) if p.is_file()}
-            runs[jobs] = code, capsys.readouterr().out, files
-        assert runs["1"] == runs["2"]
+            runs[n] = code, capsys.readouterr().out, files
+        assert runs["1"] == runs[jobs]
         code, out, files = runs["1"]
-        assert code == 2 and len(out.splitlines()) == 3
+        assert code == 2 and len(out.splitlines()) == 3 + extra
         assert "out-pat-copd/pat-copd/beats.csv" in files
         assert "out/pat-ok/message.xml" in files
 

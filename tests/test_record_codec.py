@@ -29,6 +29,7 @@ from edgevitals.rules import (
     MeasurementRecord,
     Severity,
 )
+from edgevitals import store as store_module
 from edgevitals.store import MeasurementStore, _record_to_line
 from messaging_reference import _record_from_doc, load_log, record_xml
 
@@ -134,7 +135,8 @@ class TestStoreRoundTrip:
     # appends a line that a fresh store reads back as the same record: it
     # cannot write what _load_patient refuses
     @settings(max_examples=200, deadline=None)
-    @given(st.booleans(), st.sampled_from(["p1", "p-2", "../p1"]), ANY_KINDS, ANY_VALUES,
+    @given(st.booleans(), st.sampled_from(["p1", "p-2", "../p1", "a/b", "p1\n", 5]), ANY_KINDS,
+           ANY_VALUES,
            ANY_TIMESTAMPS, ANY_MODES, ANY_NAMES)
     @example(as_record=False, patient="p1", kind="HEART_RATE", value=60.0, ts=1000.5,
              mode=_ABSENT, name="")
@@ -155,23 +157,46 @@ class TestStoreRoundTrip:
             store = MeasurementStore(root)
             store.ingest([SEED])
             before = files(root)
-            try:
-                result = store.ingest([item])
-            except ValueError as exc:
-                assert patient == "../p1" and "not filesystem-safe" in str(exc)
-                assert files(root) == before
-                return
+            result = store.ingest([item])
             if result.rejections:
                 ((rejected, reason),) = result.rejections
                 assert rejected is item and reason and result.appended == 0
                 assert files(root) == before
                 return
+            assert patient in ("p1", "p-2"), "an unsafe patient id reached the store"
             assert result.appended == 1
             expected = MeasurementRecord(
                 patient, MeasurementKind(kind), value, ts,
                 AcquisitionMode(modes.get("mode", "NOSILENT")), name)
             assert store.log_records(patient)[-1] == expected
             assert MeasurementStore(root).log_records(patient) == store.log_records(patient)
+
+
+    def test_unsafe_ids_are_rejected_once_each_and_the_batch_goes_on(self, monkeypatch):
+        checked = []
+
+        class Counting:
+            def fullmatch(self, text, real=store_module._PATIENT_RE):
+                checked.append(text)
+                return real.fullmatch(text)
+
+        monkeypatch.setattr(store_module, "_PATIENT_RE", Counting())
+        batch = [{"patient_id": pid, "kind": "SPO2", "value": 97.0, "timestamp_ms": ts}
+                 for ts in range(10) for pid in ("p1", 5, "../p1", "a/b", "p-2")]
+        with tempfile.TemporaryDirectory() as root:
+            result = MeasurementStore(root).ingest(batch)
+            assert sorted(os.listdir(root)) == ["p-2.jsonl", "p1.jsonl"]
+        assert result.appended == 20
+        reasons = {}
+        for item, reason in result.rejections:
+            reasons.setdefault(item["patient_id"], set()).add(reason)
+        assert reasons == {
+            5: {"patient id must be a str, got 5"},
+            "../p1": {"patient id '../p1' is not filesystem-safe"},
+            "a/b": {"patient id 'a/b' is not filesystem-safe"}}
+        # per patient, not per record: the ingest check, the load and the append
+        assert checked.count("../p1") == checked.count("a/b") == 1
+        assert checked.count("p1") == checked.count("p-2") == 3
 
 
 JSON_VALUES = st.recursive(

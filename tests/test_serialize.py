@@ -122,3 +122,92 @@ class TestGuards:
     def test_non_document_rejected(self):
         with pytest.raises(SchemaMismatchError):
             model_from_json("[1,2,3]")
+
+
+LEAF = {"kind": "leaf", "n": 1, "distribution": [1.0, 0.0, 0.0]}
+SPLIT = {"kind": "split", "attribute": 0, "threshold": 0.5, "majority_child": 0,
+         "children": [LEAF, LEAF]}
+SPLIT_CAT = {"kind": "split_cat", "attribute": 1, "majority_category": "p",
+             "children": {"p": LEAF, "q": LEAF}}
+
+
+def tree_text(root):
+    return model_to_json(DecisionTreeModel(SCHEMA, root))
+
+
+class TestPayloadChecks:
+    """model_from_json refuses a payload that predict_any could not use,
+    with a ValueError, instead of failing later at predict time."""
+
+    @pytest.mark.parametrize("root", [
+        {"kind": "leaf", "n": 1, "distribution": [1.0]},  # a class short: IndexError at predict
+        {"kind": "leaf", "n": 1},
+        {"kind": "leaf", "n": 1, "distribution": [1.0, -0.5, 0.5]},
+        {"kind": "leaf", "n": 1, "distribution": [1.0, 0.0, 1e400]},
+        {"kind": "leaf", "n": 1, "distribution": [1.0, 0.0, True]},
+        {"kind": "leaf", "n": 1, "distribution": [1.0, 0.0, 10**400]},
+        {"kind": "leaf", "n": 1, "distribution": [1.0, 0.0, "0"]},
+        {"kind": "stump"},
+        [LEAF],
+        dict(SPLIT, attribute=1),   # a categorical attribute under a numeric split
+        dict(SPLIT, attribute=2),   # outside the schema
+        dict(SPLIT, attribute=True),
+        dict(SPLIT, threshold=float("nan")),
+        dict(SPLIT, threshold="0.5"),
+        dict(SPLIT, majority_child=2),
+        dict(SPLIT, majority_child=False),
+        dict(SPLIT, children=[LEAF]),
+        {k: v for k, v in SPLIT.items() if k != "children"},
+        dict(SPLIT, children=[LEAF, {"kind": "leaf", "n": 1, "distribution": [1.0]}]),
+        dict(SPLIT_CAT, attribute=0),
+        dict(SPLIT_CAT, majority_category="z"),
+        dict(SPLIT_CAT, children=[LEAF, LEAF]),
+        dict(SPLIT, children=[dict(SPLIT_CAT, majority_category="z"), LEAF]),
+    ])
+    def test_bad_tree_rejected(self, root):
+        with pytest.raises(ValueError, match="^model payload: "):
+            model_from_json(tree_text(root))
+
+    def test_good_hand_built_tree_accepted(self):
+        root = dict(SPLIT, children=[SPLIT_CAT, LEAF])
+        assert model_from_json(tree_text(root)).root == root
+
+    @pytest.mark.parametrize("change", [
+        {"trees": []},
+        {"trees": [{"root": {"kind": "leaf", "n": 1, "distribution": [1.0]}}]},
+        {"attrs_per_split": 0},
+        {"attrs_per_split": 3},
+        {"seed": 1.5},
+        {"bootstrap": 1},
+    ])
+    def test_bad_forest_rejected(self, change):
+        doc = json.loads(model_to_json(trained_models()[1]))
+        doc["payload"].update(change)
+        with pytest.raises(ValueError, match="^model payload: "):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("part, index, key, value", [
+        ("priors", 0, 1, 0.0),
+        ("priors", 0, 1, -0.1),
+        ("priors", 0, 1, float("inf")),
+        ("priors", 0, 0, "UNKNOWN"),
+        ("priors", 0, 0, ["STABLE"]),
+        ("numeric", 0, "var", 0.0),
+        ("numeric", 0, "var", -1.0),
+        ("numeric", 0, "var", float("nan")),
+        ("numeric", 0, "mean", float("inf")),
+        ("categorical", 0, "total", -1),
+        ("categorical", 0, "vocab", 0),
+        ("categorical", 0, "counts", {"p": "3"}),
+    ])
+    def test_bad_bayes_rejected(self, part, index, key, value):
+        doc = json.loads(model_to_json(trained_models()[2]))
+        doc["payload"][part][index][key] = value
+        with pytest.raises(ValueError, match="^model payload: "):
+            model_from_json(json.dumps(doc))
+
+    def test_bayes_without_priors_rejected(self):
+        doc = json.loads(model_to_json(trained_models()[2]))
+        doc["payload"]["priors"] = []
+        with pytest.raises(ValueError, match="^model payload: "):
+            model_from_json(json.dumps(doc))

@@ -90,9 +90,14 @@ class TestStoreIngest:
                                       AcquisitionMode.SILENT, "hr")
 
     def test_unsafe_patient_id_rejected(self, tmp_path):
-        store = MeasurementStore(str(tmp_path))
-        with pytest.raises(ValueError):
-            store.ingest([rec(60.0, 0, patient="../escape")])
+        # rejected with a reason like any bad record; the batch goes on
+        store = MeasurementStore(str(tmp_path / "store"))
+        bad = rec(60.0, 0, patient="../escape")
+        result = store.ingest([bad, rec(61.0, 0)])
+        assert result.appended == 1
+        assert result.rejections == [(bad, "patient id '../escape' is not filesystem-safe")]
+        assert sorted(os.listdir(tmp_path)) == ["store"]
+        assert os.listdir(tmp_path / "store") == ["p1.jsonl"]
 
 
 class TestStoreLazyLoad:
