@@ -77,7 +77,12 @@ def model_to_json(model):
         "schema_hash": schema_hash(schema),
         "payload": payload,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        # a document holding Infinity or NaN would fail model_from_json
+        raise ValueError("model holds a number that is not finite, such as a naive bayes "
+                         "mean over values whose sum overflows") from None
 
 
 def _finite(v):

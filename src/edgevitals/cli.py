@@ -79,6 +79,8 @@ def _load_manifest(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise UsageError("manifest %s is not UTF-8: %s" % (path, exc)) from None
         except json.JSONDecodeError as exc:
             raise UsageError("manifest %s is not valid JSON: %s" % (path, exc)) from None
     if not (isinstance(doc, dict) and all(doc.get(k) for k in ("patient_id", "out_dir", "rules"))):
@@ -267,8 +269,9 @@ def cmd_train(args):
         priors = " ".join("%s=%.4f" % (lab.name, p)
                           for lab, p in sorted(model.priors.items(), key=lambda kv: kv[0].ordinal))
         print("trained naive bayes: rows=%d priors: %s" % (len(data), priors))
+    text = model_to_json(model)  # before the open, so a model it refuses leaves no file
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model))
+        fh.write(text)
     print("model written to %s" % args.out)
     return EXIT_OK
 

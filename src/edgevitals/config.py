@@ -82,7 +82,12 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The merged document, and the objects `config_from_dict` built from
+    it while checking it."""
     raw: dict
+    schedule: DailySchedule
+    stress_index: WeightedIndexModel
+    lifestyle_index: WeightedIndexModel
 
     def __getitem__(self, key):
         return self.raw[key]
@@ -90,18 +95,6 @@ class PipelineConfig:
     @property
     def disease(self):
         return self.raw["disease"]
-
-    @property
-    def schedule(self):
-        return DailySchedule(self.raw["schedule"]["send_time"])
-
-    def stress_model(self):
-        s = self.raw["stress_index"]
-        return WeightedIndexModel(dict(s["weights"]), s["threshold"])
-
-    def lifestyle_model(self):
-        s = self.raw["lifestyle_index"]
-        return WeightedIndexModel(dict(s["weights"]), s["threshold"])
 
 
 # the types a setting accepts, by the type of its default: a float setting
@@ -183,12 +176,12 @@ def config_from_dict(doc):
     if version != CONFIG_VERSION:
         raise ValueError("unsupported config_version %r" % version)
     merged = _merge(_DEFAULTS, doc, "")
-    cfg = PipelineConfig(merged)
-    if cfg.disease not in (None, "COPD", "CKD"):
+    if merged["disease"] not in (None, "COPD", "CKD"):
         raise ValueError("disease must be COPD, CKD or null")
-    cfg.schedule.offset_ms()  # validates send_time
-    cfg.stress_model()
-    cfg.lifestyle_model()
+    schedule = DailySchedule(merged["schedule"]["send_time"])
+    schedule.offset_ms()  # validates send_time
+    stress, lifestyle = (WeightedIndexModel(merged[k]["weights"], merged[k]["threshold"])
+                         for k in ("stress_index", "lifestyle_index"))
     if merged["preprocess"]["baseline_method"] not in ("linear", "poly"):
         raise ValueError("baseline_method must be linear or poly")
     if merged["preprocess"]["threshold_mode"] not in ("soft", "hard"):
@@ -196,7 +189,7 @@ def config_from_dict(doc):
     if merged["qrs"]["detector"] not in ("pan_tompkins", "wavelet"):
         raise ValueError("detector must be pan_tompkins or wavelet")
     _check_ranges(merged)
-    return cfg
+    return PipelineConfig(merged, schedule, stress, lifestyle)
 
 
 def default_config():

@@ -6,8 +6,6 @@ features only pair intervals that are adjacent in time, so filtered-out
 beats never fabricate a difference across a gap.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoDataError
@@ -16,7 +14,6 @@ from .signal_core import dft_magnitude, hamming_window
 __all__ = [
     "LF_BAND_HZ",
     "HF_BAND_HZ",
-    "HrvFreqFeatures",
     "sdnn",
     "sdann",
     "sdnnidx",
@@ -31,14 +28,6 @@ HF_BAND_HZ = (0.15, 0.40)
 
 TACHOGRAM_RATE_HZ = 4.0
 SEGMENT_S = 300.0
-
-
-@dataclass(frozen=True)
-class HrvFreqFeatures:
-    lf_power: float
-    hf_power: float
-    lf_band_hz: tuple = LF_BAND_HZ
-    hf_band_hz: tuple = HF_BAND_HZ
 
 
 def _require(rr, n):
@@ -123,7 +112,8 @@ def time_features(rr):
 
 
 def band_powers(rr):
-    """LF/HF spectral powers of the interval tachogram.
+    """LF/HF spectral powers of the interval tachogram, keyed by feature
+    name: lf_power, hf_power.
 
     The (onset, interval) points are linearly interpolated onto a uniform
     4 Hz grid, mean-removed, Hamming-windowed and transformed; band power
@@ -146,7 +136,5 @@ def band_powers(rr):
     power = 2.0 * spectrum.magnitudes ** 2 / n ** 2
     lf_mask = (freqs >= LF_BAND_HZ[0]) & (freqs < LF_BAND_HZ[1])
     hf_mask = (freqs >= HF_BAND_HZ[0]) & (freqs <= HF_BAND_HZ[1])
-    return HrvFreqFeatures(
-        lf_power=float(np.sum(power[lf_mask])),
-        hf_power=float(np.sum(power[hf_mask])),
-    )
+    return {"lf_power": float(np.sum(power[lf_mask])),
+            "hf_power": float(np.sum(power[hf_mask]))}

@@ -17,7 +17,10 @@ Steps (each optional input skips its branch):
      with a recording, so a measurement-only run loads no numpy.
   4. One store ingest of the CSV rows and the derived rates; rows the
      store rejects are listed in the report by line and reason.
-  5. Rule evaluation at --now over the patient's history.
+  5. One view of the patient's history up to --now (`rules.history_view`):
+     the records grouped by kind, which the rules evaluate once, and the
+     latest record of each name, which the indices in step 6 score. The
+     feature vector in step 7 reads both.
   6. Stress/lifestyle weighted indices from questionnaire/diary scores in
      [0, 1]; a triggered index contributes a LIGHT_ALERT.
   7. Optional classifier prediction from the assembled feature vector.
@@ -55,6 +58,7 @@ from .rules import (
     MeasurementRecord,
     Severity,
     evaluate_with_report,
+    history_view,
     report_to_json_line,
 )
 from .store import write_atomic
@@ -78,29 +82,34 @@ class PipelineResult:
 
 def read_measurements_csv(path, patient_id):
     """Rows: kind,value,timestamp_ms[,mode[,name]], each as an ingest dict
-    that also holds its CSV line number. A value or timestamp that does not
-    parse raises IngestionError naming the file and line."""
+    that also holds its CSV line number. A file that is not UTF-8 or lacks
+    a required column, and a value or timestamp that does not parse, raise
+    IngestionError naming the file (and the line, where there is one)."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        required = {"kind", "value", "timestamp_ms"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError("measurements CSV needs columns kind,value,timestamp_ms")
         out = []
-        for row in reader:
-            try:
-                value = float(row["value"])
-                timestamp_ms = int(row["timestamp_ms"])
-            except (TypeError, ValueError) as exc:
-                raise IngestionError("%s:%d: %s" % (path, reader.line_num, exc)) from None
-            out.append({
-                "patient_id": patient_id,
-                "kind": row["kind"],
-                "value": value,
-                "timestamp_ms": timestamp_ms,
-                "mode": row.get("mode") or "NOSILENT",
-                "name": row.get("name") or "",
-                "line": reader.line_num,
-            })
+        try:
+            required = {"kind", "value", "timestamp_ms"}
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise IngestionError("%s: measurements CSV needs columns kind,value,timestamp_ms"
+                                     % path)
+            for row in reader:
+                try:
+                    value = float(row["value"])
+                    timestamp_ms = int(row["timestamp_ms"])
+                except (TypeError, ValueError) as exc:
+                    raise IngestionError("%s:%d: %s" % (path, reader.line_num, exc)) from None
+                out.append({
+                    "patient_id": patient_id,
+                    "kind": row["kind"],
+                    "value": value,
+                    "timestamp_ms": timestamp_ms,
+                    "mode": row.get("mode") or "NOSILENT",
+                    "name": row.get("name") or "",
+                    "line": reader.line_num,
+                })
+        except UnicodeDecodeError as exc:
+            raise IngestionError("%s: %s" % (path, exc)) from None
     return out
 
 
@@ -114,8 +123,8 @@ def _index_scores(model, named_values):
     return scores
 
 
-def _index_alert(rule_id, model, named_records, patient_id, now_ms):
-    named_values = {n: r.value for n, r in named_records.items()}
+def _index_alert(rule_id, model, by_name, patient_id, now_ms):
+    named_values = {n: r.value for n, r in by_name.items()}
     scores = _index_scores(model, named_values)
     try:
         index, triggered = weighted_index(model, scores)
@@ -123,7 +132,7 @@ def _index_alert(rule_id, model, named_records, patient_id, now_ms):
         return None, None
     if not triggered:
         return index, None
-    evidence = tuple(named_records[n] for n in sorted(model.weights)
+    evidence = tuple(by_name[n] for n in sorted(model.weights)
                      if scores.get(n) is not None)
     return index, Alert(
         rule_id=rule_id,
@@ -134,22 +143,19 @@ def _index_alert(rule_id, model, named_records, patient_id, now_ms):
     )
 
 
-def _feature_vector(features, named_records, history):
+def _feature_vector(features, by_kind, by_name):
     schema = patient_schema()
     mapping = {}
     for name in RECORDING_FEATURES:
         if name in features:
             mapping[name] = features[name]
-    latest = {}
-    for rec in history:
-        if rec.kind is MeasurementKind.BODY_WEIGHT:
-            latest["body_weight_kg"] = rec.value
-        elif rec.kind is MeasurementKind.GLUCOSE:
-            latest["glucose_mg_dl"] = rec.value
-    mapping.update(latest)
+    for name, kind in (("body_weight_kg", MeasurementKind.BODY_WEIGHT),
+                       ("glucose_mg_dl", MeasurementKind.GLUCOSE)):
+        if kind in by_kind:
+            mapping[name] = by_kind[kind][-1].value
     for attr in schema:
-        if attr.name in named_records and attr.name not in mapping:
-            v = named_records[attr.name].value
+        if attr.name in by_name and attr.name not in mapping:
+            v = by_name[attr.name].value
             mapping[attr.name] = ("%g" % v) if attr.kind == CATEGORICAL else v
     return FeatureVector.from_mapping(schema, mapping)
 
@@ -275,14 +281,13 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
                 for row, reason in store.ingest(rows).rejections]
 
     disease = None if cfg.disease is None else DiseaseScope(cfg.disease)
-    history = store.records(patient_id, until_ms=now_ms)
-    named_records = {rec.name: rec for rec in history if rec.name}
+    by_kind, by_name = history_view(store.log_records(patient_id), patient_id, now_ms)
     stress_index, stress_alert = _index_alert(
-        "stress-index", cfg.stress_model(), named_records, patient_id, now_ms)
+        "stress-index", cfg.stress_index, by_name, patient_id, now_ms)
     lifestyle_index, lifestyle_alert = _index_alert(
-        "lifestyle-index", cfg.lifestyle_model(), named_records, patient_id, now_ms)
+        "lifestyle-index", cfg.lifestyle_index, by_name, patient_id, now_ms)
     alerts, report = evaluate_with_report(
-        ruleset, history, patient_id, now_ms, disease,
+        ruleset, by_kind, patient_id, now_ms, disease,
         extra_alerts=[a for a in (stress_alert, lifestyle_alert) if a is not None])
     if rejected:
         report["rejected_rows"] = rejected
@@ -298,7 +303,7 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
     result.features = features
 
     if model is not None:
-        fv = _feature_vector(features, named_records, history)
+        fv = _feature_vector(features, by_kind, by_name)
         label, dist = predict_any(model, fv)
         result.prediction = label.name
         report["prediction"] = label.name

@@ -5,15 +5,12 @@ tidal volume and vital capacity come from per-breath excursions of the
 calibrated signal.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoDataError
 from .signal_core import SignalKind, dft_magnitude, hamming_window, slice_window
 
 __all__ = [
-    "RespirationFeatures",
     "stft_dominant_frequency",
     "respiration_rate",
     "volume_features",
@@ -21,12 +18,6 @@ __all__ = [
 
 # highest breathing frequency searched for the dominant spectral line
 F_MAX_HZ = 2.0
-
-
-@dataclass(frozen=True)
-class RespirationFeatures:
-    tidal_volume: float
-    vital_capacity: float
 
 
 def _check_respiration(signal):
@@ -76,7 +67,8 @@ def volume_features(signal, calibration):
 
     Cycles are cut at rising zero crossings; each cycle's excursion is its
     max minus min. VT is the median excursion, VC the largest, both
-    divided by the units-per-litre calibration.
+    divided by the units-per-litre calibration, keyed by feature name:
+    tidal_volume_l, vital_capacity_l.
     """
     _check_respiration(signal)
     if not (calibration > 0):
@@ -90,7 +82,5 @@ def volume_features(signal, calibration):
         seg = y[a:b]
         excursions.append(np.max(seg) - np.min(seg))
     excursions = np.array(excursions)
-    return RespirationFeatures(
-        tidal_volume=float(np.median(excursions) / calibration),
-        vital_capacity=float(np.max(excursions) / calibration),
-    )
+    return {"tidal_volume_l": float(np.median(excursions) / calibration),
+            "vital_capacity_l": float(np.max(excursions) / calibration)}

@@ -29,6 +29,7 @@ __all__ = [
     "AcquisitionMode",
     "MeasurementRecord",
     "history_key",
+    "history_view",
     "Severity",
     "DiseaseScope",
     "Rule",
@@ -348,26 +349,32 @@ def _trace(condition, by_kind, now_ms):
     raise TypeError("unknown condition node %r" % condition)
 
 
-def _visible_by_kind(history, patient_id, now_ms):
-    """The patient's records up to now_ms, time-ordered, grouped by kind."""
+def history_view(history, patient_id, now_ms):
+    """The one pass that filters, sorts and groups a patient's history:
+    returns (by_kind, by_name), the patient's records up to now_ms in
+    `history_key` order grouped by kind, and the latest named record of
+    each name."""
     visible = (r for r in history if r.patient_id == patient_id and r.timestamp_ms <= now_ms)
     by_kind = {}
+    by_name = {}
     for rec in sorted(visible, key=history_key):
         by_kind.setdefault(rec.kind, []).append(rec)
-    return by_kind
+        if rec.name:
+            by_name[rec.name] = rec
+    return by_kind, by_name
 
 
 def _alert_order(alert):
     return (0 if alert.severity is Severity.ALARM else 1, alert.rule_id)
 
 
-def evaluate_with_report(ruleset, history, patient_id, now_ms, disease=None,
+def evaluate_with_report(ruleset, by_kind, patient_id, now_ms, disease=None,
                          extra_alerts=()):
-    """Evaluates each rule once and returns (alerts, report). Rules that
-    reference a measurement kind with no history are skipped, not errors.
+    """Evaluates each rule once over by_kind, the first half of a
+    `history_view`, and returns (alerts, report). Rules that reference a
+    measurement kind with no history are skipped, not errors.
     extra_alerts, raised outside the rule set, join the rule alerts before
     the one sort and render into the report the same way."""
-    by_kind = _visible_by_kind(history, patient_id, now_ms)
     alerts = []
     skipped = []
     for rule in ruleset.rules:
@@ -402,11 +409,13 @@ def evaluate_with_report(ruleset, history, patient_id, now_ms, disease=None,
 
 def evaluate(ruleset, history, patient_id, now_ms, disease=None):
     """Alerts for every rule whose condition holds at now_ms."""
-    return evaluate_with_report(ruleset, history, patient_id, now_ms, disease)[0]
+    by_kind = history_view(history, patient_id, now_ms)[0]
+    return evaluate_with_report(ruleset, by_kind, patient_id, now_ms, disease)[0]
 
 
 def evaluation_report(ruleset, history, patient_id, now_ms, disease=None):
-    return evaluate_with_report(ruleset, history, patient_id, now_ms, disease)[1]
+    by_kind = history_view(history, patient_id, now_ms)[0]
+    return evaluate_with_report(ruleset, by_kind, patient_id, now_ms, disease)[1]
 
 
 def _alert_dict(alert):
@@ -466,7 +475,7 @@ def explain(alert, ruleset, history):
     for rec in alert.evidence:
         if rec.key() not in history_keys:
             raise IntegrityError("alert evidence not present in history: %r" % (rec.key(),))
-    by_kind = _visible_by_kind(history, alert.patient_id, alert.fired_at_ms)
+    by_kind = history_view(history, alert.patient_id, alert.fired_at_ms)[0]
     lines = [
         "rule %s (%s): %s" % (rule.id, rule.severity.value, rule.message or "<no message>"),
         "fired at %d for patient %s" % (alert.fired_at_ms, alert.patient_id),

@@ -110,11 +110,16 @@ def read_signal_csv(path, rate_hz, kind):
 
     The declared rate is validated against the timestamps: every
     consecutive gap must stay within 1% of the nominal sample period.
+    A file that does not decode or parse raises IngestionError naming it.
     """
     if not (rate_hz > 0):
         raise ValueError("rate_hz must be positive")
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+    try:
+        # readline decodes the whole first buffer, data rows too
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+    except UnicodeDecodeError as exc:
+        raise IngestionError("%s: %s" % (path, exc)) from None
     if header != "timestamp_ms,value":
         raise IngestionError("%s: expected header 'timestamp_ms,value', got %r" % (path, header))
     try:

@@ -78,9 +78,7 @@ def ecg_features(read_samples, rate_hz, cfg, features):
         except NoDataError:
             pass
         try:
-            ff = hrv.band_powers(rr)
-            features["lf_power"] = ff.lf_power
-            features["hf_power"] = ff.hf_power
+            features.update(hrv.band_powers(rr))
         except NoDataError:
             pass
     return annotations_to_csv(annotations), disagreement, end_ms
@@ -97,9 +95,7 @@ def resp_features(path, rate_hz, cfg, features):
     if len(rates):
         features["respiration_rate_bpm"] = float(sum(rates) / len(rates))
     try:
-        vol = volume_features(signal, rcfg["calibration"])
-        features["tidal_volume_l"] = vol.tidal_volume
-        features["vital_capacity_l"] = vol.vital_capacity
+        features.update(volume_features(signal, rcfg["calibration"]))
     except NoDataError:
         pass
     return _end_ms(signal)

@@ -257,7 +257,8 @@ def test_criterion_06_hrv_oracles(capsys):
 
     lf = band_powers(modulated(0.10))
     hf = band_powers(modulated(0.25))
-    bands_ok = lf.lf_power > 10.0 * lf.hf_power and hf.hf_power > 10.0 * hf.lf_power
+    bands_ok = (lf["lf_power"] > 10.0 * lf["hf_power"]
+                and hf["hf_power"] > 10.0 * hf["lf_power"])
     ok = worst <= 1e-9 and fixed_ok and bands_ok
     _verdict(capsys, 6, "hrv-oracles", ok,
              "worst oracle err %.3g, fixed %s, bands %s"

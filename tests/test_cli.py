@@ -229,6 +229,33 @@ class TestRunBatch:
         assert (tmp_path / "out" / "p-ok" / "message.xml").exists()
         assert not (tmp_path / "out" / "p-bad").exists()
 
+    @pytest.mark.parametrize("key, data, reason", [
+        ("measurements", b"kind,val,timestamp_ms\nBODY_WEIGHT,70,1\n",
+         "measurements CSV needs columns kind,value,timestamp_ms"),
+        ("measurements", b"\xffkind,value,timestamp_ms\nBODY_WEIGHT,70,1\n",
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("ecg", b"timestamp_ms,value\n0,0.1\n4,\xff0.2\n8,0.1\n",
+         "'utf-8' codec can't decode byte 0xff in position 27: invalid start byte"),
+        ("respiration", b"timestamp_ms,value\n0,0.1\n40,0.2\n80,\xff0.1\n",
+         "'utf-8' codec can't decode byte 0xff in position 35: invalid start byte"),
+    ], ids=["missing-column", "measurements-not-utf-8", "ecg-not-utf-8", "resp-not-utf-8"])
+    def test_input_file_that_does_not_decode_fails_only_its_patient(
+            self, tmp_path, capsys, key, data, reason):
+        bad = shared_store_manifest(tmp_path, "p-bad", HEALTHY_CSV)
+        path = tmp_path / ("bad-%s.csv" % key)
+        path.write_bytes(data)
+        doc = json.loads(Path(bad).read_text())
+        doc[key] = path.name
+        Path(bad).write_text(json.dumps(doc))
+        good = shared_store_manifest(tmp_path, "p-ok", HEALTHY_CSV)
+        code = main(["run", good, bad, "--now", NOW])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines == ["p-bad error=IngestionError: %s: %s" % (path, reason),
+                         "p-ok alerts=0 alarm=no decision=SCHEDULED"]
+        assert (tmp_path / "out" / "p-ok" / "message.xml").exists()
+        assert not (tmp_path / "out" / "p-bad").exists()
+
     def test_corrupt_log_fails_only_its_patient(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         store_dir.mkdir()
@@ -257,14 +284,20 @@ class TestRunBatch:
         assert lines[1] == "p-ok alerts=0 alarm=no decision=SCHEDULED"
         assert (tmp_path / "out" / "p-ok" / "message.xml").exists()
 
-    def test_usage_error_in_a_later_manifest_runs_no_patient(self, tmp_path, capsys):
+    @pytest.mark.parametrize("data, reason", [
+        (b'{"patient_id": "p-b", "out_dir": "out", "store_dir": "store"}',
+         "needs patient_id, out_dir and rules"),
+        (b'{"patient_id": "p-b", "out_dir": "out\xff", "store_dir": "store"}',
+         "is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 37"),
+    ], ids=["missing-keys", "not-utf-8"])
+    def test_usage_error_in_a_later_manifest_runs_no_patient(self, tmp_path, capsys, data,
+                                                              reason):
         first = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
         second = tmp_path / "manifest-p-b.json"
-        second.write_text(json.dumps({"patient_id": "p-b", "out_dir": "out",
-                                      "store_dir": "store"}))
+        second.write_bytes(data)
         assert main(["run", first, str(second), "--now", NOW, "--jobs", "1"]) == 64
         captured = capsys.readouterr()
-        assert "needs patient_id, out_dir and rules" in captured.err
+        assert "manifest %s %s" % (second, reason) in captured.err
         assert captured.out == ""
         assert not (tmp_path / "store" / "p-a.cursor").exists()
         assert not (tmp_path / "out" / "p-a").exists()
@@ -838,6 +871,15 @@ class TestTrainEval:
         model = str(tmp_path / "m.json")
         assert main(["train", str(path), "--algorithm", "tree", "--out", model]) == 1
         assert "header mismatch" in capsys.readouterr().err
+
+    def test_model_that_would_not_load_is_not_written(self, tmp_path, capsys):
+        # the two rates sum past the largest float, so the class mean is inf
+        dataset = write_dataset(tmp_path, "train.csv", [(1.7e308, ClassLabel.STABLE)] * 2)
+        model = tmp_path / "bayes.json"
+        model.write_text("earlier model")
+        assert main(["train", dataset, "--algorithm", "bayes", "--out", str(model)]) == 1
+        assert "model holds a number that is not finite" in capsys.readouterr().err
+        assert model.read_text() == "earlier model"
 
     def test_train_missing_algorithm_is_usage_error(self, tmp_path):
         dataset = write_dataset(tmp_path, "train.csv", TRAIN_PAIRS)

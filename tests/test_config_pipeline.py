@@ -18,7 +18,7 @@ from edgevitals.classify.schema import (
 )
 from edgevitals.classify.tree import train_decision_tree
 from edgevitals.config import config_from_dict, default_config, load_config
-from edgevitals.errors import IngestionError
+from edgevitals.errors import IngestionError, IntegrityError
 from edgevitals.ecg_preprocess import HighPassSpec, remove_baseline_linear
 from edgevitals.messaging import TransmissionDecision, parse_message_xml
 from edgevitals.pipeline import run_patient, read_measurements_csv
@@ -45,11 +45,11 @@ class TestConfig:
         assert cfg["preprocess"]["baseline_method"] == "linear"
         assert cfg["qrs"]["detector"] == "pan_tompkins"
         assert cfg.schedule.send_time == "20:00"
-        stress = cfg.stress_model()
+        stress = cfg.stress_index
         assert len(stress.weights) == 13
         assert sum(stress.weights.values()) == 1.0
         assert stress.threshold == 0.6
-        lifestyle = cfg.lifestyle_model()
+        lifestyle = cfg.lifestyle_index
         assert len(lifestyle.weights) == 14
         assert sum(lifestyle.weights.values()) == 1.0
 
@@ -84,8 +84,8 @@ class TestConfig:
     def test_index_sections_replace_wholesale(self):
         cfg = config_from_dict({"stress_index": {
             "weights": {"questionnaire_01": 1.0}, "threshold": 0.5}})
-        assert cfg.stress_model().weights == {"questionnaire_01": 1.0}
-        assert cfg.stress_model().threshold == 0.5
+        assert cfg.stress_index.weights == {"questionnaire_01": 1.0}
+        assert cfg.stress_index.threshold == 0.5
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -190,7 +190,8 @@ class TestMeasurementsCsv:
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("kind,value\nBODY_WEIGHT,70.5\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(IngestionError, match=re.escape(
+                "%s: measurements CSV needs columns kind,value,timestamp_ms" % path)):
             read_measurements_csv(str(path), "p1")
 
     @pytest.mark.parametrize("row", ["BODY_WEIGHT,abc,5", "BODY_WEIGHT,70.5,5.5",
@@ -368,17 +369,26 @@ class TestPipelineSinglePass:
         assert len(calls) == 1
 
     def test_history_read_once_with_model(self, tmp_path, monkeypatch):
-        calls = []
-        real = MeasurementStore.records
+        # the rules, both indices and the feature vector read one view
+        views = []
+        real = pipeline.history_view
 
-        def counting(self, *args, **kwargs):
-            calls.append(args)
-            return real(self, *args, **kwargs)
+        def counting(*args):
+            views.append(args[1:])
+            return real(*args)
 
-        monkeypatch.setattr(MeasurementStore, "records", counting)
-        result, _ = run_ecg_patient(tmp_path, bpm=125, model=hr_model())
+        def no_query(*args, **kwargs):
+            raise AssertionError("a tick must not query the store by kind or time")
+
+        monkeypatch.setattr(pipeline, "history_view", counting)
+        monkeypatch.setattr(MeasurementStore, "records", no_query)
+        result, _ = run_ecg_patient(
+            tmp_path, bpm=125, model=hr_model(),
+            extra_measurements="BODY_WEIGHT,70.0,1000,NOSILENT,\n"
+                               "QUESTIONNAIRE_ITEM,1.0,1000,NOSILENT,questionnaire_01\n")
         assert result.prediction == "WORSENING"
-        assert len(calls) == 1
+        assert [a.rule_id for a in result.alerts] == ["hr-high", "stress-index"]
+        assert views == [("p1", 60000)]
 
     def test_one_append_per_run(self, tmp_path, monkeypatch):
         samples, _ = synth_ecg(70, duration_s=120.0)
@@ -463,6 +473,22 @@ class TestPipelineIndices:
         # renormalized over the one valid score: 0.9 > 0.6 triggers
         assert [a.rule_id for a in result.alerts] == ["stress-index"]
         assert abs(result.report["stress_index"] - 0.9) < 1e-6
+
+    def test_explain_covers_rule_alerts_only(self, tmp_path):
+        # an index alert comes from the config's weighted indices, so the
+        # rule set that explain renders from does not name it
+        meas = tmp_path / "meas.csv"
+        meas.write_text("kind,value,timestamp_ms,mode,name\n" + "".join(
+            "QUESTIONNAIRE_ITEM,1.0,1000,NOSILENT,questionnaire_%02d\n" % i
+            for i in range(1, 14)))
+        store = MeasurementStore(str(tmp_path / "store"))
+        ruleset = parse_rules(RULES)
+        result = run_patient("p1", store, default_config(), ruleset, now_ms=2000,
+                             measurements_csv=str(meas), out_dir=str(tmp_path / "out"))
+        assert [a.rule_id for a in result.alerts] == ["stress-index"]
+        assert result.report["stress_index"] == 1.0
+        with pytest.raises(IntegrityError, match="alert cites unknown rule 'stress-index'"):
+            rules.explain(result.alerts[0], ruleset, store.log_records("p1"))
 
 
 class TestPipelineMeasurementsOnly:

@@ -3,6 +3,8 @@ import pytest
 
 from edgevitals.errors import NoDataError
 from edgevitals.hrv import (
+    HF_BAND_HZ,
+    LF_BAND_HZ,
     band_powers,
     pnn50,
     rmssd,
@@ -127,16 +129,16 @@ class TestSegmentFeatures:
 class TestBandPowers:
     def test_lf_modulation_dominates(self):
         ff = band_powers(modulated_series(0.1))
-        assert ff.lf_power > 10.0 * ff.hf_power
+        assert ff["lf_power"] > 10.0 * ff["hf_power"]
 
     def test_hf_modulation_dominates(self):
         ff = band_powers(modulated_series(0.25))
-        assert ff.hf_power > 10.0 * ff.lf_power
+        assert ff["hf_power"] > 10.0 * ff["lf_power"]
 
     def test_band_edges(self):
-        ff = band_powers(modulated_series(0.1))
-        assert ff.lf_band_hz == (0.03, 0.15)
-        assert ff.hf_band_hz == (0.15, 0.40)
+        assert LF_BAND_HZ == (0.03, 0.15)
+        assert HF_BAND_HZ == (0.15, 0.40)
+        assert list(band_powers(modulated_series(0.1))) == ["lf_power", "hf_power"]
 
     def test_too_few_beats(self):
         with pytest.raises(NoDataError):

@@ -76,8 +76,8 @@ class TestVolumeFeatures:
         sig = resp_signal(breathing(0.25, 60.0, amplitude=1.5), fs=FS)
         vol = volume_features(sig, calibration=2.0)
         # each cycle swings -1.5..1.5, excursion 3.0, calibrated to 1.5 L
-        assert vol.tidal_volume == pytest.approx(1.5, rel=1e-3)
-        assert vol.vital_capacity == pytest.approx(1.5, rel=1e-3)
+        assert vol["tidal_volume_l"] == pytest.approx(1.5, rel=1e-3)
+        assert vol["vital_capacity_l"] == pytest.approx(1.5, rel=1e-3)
 
     def test_one_deep_breath(self):
         t = np.arange(int(40 * FS)) / FS
@@ -85,8 +85,8 @@ class TestVolumeFeatures:
         deep = (t >= 20.0) & (t < 24.0)
         x[deep] *= 3.0
         vol = volume_features(resp_signal(x, fs=FS), calibration=1.0)
-        assert vol.vital_capacity == pytest.approx(6.0, rel=1e-2)
-        assert vol.tidal_volume == pytest.approx(2.0, rel=1e-2)
+        assert vol["vital_capacity_l"] == pytest.approx(6.0, rel=1e-2)
+        assert vol["tidal_volume_l"] == pytest.approx(2.0, rel=1e-2)
 
     def test_too_few_cycles(self):
         sig = resp_signal(breathing(0.25, 8.0), fs=FS)

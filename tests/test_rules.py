@@ -16,6 +16,8 @@ from edgevitals.rules import (
     evaluate,
     evaluation_report,
     explain,
+    history_key,
+    history_view,
     parse_rules,
     report_to_json_line,
 )
@@ -550,6 +552,32 @@ class TestExplainProperty:
                 assert n == len(of_kind) or of_kind[-n - 1].timestamp_ms < horizon
                 value = float(attrs["value"])
                 assert verdict == (n >= 2 and all(test(r.value, value) for r in window))
+
+
+# records of two patients that tie often on time, kind, name and value;
+# unique by key, as a store holds them
+_view_records = st.lists(st.builds(
+    MeasurementRecord, st.sampled_from(["p1", "p1", "p2"]), st.sampled_from(MeasurementKind),
+    st.integers(0, 3).map(float), st.integers(0, 5), st.sampled_from(AcquisitionMode),
+    st.sampled_from(["", "", "a", "b"])), max_size=30, unique_by=lambda r: r.key())
+
+
+class TestHistoryView:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data(), _view_records, st.integers(-1, 6))
+    def test_matches_a_brute_force_filter_and_sort(self, data, history, now_ms):
+        shuffled = data.draw(st.permutations(history))
+        visible = [r for r in history if r.patient_id == "p1" and r.timestamp_ms <= now_ms]
+        ordered = sorted(visible, key=history_key)
+        want_by_kind = {}
+        for r in ordered:
+            want_by_kind[r.kind] = [o for o in ordered if o.kind is r.kind]
+        want_by_name = {r.name: max((o for o in visible if o.name == r.name), key=history_key)
+                        for r in visible if r.name}
+        for given_history in (history, shuffled):
+            by_kind, by_name = history_view(given_history, "p1", now_ms)
+            assert list(by_kind.items()) == list(want_by_kind.items())
+            assert by_name == want_by_name
 
 
 class TestRecordValidation:
