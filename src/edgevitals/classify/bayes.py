@@ -4,7 +4,10 @@ Numeric attributes get a per-class Gaussian (variance floored at 1e-9);
 categorical attributes get Laplace-smoothed frequencies with the vocabulary
 taken as the distinct values observed anywhere in the training data.
 Posteriors are computed in the log domain and normalized. Missing query
-attributes are skipped in the product.
+attributes are skipped in the product. A squared deviation too large for a
+float counts as infinite; a class whose log score is then not finite gets
+posterior 0, and when no class has a finite score the posterior is the
+normalized priors. Classes absent from training get 0 either way.
 """
 
 import math
@@ -25,10 +28,17 @@ class NaiveBayesModel:
         # (label, attr_idx) -> {"counts": {value: n}, "total": n, "vocab": V}
 
 
+def _square(d):
+    try:
+        return d ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _gaussian_fit(values):
     n = len(values)
     mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    var = sum(_square(v - mean) for v in values) / n
     return mean, max(var, VARIANCE_FLOOR)
 
 
@@ -71,14 +81,12 @@ def train_naive_bayes(data):
 
 
 def _log_gaussian(x, mean, var):
-    return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+    return -0.5 * math.log(2.0 * math.pi * var) - _square(x - mean) / (2.0 * var)
 
 
 def predict_bayes(model, x):
-    """Returns (argmax class, posterior tuple aligned with class ordinals).
-
-    Classes absent from training get posterior 0.
-    """
+    """Returns (argmax class, posterior tuple aligned with class ordinals),
+    which is finite for any finite query."""
     if not isinstance(x, FeatureVector) or x.schema != model.schema:
         raise ValueError("feature vector does not match the model schema")
     labels = sorted(model.priors, key=lambda c: c.ordinal)
@@ -101,8 +109,12 @@ def predict_bayes(model, x):
                 count = table["counts"].get(v, 0)
                 score += math.log((count + 1) / (table["total"] + table["vocab"]))
         log_scores[lab] = score
-    peak = max(log_scores.values())
-    expd = {lab: math.exp(s - peak) for lab, s in log_scores.items()}
+    finite = {lab: s for lab, s in log_scores.items() if math.isfinite(s)}
+    if finite:
+        peak = max(finite.values())
+        expd = {lab: math.exp(s - peak) for lab, s in finite.items()}
+    else:
+        expd = model.priors
     total = sum(expd.values())
     posterior = tuple(expd.get(c, 0.0) / total for c in ClassLabel)
     return likeliest_class(posterior), posterior

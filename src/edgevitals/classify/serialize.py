@@ -82,7 +82,7 @@ def model_to_json(model):
     except ValueError:
         # a document holding Infinity or NaN would fail model_from_json
         raise ValueError("model holds a number that is not finite, such as a naive bayes "
-                         "mean over values whose sum overflows") from None
+                         "mean or variance that overflows") from None
 
 
 def _finite(v):

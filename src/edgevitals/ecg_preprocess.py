@@ -4,10 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_core import SampledSignal, SignalKind
+from .signal_core import SignalKind
 
 __all__ = [
-    "HighPassSpec",
     "WaveletDecomposition",
     "DB4_DEC_LO",
     "DB4_DEC_HI",
@@ -48,12 +47,6 @@ PQ_WINDOW_END_MS = 66.0
 
 
 @dataclass(frozen=True)
-class HighPassSpec:
-    cutoff_hz: float = 0.5
-    order: int = 2
-
-
-@dataclass(frozen=True)
 class WaveletDecomposition:
     """Multi-level DWT output. details[0] is the finest band (level 1);
     level_input_lengths[i] is the signal length fed into analysis level i+1,
@@ -62,25 +55,22 @@ class WaveletDecomposition:
     approximation: np.ndarray
     details: tuple
     levels: int
-    original_length: int
     level_input_lengths: tuple
 
 
-def remove_baseline_linear(signal, spec=None):
+def remove_baseline_linear(signal, cutoff_hz=0.5, order=2):
     """High-pass the ECG to strip baseline wander. Zero-phase, so QRS
     morphology is not skewed."""
-    if spec is None:
-        spec = HighPassSpec()
     if signal.kind is not SignalKind.ECG:
         raise ValueError("baseline removal applies to ECG signals")
     nyquist = signal.rate_hz / 2.0
-    if not (0 < spec.cutoff_hz < nyquist):
+    if not (0 < cutoff_hz < nyquist):
         raise ValueError("cutoff must lie in (0, Nyquist)")
-    if spec.order < 1:
+    if order < 1:
         raise ValueError("order must be >= 1")
     from scipy.signal import butter, sosfiltfilt
 
-    sos = butter(spec.order, spec.cutoff_hz, btype="highpass", fs=signal.rate_hz, output="sos")
+    sos = butter(order, cutoff_hz, btype="highpass", fs=signal.rate_hz, output="sos")
     return signal.replace_samples(sosfiltfilt(sos, signal.samples))
 
 
@@ -167,7 +157,6 @@ def dwt_db4(samples, levels):
         approximation=a,
         details=tuple(details),
         levels=levels,
-        original_length=len(x),
         level_input_lengths=tuple(input_lengths),
     )
 

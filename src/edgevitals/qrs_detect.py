@@ -120,16 +120,14 @@ def rr_from_peaks(r_peaks, rate_hz, start_time_ms=0.0):
     return RRSeries(onsets[keep], intervals[keep])
 
 
-def mean_heart_rate(rr, window_s=60.0, now_ms=None):
-    """60000 / mean(intervals ending inside the trailing window)."""
+def mean_heart_rate(rr):
+    """60000 / mean(intervals ending in the 60 s up to the last one's end),
+    a window that always holds the last interval."""
     if len(rr) == 0:
         raise NoDataError("empty RR series")
     ends = rr.end_times_ms
-    if now_ms is None:
-        now_ms = ends[-1]
-    mask = (ends > now_ms - window_s * 1000.0) & (ends <= now_ms)
-    if not np.any(mask):
-        raise NoDataError("no intervals inside the window")
+    last = ends[-1]
+    mask = (ends > last - 60000.0) & (ends <= last)
     return 60000.0 / float(np.mean(rr.intervals_ms[mask]))
 
 

@@ -8,7 +8,7 @@ calibrated signal.
 import numpy as np
 
 from .errors import NoDataError
-from .signal_core import SignalKind, dft_magnitude, hamming_window, slice_window
+from .signal_core import SignalKind, dft_magnitude, hamming_window
 
 __all__ = [
     "stft_dominant_frequency",
@@ -25,8 +25,9 @@ def _check_respiration(signal):
         raise ValueError("expected a respiration signal")
 
 
-def stft_dominant_frequency(signal, window_s=60.0, hop_s=60.0):
-    """Per window: Hamming window, DFT, argmax magnitude over (0, F_MAX_HZ].
+def stft_dominant_frequency(signal, window_s=60.0):
+    """Per back-to-back window: Hamming window, DFT, argmax magnitude over
+    (0, F_MAX_HZ].
 
     DC is excluded and ties resolve to the lower bin. Returns a list of
     (window_start_s, dominant_frequency_hz).
@@ -34,17 +35,19 @@ def stft_dominant_frequency(signal, window_s=60.0, hop_s=60.0):
     _check_respiration(signal)
     if signal.duration_seconds < window_s:
         raise NoDataError("signal shorter than one window")
+    samples, rate = signal.samples, signal.rate_hz
+    n = int(round(window_s * rate))
+    weights = hamming_window(n)
     out = []
     start = 0.0
     while start + window_s <= signal.duration_seconds + 1e-9:
-        try:
-            win = slice_window(signal, start, window_s)
-        except ValueError:
+        i0 = int(round(start * rate))
+        if i0 + n > len(samples):
             break
+        win = samples[i0: i0 + n]
         # demean before windowing, otherwise a DC offset leaks through the
         # window's sidelobes into the low bins and masks the true peak
-        x = (win.samples - np.mean(win.samples)) * hamming_window(len(win.samples))
-        spectrum = dft_magnitude(x, signal.rate_hz)
+        spectrum = dft_magnitude((win - np.mean(win)) * weights, rate)
         k_max = int(np.floor(F_MAX_HZ / spectrum.bin_width_hz + 1e-9))
         k_max = min(k_max, len(spectrum.magnitudes) - 1)
         if k_max < 1:
@@ -52,13 +55,13 @@ def stft_dominant_frequency(signal, window_s=60.0, hop_s=60.0):
         band = spectrum.magnitudes[1: k_max + 1]
         k_dom = 1 + int(np.argmax(band))
         out.append((start, k_dom * spectrum.bin_width_hz))
-        start += hop_s
+        start += window_s
     return out
 
 
-def respiration_rate(signal, window_s=60.0, hop_s=60.0):
+def respiration_rate(signal, window_s=60.0):
     """Breaths per minute per window: dominant frequency times 60."""
-    doms = stft_dominant_frequency(signal, window_s, hop_s)
+    doms = stft_dominant_frequency(signal, window_s)
     return np.array([f * 60.0 for _, f in doms])
 
 

@@ -436,7 +436,8 @@ def _alert_dict(alert):
 
 
 def report_to_json_line(report):
-    return json.dumps(report, separators=(",", ":"), sort_keys=False)
+    # a NaN or infinity would not be JSON; the ValueError fails the patient instead
+    return json.dumps(report, separators=(",", ":"), sort_keys=False, allow_nan=False)
 
 
 def _render(trace, lines, depth):

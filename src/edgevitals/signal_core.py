@@ -13,7 +13,6 @@ __all__ = [
     "Spectrum",
     "hamming_window",
     "dft_magnitude",
-    "slice_window",
     "read_signal_csv",
 ]
 
@@ -41,6 +40,7 @@ class SampledSignal:
             raise ValueError("samples must be finite")
         if not (self.rate_hz > 0):
             raise ValueError("rate_hz must be positive")
+        # contiguous and read-only: sosfiltfilt's output is a negative-stride view
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -71,15 +71,9 @@ def hamming_window(n):
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
 
 
-def dft_magnitude(samples, rate_hz=None):
+def dft_magnitude(samples, rate_hz):
     """Magnitude spectrum up to Nyquist. No zero padding: n_fft = len(samples),
-    so bin_width is exactly rate_hz / n. Accepts a SampledSignal (rate taken
-    from it) or a raw array plus an explicit rate_hz."""
-    if isinstance(samples, SampledSignal):
-        rate_hz = samples.rate_hz
-        samples = samples.samples
-    elif rate_hz is None:
-        raise ValueError("rate_hz is required for raw sample arrays")
+    so bin_width is exactly rate_hz / n."""
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("need at least 2 samples")
@@ -87,22 +81,6 @@ def dft_magnitude(samples, rate_hz=None):
         raise ValueError("samples must be finite")
     mags = np.abs(np.fft.rfft(x))
     return Spectrum(magnitudes=mags, bin_width_hz=rate_hz / len(x))
-
-
-def slice_window(signal, start_s, length_s):
-    """Extract [start_s, start_s + length_s) as a new signal."""
-    if start_s < 0 or length_s <= 0:
-        raise ValueError("window out of range")
-    i0 = int(round(start_s * signal.rate_hz))
-    n = int(round(length_s * signal.rate_hz))
-    if i0 + n > len(signal.samples):
-        raise ValueError("window out of range")
-    return SampledSignal(
-        signal.samples[i0: i0 + n],
-        signal.rate_hz,
-        signal.start_time_ms + int(round(start_s * 1000.0)),
-        signal.kind,
-    )
 
 
 def read_signal_csv(path, rate_hz, kind):

@@ -7,7 +7,6 @@ gives a recording, so a measurement-only run never loads them.
 
 from . import hrv
 from .ecg_preprocess import (
-    HighPassSpec,
     remove_baseline_linear,
     remove_baseline_poly,
     select_pq_knots,
@@ -48,8 +47,8 @@ def ecg_features(read_samples, rate_hz, cfg, features):
     end_ms = _end_ms(signal)
     pre = cfg["preprocess"]
     if pre["baseline_method"] == "linear":
-        cleaned = remove_baseline_linear(signal, HighPassSpec(
-            cutoff_hz=pre["highpass_cutoff_hz"], order=pre["highpass_order"]))
+        cleaned = remove_baseline_linear(signal, pre["highpass_cutoff_hz"],
+                                         pre["highpass_order"])
     else:
         rough = pan_tompkins(signal)
         knots = select_pq_knots(signal, rough)
@@ -73,10 +72,7 @@ def ecg_features(read_samples, rate_hz, cfg, features):
     if len(rr) >= 2:
         # a feature the series lacks the data for is left blank
         features.update(hrv.time_features(rr))
-        try:
-            features["mean_heart_rate_bpm"] = mean_heart_rate(rr)
-        except NoDataError:
-            pass
+        features["mean_heart_rate_bpm"] = mean_heart_rate(rr)
         try:
             features.update(hrv.band_powers(rr))
         except NoDataError:
@@ -89,7 +85,7 @@ def resp_features(path, rate_hz, cfg, features):
     signal = read_signal_csv(path, rate_hz, SignalKind.RESPIRATION)
     rcfg = cfg["respiration"]
     try:
-        rates = respiration_rate(signal, window_s=rcfg["window_s"], hop_s=rcfg["window_s"])
+        rates = respiration_rate(signal, window_s=rcfg["window_s"])
     except NoDataError:
         rates = []
     if len(rates):

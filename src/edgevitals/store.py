@@ -197,16 +197,9 @@ class MeasurementStore:
             del self._log[patient_id], self._keys[patient_id]
             raise
 
-    def records(self, patient_id, kind=None, since_ms=None, until_ms=None):
-        """Time-ordered view for rule evaluation."""
-        out = self._patient_log(patient_id)
-        if kind is not None:
-            out = [r for r in out if r.kind is kind]
-        if since_ms is not None:
-            out = [r for r in out if r.timestamp_ms >= since_ms]
-        if until_ms is not None:
-            out = [r for r in out if r.timestamp_ms <= until_ms]
-        return sorted(out, key=history_key)
+    def records(self, patient_id):
+        """The patient's log in history_key order."""
+        return sorted(self._patient_log(patient_id), key=history_key)
 
     def log_records(self, patient_id):
         """Append-order view; the transmission cursor indexes this."""

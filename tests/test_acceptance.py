@@ -31,7 +31,6 @@ from edgevitals.classify.tree import _entropy, _split_quality, predict_tree, tra
 from edgevitals.classify.weighted import WeightedIndexModel, weighted_index
 from edgevitals.ecg_preprocess import (
     DB4_DEC_LO,
-    HighPassSpec,
     denoise_samples,
     dwt_db4,
     idwt_db4,
@@ -141,7 +140,6 @@ def test_criterion_04_baseline_removal(capsys):
     # linear method: attenuation of a 0.1 Hz tone, checked against the
     # closed-form response of the underlying filter (applied twice by the
     # zero-phase pass)
-    spec = HighPassSpec()
     n = int(fs * 600)
     t = np.arange(n) / fs
     tone = np.sin(2 * np.pi * 0.1 * t)
@@ -149,8 +147,8 @@ def test_criterion_04_baseline_removal(capsys):
     core = slice(int(fs * 60), n - int(fs * 60))
     measured_db = 10 * np.log10(np.mean(tone[core] ** 2)
                                 / np.mean(out.samples[core] ** 2))
-    sos = scipy.signal.butter(spec.order, spec.cutoff_hz, "highpass",
-                              fs=fs, output="sos")
+    # remove_baseline_linear's defaults: order 2, cutoff 0.5 Hz
+    sos = scipy.signal.butter(2, 0.5, "highpass", fs=fs, output="sos")
     _, h = scipy.signal.sosfreqz(sos, worN=[0.1], fs=fs)
     expected_db = -40.0 * np.log10(np.abs(h[0]))
     linear_ok = measured_db >= 20.0 and abs(measured_db - expected_db) <= 1.0
@@ -272,7 +270,7 @@ def test_criterion_07_respiration_rate(capsys):
     for k in range(1, 20):
         f = k / 10.0
         sig = resp_signal(np.sin(2 * np.pi * f * t), fs)
-        rates = respiration_rate(sig, window_s=60.0, hop_s=60.0)
+        rates = respiration_rate(sig, window_s=60.0)
         err = abs(float(np.mean(rates)) - 60.0 * f)
         worst = max(worst, err)
     ok = worst <= 1.0

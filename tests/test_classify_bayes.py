@@ -154,3 +154,38 @@ class TestRobustness:
         other = (Attribute("other", CATEGORICAL),)
         with pytest.raises(ValueError):
             predict_bayes(model, FeatureVector(other, ("x",)))
+
+
+V = (Attribute("v", NUMERIC),)
+
+
+def numeric_model(values, labels):
+    return train_naive_bayes(dataset(V, [(v,) for v in values], labels))
+
+
+class TestOverflow:
+    # a float ** 2 raises OverflowError past about 1.3e154, where * gives inf
+    def test_query_far_from_a_floored_variance_gives_the_priors(self):
+        # (70 - 1e150)^2 / 2e-9 is inf, so the only class scores -inf
+        model = numeric_model([1e150, 1e150], [S, S])
+        assert predict_bayes(model, FeatureVector(V, (70.0,))) == (S, (1.0, 0.0, 0.0))
+
+    def test_no_finite_score_gives_the_normalized_priors(self):
+        model = numeric_model([1e150, 1e150, 2e150], [S, S, W])
+        model.numeric_params[(W, 0)] = model.numeric_params[(S, 0)]
+        label, post = predict_bayes(model, FeatureVector(V, (70.0,)))
+        assert label is S
+        assert post == (2.0 / 3.0, 0.0, 1.0 / 3.0)
+
+    def test_class_without_a_finite_score_gets_zero(self):
+        model = numeric_model([1e150, 1e150, 0.0, 1.0], [S, S, W, W])
+        assert predict_bayes(model, FeatureVector(V, (0.5,))) == (W, (0.0, 0.0, 1.0))
+
+    def test_huge_query_does_not_overflow(self):
+        model = numeric_model([1e150, 1e150], [S, S])
+        assert predict_bayes(model, FeatureVector(V, (1e300,))) == (S, (1.0, 0.0, 0.0))
+
+    def test_training_over_opposite_extremes_gives_an_infinite_variance(self):
+        model = numeric_model([1e308, -1e308], [S, S])
+        assert model.numeric_params[(S, 0)] == (0.0, math.inf)
+        assert predict_bayes(model, FeatureVector(V, (0.0,))) == (S, (1.0, 0.0, 0.0))

@@ -792,16 +792,16 @@ def fresh_python(code):
                           text=True, timeout=120)
 
 
-def hr_row(schema, v):
-    idx = [a.name for a in schema].index("mean_heart_rate_bpm")
+def hr_row(schema, v, attribute="mean_heart_rate_bpm"):
+    idx = [a.name for a in schema].index(attribute)
     vals = [None] * len(schema)
     vals[idx] = v
     return FeatureVector(schema, tuple(vals))
 
 
-def write_dataset(tmp_path, name, pairs):
+def write_dataset(tmp_path, name, pairs, attribute="mean_heart_rate_bpm"):
     schema = patient_schema()
-    feats = tuple(hr_row(schema, v) for v, _ in pairs)
+    feats = tuple(hr_row(schema, v, attribute) for v, _ in pairs)
     labels = tuple(lab for _, lab in pairs)
     path = tmp_path / name
     path.write_text(dataset_to_csv(LabeledDataset(schema, feats, labels)))
@@ -880,6 +880,35 @@ class TestTrainEval:
         assert main(["train", dataset, "--algorithm", "bayes", "--out", str(model)]) == 1
         assert "model holds a number that is not finite" in capsys.readouterr().err
         assert model.read_text() == "earlier model"
+
+    def test_bayes_variance_past_the_largest_float_is_not_written(self, tmp_path, capsys):
+        # each squared deviation from the mean 0 is too large for a float
+        dataset = write_dataset(tmp_path, "train.csv", [(1e308, ClassLabel.STABLE),
+                                                        (-1e308, ClassLabel.STABLE)])
+        model = tmp_path / "bayes.json"
+        assert main(["train", dataset, "--algorithm", "bayes", "--out", str(model)]) == 1
+        assert "model holds a number that is not finite" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_bayes_prediction_with_no_finite_score_is_valid_json(self, tmp_path, capsys):
+        # 70 kg against a mean of 1e150 and the 1e-9 variance floor scores -inf
+        pairs = [(1e150, ClassLabel.STABLE)] * 2
+        dataset = write_dataset(tmp_path, "train.csv", pairs, "body_weight_kg")
+        assert main(["train", dataset, "--algorithm", "bayes",
+                     "--out", str(tmp_path / "bayes.json")]) == 0
+        manifest = shared_store_manifest(tmp_path, "p-a", HEALTHY_CSV)
+        doc = json.loads(Path(manifest).read_text())
+        doc["model"] = "bayes.json"
+        Path(manifest).write_text(json.dumps(doc))
+        assert main(["run", manifest, "--now", NOW]) == 0
+        text = (tmp_path / "out" / "p-a" / "report.jsonl").read_text()
+
+        def refuse(name):
+            raise ValueError("%s in report.jsonl" % name)
+
+        report = json.loads(text, parse_constant=refuse)
+        assert report["prediction"] == "STABLE"
+        assert report["prediction_distribution"] == [1.0, 0.0, 0.0]
 
     def test_train_missing_algorithm_is_usage_error(self, tmp_path):
         dataset = write_dataset(tmp_path, "train.csv", TRAIN_PAIRS)

@@ -7,7 +7,6 @@ from edgevitals.ecg_preprocess import (
     DB4_DEC_LO,
     DB4_REC_HI,
     DB4_REC_LO,
-    HighPassSpec,
     denoise_samples,
     dwt_db4,
     idwt_db4,
@@ -131,7 +130,6 @@ class TestRemoveBaselineLinear:
 
     def test_matches_analytic_response_within_1db(self):
         fs = 250.0
-        spec = HighPassSpec()
         n = int(fs * 600)
         t = np.arange(n) / fs
         drift = np.sin(2 * np.pi * 0.1 * t)
@@ -139,8 +137,8 @@ class TestRemoveBaselineLinear:
         core = slice(int(fs * 60), n - int(fs * 60))
         measured_db = 10 * np.log10(np.mean(drift[core] ** 2)
                                     / np.mean(out.samples[core] ** 2))
-        sos = scipy.signal.butter(spec.order, spec.cutoff_hz, "highpass",
-                                  fs=fs, output="sos")
+        # remove_baseline_linear's defaults: order 2, cutoff 0.5 Hz
+        sos = scipy.signal.butter(2, 0.5, "highpass", fs=fs, output="sos")
         _, h = scipy.signal.sosfreqz(sos, worN=[0.1], fs=fs)
         # zero-phase filtering applies the filter twice
         expected_db = -40.0 * np.log10(np.abs(h[0]))
@@ -161,9 +159,9 @@ class TestRemoveBaselineLinear:
     def test_cutoff_validation(self):
         sig = ecg_signal(np.zeros(1000))
         with pytest.raises(ValueError):
-            remove_baseline_linear(sig, HighPassSpec(cutoff_hz=0.0))
+            remove_baseline_linear(sig, cutoff_hz=0.0)
         with pytest.raises(ValueError):
-            remove_baseline_linear(sig, HighPassSpec(cutoff_hz=200.0))
+            remove_baseline_linear(sig, cutoff_hz=200.0)
 
 
 class TestSelectPqKnots:

@@ -134,7 +134,7 @@ def test_dwt_db4_matches_explicit_sum():
         assert np.array_equal(dec.details[level], explicit_analysis(a, _DEC_HI_R))
         a = explicit_analysis(a, _DEC_LO_R)
     assert np.array_equal(dec.approximation, a)
-    assert dec.original_length == 777
+    assert dec.level_input_lengths[0] == 777
 
 
 def test_moving_average_bitwise_equals_running_sum():

@@ -85,16 +85,11 @@ class TestMeanHeartRate:
         onsets = np.array([0.0, 500.0, 71000.0, 72000.0])
         intervals = np.array([500.0, 500.0, 1000.0, 1000.0])
         rr = RRSeries(onsets, intervals)
-        assert mean_heart_rate(rr, window_s=60.0) == pytest.approx(60.0)
+        assert mean_heart_rate(rr) == pytest.approx(60.0)
 
     def test_empty_series(self):
         with pytest.raises(NoDataError):
             mean_heart_rate(RRSeries.from_intervals([]))
-
-    def test_no_beats_in_window(self):
-        rr = RRSeries.from_intervals([1000.0, 1000.0])
-        with pytest.raises(NoDataError):
-            mean_heart_rate(rr, window_s=60.0, now_ms=500000.0)
 
 
 class TestPanTompkins:

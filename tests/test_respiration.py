@@ -71,6 +71,44 @@ class TestRespirationRate:
         assert abs(respiration_rate(sig)[0] - 16.2) <= 1.0
 
 
+def sweep(duration_s, fs):
+    """A 0.1 -> 1.9 Hz chirp plus seeded noise, so each window's dominant
+    line depends on exactly which samples the window holds."""
+    n = int(round(duration_s * fs))
+    t = np.arange(n) / fs
+    phase = 2 * np.pi * np.cumsum(0.1 + 1.8 * t / duration_s) / fs
+    return np.sin(phase) + 0.5 * np.random.default_rng(7).standard_normal(n)
+
+
+class TestFractionalWindows:
+    """Windows that are not a whole number of samples over recordings that
+    are not a whole number of windows. Window i starts at sample
+    round(start * fs), start summed in floats, and holds round(window_s * fs)
+    samples; the values pin that stepping bit for bit."""
+
+    @pytest.mark.parametrize("fs, window_s, duration_s, rates, last_start", [
+        (25.0, 37.3, 90.0, ["0x1.cf84f1b77c279p+4", "0x1.21b31712ad98cp+6"],
+         "0x1.2a66666666666p+5"),
+        (33.3, 61.13, 301.7, ["0x1.0aec6293ddccap+4", "0x1.322d43e5d8c51p+5",
+                              "0x1.ee97e3d5c0a0ep+5", "0x1.4da77b38d53fdp+6"],
+         "0x1.6ec7ae147ae15p+7"),
+        (4.0, 7.7, 90.0, ["0x1.ef7bdef7bdef8p+2", "0x1.739ce739ce73ap+4",
+                          "0x1.ef7bdef7bdef8p+4", "0x1.35ad6b5ad6b5bp+5",
+                          "0x1.739ce739ce73ap+5", "0x1.b18c6318c6319p+5",
+                          "0x1.ef7bdef7bdef8p+5", "0x1.35ad6b5ad6b5bp+6",
+                          "0x1.54a5294a5294bp+6", "0x1.739ce739ce73ap+6",
+                          "0x1.9294a5294a529p+6"],
+         "0x1.3400000000001p+6"),
+    ])
+    def test_rates_and_window_starts_are_pinned(self, fs, window_s, duration_s, rates,
+                                                last_start):
+        sig = resp_signal(sweep(duration_s, fs), fs=fs)
+        assert [float(r).hex() for r in respiration_rate(sig, window_s)] == rates
+        starts = [s for s, _ in stft_dominant_frequency(sig, window_s)]
+        assert len(starts) == len(rates)
+        assert starts[-1].hex() == last_start
+
+
 class TestVolumeFeatures:
     def test_uniform_cycles(self):
         sig = resp_signal(breathing(0.25, 60.0, amplitude=1.5), fs=FS)

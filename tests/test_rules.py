@@ -293,6 +293,11 @@ class TestReport:
         assert a == b
         assert a.startswith('{"patient":"p1","ts":2000,"alerts":')
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_is_refused(self, bad):
+        with pytest.raises(ValueError):
+            report_to_json_line({"patient": "p1", "prediction_distribution": [bad, 0.0, 0.0]})
+
     def test_report_lists_skipped_kinds(self):
         rules = parse_rules(GOLDEN)
         history = [rec(MeasurementKind.HEART_RATE, 100.0, 1000)]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -85,34 +86,66 @@ class TestRoundTrip:
 
 
 PATIENT = patient_schema()
-# magnitudes stop at 1e150: a squared deviation of larger values overflows
-# inside train_naive_bayes, which raises OverflowError before any serializing
-NUMBERS = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.5]),
-                    st.floats(-1e150, 1e150))
-CODES = st.one_of(st.none(), st.sampled_from(["0", "1", "2"]), st.text(min_size=1, max_size=3))
-VECTORS = st.tuples(*(NUMBERS if a.kind == NUMERIC else CODES for a in PATIENT)).map(
-    lambda values: FeatureVector(PATIENT, values))
-DATASETS = st.lists(st.tuples(VECTORS, st.sampled_from(ClassLabel)), min_size=1, max_size=8).map(
-    lambda rows: LabeledDataset(PATIENT, tuple(v for v, _ in rows), tuple(c for _, c in rows)))
+
+
+def patient_datasets(numbers):
+    codes = st.one_of(st.none(), st.sampled_from(["0", "1", "2"]), st.text(min_size=1, max_size=3))
+    vectors = st.tuples(*(numbers if a.kind == NUMERIC else codes for a in PATIENT)).map(
+        lambda values: FeatureVector(PATIENT, values))
+    datasets = st.lists(st.tuples(vectors, st.sampled_from(ClassLabel)), min_size=1, max_size=8)
+    return vectors, datasets.map(lambda rows: LabeledDataset(
+        PATIENT, tuple(v for v, _ in rows), tuple(c for _, c in rows)))
+
+
+# any finite value, and magnitudes up to 1e150, whose naive bayes means and variances stay finite
+VECTORS, DATASETS = patient_datasets(st.one_of(
+    st.none(), st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.5, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False)))
+_, BOUNDED_DATASETS = patient_datasets(st.one_of(
+    st.none(), st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.5]), st.floats(-1e150, 1e150)))
+TRAINING = (st.lists(VECTORS, min_size=1, max_size=4), st.integers(1, 3),
+            st.integers(1, len(PATIENT)), st.integers(0, 2 ** 32 - 1), st.booleans())
+
+
+def drawn_models(data, n_trees, attrs_per_split, seed, bootstrap):
+    return (train_decision_tree(data),
+            train_random_forest(data, n_trees=n_trees, attrs_per_split=attrs_per_split,
+                                seed=seed, bootstrap=bootstrap),
+            train_naive_bayes(data))
+
+
+def assert_round_trips(model, queries):
+    text = model_to_json(model)
+    loaded = model_from_json(text)
+    assert model_to_json(loaded) == text
+    for q in queries:
+        assert predict_any(loaded, q) == predict_any(model, q)
 
 
 class TestDrawnRoundTrip:
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(DATASETS, st.lists(VECTORS, min_size=1, max_size=4),
-           st.integers(1, 3), st.integers(1, len(PATIENT)), st.integers(0, 2 ** 32 - 1),
-           st.booleans())
+    @given(BOUNDED_DATASETS, *TRAINING)
     def test_trained_models_round_trip_and_predict_alike(self, data, queries, n_trees,
                                                          attrs_per_split, seed, bootstrap):
-        for model in (train_decision_tree(data),
-                      train_random_forest(data, n_trees=n_trees, attrs_per_split=attrs_per_split,
-                                          seed=seed, bootstrap=bootstrap),
-                      train_naive_bayes(data)):
-            text = model_to_json(model)
-            loaded = model_from_json(text)
-            assert model_to_json(loaded) == text
+        # queries range over every finite value, so a loaded model also meets overflowing scores
+        for model in drawn_models(data, n_trees, attrs_per_split, seed, bootstrap):
+            assert_round_trips(model, queries + list(data.features))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(DATASETS, *TRAINING)
+    def test_any_finite_training_gives_finite_posteriors(self, data, queries, n_trees,
+                                                         attrs_per_split, seed, bootstrap):
+        for model in drawn_models(data, n_trees, attrs_per_split, seed, bootstrap):
             for q in queries + list(data.features):
-                # repr, since a query far from a tiny-variance mean gives a NaN posterior
-                assert repr(predict_any(loaded, q)) == repr(predict_any(model, q))
+                assert all(math.isfinite(p) for p in predict_any(model, q)[1])
+            try:
+                model_to_json(model)
+            except ValueError as err:
+                # a naive bayes mean or variance over huge values overflows
+                assert isinstance(model, NaiveBayesModel)
+                assert "not finite" in str(err)
+            else:
+                assert_round_trips(model, queries + list(data.features))
 
 
 class TestGuards:

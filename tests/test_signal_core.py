@@ -8,7 +8,6 @@ from edgevitals.signal_core import (
     dft_magnitude,
     hamming_window,
     read_signal_csv,
-    slice_window,
 )
 
 from conftest import signal_csv_text
@@ -73,8 +72,7 @@ class TestDftMagnitude:
     def test_matches_naive_dft(self, rng):
         for n in (2, 3, 16, 33, 128):
             x = rng.normal(size=n)
-            sig = SampledSignal(x, 100.0)
-            spec = dft_magnitude(sig)
+            spec = dft_magnitude(x, 100.0)
             want = naive_dft_magnitude(x)
             scale = np.max(want) if np.max(want) > 0 else 1.0
             assert np.max(np.abs(spec.magnitudes - want)) / scale < 1e-9
@@ -83,34 +81,13 @@ class TestDftMagnitude:
     def test_pure_tone_lands_in_one_bin(self):
         fs, n = 64.0, 256
         t = np.arange(n) / fs
-        sig = SampledSignal(np.sin(2 * np.pi * 8.0 * t), fs)
-        spec = dft_magnitude(sig)
+        spec = dft_magnitude(np.sin(2 * np.pi * 8.0 * t), fs)
         k = int(np.argmax(spec.magnitudes))
         assert k * spec.bin_width_hz == pytest.approx(8.0)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            dft_magnitude(SampledSignal(np.zeros(1), 10.0))
-
-
-class TestSliceWindow:
-    def test_mid_recording_slice(self):
-        # 300 s at 100 Hz; the [60 s, 120 s) minute is 6000 samples
-        # starting at sample 6000
-        sig = SampledSignal(np.arange(30000, dtype=float), 100.0)
-        out = slice_window(sig, 60.0, 60.0)
-        assert len(out.samples) == 6000
-        assert out.samples[0] == 6000.0
-        assert out.start_time_ms == 60000
-
-    def test_out_of_range(self):
-        sig = SampledSignal(np.zeros(30000), 100.0)
-        with pytest.raises(ValueError):
-            slice_window(sig, 250.0, 60.0)
-
-    def test_keeps_kind(self):
-        sig = SampledSignal(np.zeros(1000), 100.0, 0, SignalKind.RESPIRATION)
-        assert slice_window(sig, 1.0, 2.0).kind is SignalKind.RESPIRATION
+            dft_magnitude(np.zeros(1), 10.0)
 
 
 class TestReadSignalCsv:

@@ -171,15 +171,6 @@ class TestStorePersistence:
         assert [r.timestamp_ms for r in store.records("p1")] == [1000, 2000]
         assert [r.timestamp_ms for r in store.log_records("p1")] == [2000, 1000]
 
-    def test_query_filters(self, tmp_path):
-        store = MeasurementStore(str(tmp_path))
-        store.ingest([rec(60.0, 1000), rec(61.0, 2000), rec(70.0, 1500, kind=WT)])
-        assert len(store.records("p1", kind=HR)) == 2
-        assert len(store.records("p1", since_ms=1500)) == 2
-        assert len(store.records("p1", until_ms=1500)) == 2
-        assert store.records("p1", kind=WT, since_ms=0, until_ms=1500)[0].value == 70.0
-        assert store.records("nobody") == []
-
     def test_torn_final_line_dropped(self, tmp_path):
         store = MeasurementStore(str(tmp_path))
         store.ingest([rec(60.0, 1000), rec(61.0, 2000)])
