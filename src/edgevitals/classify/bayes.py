@@ -11,6 +11,7 @@ normalized priors. Classes absent from training get 0 either way.
 """
 
 import math
+from dataclasses import dataclass
 
 from .schema import NUMERIC, ClassLabel, FeatureVector, likeliest_class
 
@@ -19,13 +20,13 @@ __all__ = ["NaiveBayesModel", "train_naive_bayes", "predict_bayes", "VARIANCE_FL
 VARIANCE_FLOOR = 1e-9
 
 
+@dataclass
 class NaiveBayesModel:
-    def __init__(self, schema, priors, numeric_params, categorical_tables):
-        self.schema = tuple(schema)
-        self.priors = dict(priors)                # label -> prior
-        self.numeric_params = numeric_params      # (label, attr_idx) -> (mean, var)
-        self.categorical_tables = categorical_tables
-        # (label, attr_idx) -> {"counts": {value: n}, "total": n, "vocab": V}
+    schema: tuple
+    priors: dict              # label -> prior
+    numeric_params: dict      # (label, attr_idx) -> (mean, var)
+    categorical_tables: dict
+    # (label, attr_idx) -> {"counts": {value: n}, "total": n, "vocab": V}
 
 
 def _square(d):

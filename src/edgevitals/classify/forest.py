@@ -5,28 +5,21 @@ so parallel and serial training build identical models and equal seeds
 serialize byte-identically.
 """
 
+from dataclasses import dataclass
+
 from .schema import ClassLabel, FeatureVector, LabeledDataset, likeliest_class
-from .tree import DecisionTreeModel, predict_tree, train_decision_tree
+from .tree import predict_tree, train_decision_tree
 
 __all__ = ["ForestModel", "train_random_forest", "predict_forest"]
 
 
+@dataclass
 class ForestModel:
-    def __init__(self, schema, trees, seed, attrs_per_split, bootstrap):
-        self.schema = tuple(schema)
-        self.trees = tuple(trees)
-        self.seed = seed
-        self.attrs_per_split = attrs_per_split
-        self.bootstrap = bootstrap
-
-    def __eq__(self, other):
-        return (isinstance(other, ForestModel)
-                and self.schema == other.schema
-                and self.seed == other.seed
-                and self.attrs_per_split == other.attrs_per_split
-                and self.bootstrap == other.bootstrap
-                and len(self.trees) == len(other.trees)
-                and all(a.root == b.root for a, b in zip(self.trees, other.trees)))
+    schema: tuple
+    trees: tuple  # of DecisionTreeModel
+    seed: int
+    attrs_per_split: int
+    bootstrap: bool
 
 
 def train_random_forest(data, n_trees, attrs_per_split, seed,
@@ -61,7 +54,7 @@ def train_random_forest(data, n_trees, attrs_per_split, seed,
 
         trees.append(train_decision_tree(sample, max_depth=max_depth,
                                          min_leaf=min_leaf, _sampler=sampler))
-    return ForestModel(data.schema, trees, seed, attrs_per_split, bootstrap)
+    return ForestModel(data.schema, tuple(trees), seed, attrs_per_split, bootstrap)
 
 
 def predict_forest(model, x):

@@ -177,7 +177,7 @@ def model_from_json(text):
                  "in [1, %d]" % len(schema))
         for t in payload["trees"]:
             _check_tree(t["root"], schema)
-        trees = [DecisionTreeModel(schema, t["root"]) for t in payload["trees"]]
+        trees = tuple(DecisionTreeModel(schema, t["root"]) for t in payload["trees"])
         return ForestModel(schema, trees, payload["seed"],
                            payload["attrs_per_split"], payload["bootstrap"])
     if model_type == "naive_bayes":

@@ -12,22 +12,19 @@ split attribute follow the majority-population child.
 """
 
 import math
+from dataclasses import dataclass
 
-from .schema import CATEGORICAL, NUMERIC, ClassLabel, FeatureVector, likeliest_class
+from .schema import NUMERIC, ClassLabel, FeatureVector, likeliest_class
 
 __all__ = ["DecisionTreeModel", "train_decision_tree", "predict_tree"]
 
 _EPS = 1e-12
 
 
+@dataclass
 class DecisionTreeModel:
-    def __init__(self, schema, root):
-        self.schema = tuple(schema)
-        self.root = root
-
-    def __eq__(self, other):
-        return (isinstance(other, DecisionTreeModel)
-                and self.schema == other.schema and self.root == other.root)
+    schema: tuple
+    root: dict
 
 
 def _entropy(counts):
@@ -94,6 +91,8 @@ def _best_split(schema, rows, labels, min_leaf, allowed):
             values = sorted({v for v, _ in present})
             for lo, hi in zip(values, values[1:]):
                 t = (lo + hi) / 2.0
+                if not math.isfinite(t):  # lo + hi passed the largest float
+                    t = lo / 2.0 + hi / 2.0
                 left = [lab for v, lab in present if v <= t]
                 right = [lab for v, lab in present if v > t]
                 maj = 0 if len(left) >= len(right) else 1

@@ -95,11 +95,11 @@ def _load_manifest(path):
         raise UsageError("manifest %s: patient_id %r may hold only ASCII letters, digits, "
                          "'_' and '-'" % (path, doc["patient_id"]))
     base = os.path.dirname(os.path.abspath(path))
+    # every path key is set from here on: a path, or None when absent or empty
     for key in _FILE_KEYS + ("out_dir", "store_dir"):
-        if doc.get(key):
-            doc[key] = os.path.join(base, doc[key])
+        doc[key] = os.path.join(base, doc[key]) if doc.get(key) else None
     for key in _FILE_KEYS:
-        if doc.get(key):
+        if doc[key]:
             _require_readable(doc[key], key)
     for key, default in (("ecg_rate_hz", 250.0), ("resp_rate_hz", 25.0)):
         rate = doc.get(key, default)
@@ -113,6 +113,8 @@ def _load_manifest(path):
 
 
 def _parse_file(key, path):
+    if path is None:  # a manifest that names no config or model
+        return default_config() if key == "config" else None
     if key == "config":
         return load_config(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -127,14 +129,11 @@ def _parse_file(key, path):
     return model
 
 
-def _config(doc, parsed):
-    return parsed["config", doc["config"]] if doc.get("config") else default_config()
-
-
 def _parse_inputs(manifests):
     """Each distinct config, rules and model file the (path, manifest)
     pairs name, parsed once before any patient runs and keyed by (manifest
-    key, file path). A file that does not parse is a usage error, and so
+    key, file path); the path None stands for the default config, or for
+    no model. A file that does not parse is a usage error, and so
     are a model trained on another attribute schema and a high-pass cutoff
     at or above the Nyquist frequency of an ECG that a linear baseline
     removal would filter. Patients share the parsed objects; run_patient
@@ -142,8 +141,8 @@ def _parse_inputs(manifests):
     parsed = {}
     for manifest, doc in manifests:
         for key in ("config", "rules", "model"):
-            path = doc.get(key)
-            if not path or (key, path) in parsed:
+            path = doc[key]
+            if (key, path) in parsed:
                 continue
             try:
                 parsed[key, path] = _parse_file(key, path)
@@ -151,26 +150,26 @@ def _parse_inputs(manifests):
                     SchemaMismatchError) as exc:
                 raise UsageError("manifest %s: %s %s does not parse: %s" % (
                     manifest, key, path, exc)) from None
-        if not doc.get("ecg"):
+        if not doc["ecg"]:
             continue
-        pre, nyquist = _config(doc, parsed)["preprocess"], doc["ecg_rate_hz"] / 2
+        pre, nyquist = parsed["config", doc["config"]]["preprocess"], doc["ecg_rate_hz"] / 2
         if pre["baseline_method"] == "linear" and not pre["highpass_cutoff_hz"] < nyquist:
             raise UsageError(
                 "manifest %s: highpass_cutoff_hz %r in config %s must lie below %r Hz, "
                 "the Nyquist frequency of ecg_rate_hz %r" % (
-                    manifest, pre["highpass_cutoff_hz"], doc.get("config") or "<default>",
+                    manifest, pre["highpass_cutoff_hz"], doc["config"] or "<default>",
                     nyquist, doc["ecg_rate_hz"]))
     return parsed
 
 
 def _run_one(doc, parsed, now_ms):
-    store_dir = doc.get("store_dir") or os.path.join(doc["out_dir"], "store")
+    store_dir = doc["store_dir"] or os.path.join(doc["out_dir"], "store")
     store = MeasurementStore(store_dir)
     return run_patient(
-        doc["patient_id"], store, _config(doc, parsed), parsed["rules", doc["rules"]], now_ms,
-        doc["out_dir"], ecg_csv=doc.get("ecg"), ecg_rate_hz=doc["ecg_rate_hz"],
-        resp_csv=doc.get("respiration"), resp_rate_hz=doc["resp_rate_hz"],
-        measurements_csv=doc.get("measurements"), model=parsed.get(("model", doc.get("model"))))
+        doc["patient_id"], store, parsed["config", doc["config"]], parsed["rules", doc["rules"]],
+        now_ms, doc["out_dir"], ecg_csv=doc["ecg"], ecg_rate_hz=doc["ecg_rate_hz"],
+        resp_csv=doc["respiration"], resp_rate_hz=doc["resp_rate_hz"],
+        measurements_csv=doc["measurements"], model=parsed["model", doc["model"]])
 
 
 def _summarise(doc, parsed, now_ms):
@@ -184,7 +183,7 @@ def _summarise(doc, parsed, now_ms):
     alarm = any(a.severity is Severity.ALARM for a in res.alerts)
     return alarm, False, "%s alerts=%d alarm=%s decision=%s%s" % (
         pid, len(res.alerts), "yes" if alarm else "no", res.decision.value,
-        " flagged-qrs-disagreement" if res.qrs_flagged else "")
+        " flagged-qrs-disagreement" if res.report.get("qrs_flagged") else "")
 
 
 def _summarise_all(manifests, parsed, now_ms):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .classify.schema import patient_schema
 from .classify.weighted import WeightedIndexModel
 from .messaging import DailySchedule
+from .rules import DiseaseScope
 
 __all__ = ["PipelineConfig", "default_config", "load_config", "config_from_dict"]
 
@@ -85,16 +86,13 @@ class PipelineConfig:
     """The merged document, and the objects `config_from_dict` built from
     it while checking it."""
     raw: dict
+    disease: DiseaseScope | None  # None: rules of every scope apply
     schedule: DailySchedule
     stress_index: WeightedIndexModel
     lifestyle_index: WeightedIndexModel
 
     def __getitem__(self, key):
         return self.raw[key]
-
-    @property
-    def disease(self):
-        return self.raw["disease"]
 
 
 # the types a setting accepts, by the type of its default: a float setting
@@ -178,6 +176,7 @@ def config_from_dict(doc):
     merged = _merge(_DEFAULTS, doc, "")
     if merged["disease"] not in (None, "COPD", "CKD"):
         raise ValueError("disease must be COPD, CKD or null")
+    disease = None if merged["disease"] is None else DiseaseScope(merged["disease"])
     schedule = DailySchedule(merged["schedule"]["send_time"])
     schedule.offset_ms()  # validates send_time
     stress, lifestyle = (WeightedIndexModel(merged[k]["weights"], merged[k]["threshold"])
@@ -189,7 +188,7 @@ def config_from_dict(doc):
     if merged["qrs"]["detector"] not in ("pan_tompkins", "wavelet"):
         raise ValueError("detector must be pan_tompkins or wavelet")
     _check_ranges(merged)
-    return PipelineConfig(merged, schedule, stress, lifestyle)
+    return PipelineConfig(merged, disease, schedule, stress, lifestyle)
 
 
 def default_config():

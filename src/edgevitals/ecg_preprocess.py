@@ -37,9 +37,6 @@ DB4_REC_HI = DB4_DEC_LO * np.array([1.0, -1.0] * 4)
 DB4_DEC_HI = DB4_REC_HI[::-1].copy()
 
 _TAPS = 8
-# analysis kernels consume the reversed decomposition filters
-_DEC_LO_R = DB4_DEC_LO[::-1].copy()
-_DEC_HI_R = DB4_DEC_HI[::-1].copy()
 
 # the PQ knot search window, in ms before each R peak
 PQ_WINDOW_START_MS = 200.0
@@ -54,7 +51,6 @@ class WaveletDecomposition:
 
     approximation: np.ndarray
     details: tuple
-    levels: int
     level_input_lengths: tuple
 
 
@@ -122,10 +118,12 @@ def remove_baseline_poly(signal, knots):
 
 def _dwt_step(x):
     # out[k] = sum_m ext[2k+1+m] * fr[m], the odd outputs of a correlation,
-    # copied so that no full-length correlation outlives the step
+    # copied so that no full-length correlation outlives the step. Analysis
+    # convolves with the decomposition filters, so it correlates with them
+    # reversed, and those are the reconstruction filters.
     ext = np.pad(x, (_TAPS - 1, _TAPS - 1), mode="symmetric")
-    return (np.correlate(ext, _DEC_LO_R, "valid")[1::2].copy(),
-            np.correlate(ext, _DEC_HI_R, "valid")[1::2].copy())
+    return (np.correlate(ext, DB4_REC_LO, "valid")[1::2].copy(),
+            np.correlate(ext, DB4_REC_HI, "valid")[1::2].copy())
 
 
 def _idwt_step(a, d, out_len):
@@ -156,14 +154,13 @@ def dwt_db4(samples, levels):
     return WaveletDecomposition(
         approximation=a,
         details=tuple(details),
-        levels=levels,
         level_input_lengths=tuple(input_lengths),
     )
 
 
 def idwt_db4(decomposition):
     a = decomposition.approximation
-    for level in range(decomposition.levels - 1, -1, -1):
+    for level in range(len(decomposition.details) - 1, -1, -1):
         a = _idwt_step(
             a,
             decomposition.details[level],

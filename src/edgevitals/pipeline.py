@@ -37,7 +37,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classify.metrics import predict_any
 from .classify.schema import CATEGORICAL, RECORDING_FEATURES, FeatureVector, patient_schema
@@ -53,7 +53,6 @@ from .messaging import (
 from .rules import (
     AcquisitionMode,
     Alert,
-    DiseaseScope,
     MeasurementKind,
     MeasurementRecord,
     Severity,
@@ -69,15 +68,12 @@ __all__ = ["PipelineResult", "run_patient", "read_measurements_csv"]
 @dataclass
 class PipelineResult:
     patient_id: str
-    alerts: list = field(default_factory=list)
-    report: dict = field(default_factory=dict)
-    features: dict = field(default_factory=dict)
-    qrs_disagreement_pct: float = 0.0
-    qrs_flagged: bool = False
-    decision: TransmissionDecision = TransmissionDecision.HOLD
-    message_xml: str = ""
-    artifacts: list = field(default_factory=list)
-    prediction: str = ""
+    alerts: list
+    report: dict
+    features: dict
+    decision: TransmissionDecision
+    message_xml: str
+    artifacts: list
 
 
 def read_measurements_csv(path, patient_id):
@@ -248,7 +244,6 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
                 ecg_csv=None, ecg_rate_hz=250.0,
                 resp_csv=None, resp_rate_hz=25.0,
                 measurements_csv=None, model=None):
-    result = PipelineResult(patient_id=patient_id)
     features = {}
     beats_csv = None
 
@@ -270,8 +265,6 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
 
             beats_csv, disagreement, ecg_end_ms = signal_features.ecg_features(
                 read_ecg, ecg_rate_hz, cfg, features)
-            result.qrs_disagreement_pct = disagreement
-            result.qrs_flagged = disagreement > cfg["qrs"]["cross_check_pct"]
     if resp_csv:
         resp_end_ms = signal_features.resp_features(resp_csv, resp_rate_hz, cfg, features)
 
@@ -280,14 +273,13 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
     rejected = [{"line": row["line"], "reason": reason}
                 for row, reason in store.ingest(rows).rejections]
 
-    disease = None if cfg.disease is None else DiseaseScope(cfg.disease)
     by_kind, by_name = history_view(store.log_records(patient_id), patient_id, now_ms)
     stress_index, stress_alert = _index_alert(
         "stress-index", cfg.stress_index, by_name, patient_id, now_ms)
     lifestyle_index, lifestyle_alert = _index_alert(
         "lifestyle-index", cfg.lifestyle_index, by_name, patient_id, now_ms)
     alerts, report = evaluate_with_report(
-        ruleset, by_kind, patient_id, now_ms, disease,
+        ruleset, by_kind, patient_id, now_ms, cfg.disease,
         extra_alerts=[a for a in (stress_alert, lifestyle_alert) if a is not None])
     if rejected:
         report["rejected_rows"] = rejected
@@ -296,27 +288,23 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
     if lifestyle_index is not None:
         report["lifestyle_index"] = round(lifestyle_index, 6)
     if beats_csv is not None:
-        report["qrs_disagreement_pct"] = round(result.qrs_disagreement_pct, 3)
-        report["qrs_flagged"] = result.qrs_flagged
-    result.alerts = alerts
-    result.report = report
-    result.features = features
+        report["qrs_disagreement_pct"] = round(disagreement, 3)
+        report["qrs_flagged"] = disagreement > cfg["qrs"]["cross_check_pct"]
 
     if model is not None:
         fv = _feature_vector(features, by_kind, by_name)
         label, dist = predict_any(model, fv)
-        result.prediction = label.name
         report["prediction"] = label.name
         report["prediction_distribution"] = [round(p, 6) for p in dist]
 
     decision = decide_transmission(alerts, cfg.schedule, now_ms,
                                    store.last_scheduled_send(patient_id))
-    result.decision = decision
+    message_xml = ""
     if decision is not TransmissionDecision.HOLD:
         pending = store.untransmitted(patient_id)
         feature_pairs = tuple(sorted(features.items()))
-        if result.prediction:
-            feature_pairs += (("predicted_severity", result.prediction),)
+        if model is not None:
+            feature_pairs += (("predicted_severity", report["prediction"]),)
         message = OutboundMessage(
             patient_id=patient_id,
             created_at_ms=int(now_ms),
@@ -325,7 +313,7 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
             features=feature_pairs,
             measurements=tuple(pending),
         )
-        result.message_xml = build_message_xml(message)
+        message_xml = build_message_xml(message)
 
     pdir = os.path.join(out_dir, patient_id)
     os.makedirs(pdir, exist_ok=True)
@@ -333,20 +321,21 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
              ("features.csv", _features_csv(features))]
     if beats_csv is not None:
         texts.append(("beats.csv", beats_csv))
+    artifacts = []
     for name, text in texts:
         path = os.path.join(pdir, name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        result.artifacts.append(path)
-    if result.message_xml:
+        artifacts.append(path)
+    if message_xml:
         path = os.path.join(pdir, "message.xml")
-        write_atomic(path, result.message_xml)
-        result.artifacts.append(path)
+        write_atomic(path, message_xml)
+        artifacts.append(path)
     # the last write: records count as sent only once their message is on disk
     if decision is not TransmissionDecision.HOLD:
         scheduled = decision is TransmissionDecision.SCHEDULED
         store.mark_transmitted(patient_id, len(pending), now_ms if scheduled else None)
-    return result
+    return PipelineResult(patient_id, alerts, report, features, decision, message_xml, artifacts)
 
 
 def _features_csv(features):

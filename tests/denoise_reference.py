@@ -22,7 +22,7 @@ def idwt_step(a, d, out_len):
 
 def idwt_db4(decomposition):
     a = decomposition.approximation
-    for level in range(decomposition.levels - 1, -1, -1):
+    for level in range(len(decomposition.details) - 1, -1, -1):
         a = idwt_step(
             a,
             decomposition.details[level],

@@ -97,8 +97,8 @@ class TestPrediction:
         leaf_s = {"kind": "leaf", "n": 1, "distribution": [1.0, 0.0, 0.0]}
         leaf_w = {"kind": "leaf", "n": 1, "distribution": [0.0, 0.0, 1.0]}
         forest = ForestModel(schema,
-                             [DecisionTreeModel(schema, leaf_s),
-                              DecisionTreeModel(schema, leaf_w)],
+                             (DecisionTreeModel(schema, leaf_s),
+                              DecisionTreeModel(schema, leaf_w)),
                              seed=0, attrs_per_split=1, bootstrap=False)
         label, dist = predict_forest(forest, FeatureVector(schema, (0.0,)))
         assert label is S

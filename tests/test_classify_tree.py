@@ -11,6 +11,7 @@ from edgevitals.classify.schema import (
     FeatureVector,
     LabeledDataset,
 )
+from edgevitals.classify.serialize import model_from_json, model_to_json
 from edgevitals.classify.tree import _entropy, _split_quality, predict_tree, train_decision_tree
 
 S = ClassLabel.STABLE
@@ -78,6 +79,18 @@ class TestTraining:
         assert predict_tree(model, FeatureVector(model.schema, (8.0,)))[0] is W
         # boundary goes left
         assert predict_tree(model, FeatureVector(model.schema, (5.0,)))[0] is S
+
+    @pytest.mark.parametrize("lo, hi", [(1e308, 1.5e308), (-1.5e308, -1e308)])
+    def test_split_between_values_whose_sum_overflows(self, lo, hi):
+        data = dataset(num_schema(1), [(lo,), (hi,)], [S, W])
+        model = train_decision_tree(data)
+        assert model.root["kind"] == "split"
+        assert lo < model.root["threshold"] < hi
+        loaded = model_from_json(model_to_json(model))
+        assert loaded == model
+        for m in (model, loaded):
+            assert predict_tree(m, FeatureVector(m.schema, (lo,)))[0] is S
+            assert predict_tree(m, FeatureVector(m.schema, (hi,)))[0] is W
 
     def test_tie_breaks_to_lowest_attribute_index(self):
         # second attribute duplicates the first, so both splits score the same

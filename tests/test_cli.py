@@ -141,6 +141,22 @@ class TestRun:
             fb = tmp_path / "out-pat-rep-b" / "pat-rep" / name
             assert fa.read_bytes() == fb.read_bytes()
 
+    def test_summary_flags_only_the_qrs_disagreement_past_the_bound(self, tmp_path, capsys):
+        # QRS widths of 1-2 ms reject every annotated beat, so the detectors
+        # disagree on all of them; the default widths agree on the same ECG
+        within = ecg_manifest(tmp_path, "pat-agree", bpm=70)
+        past = ecg_manifest(tmp_path, "pat-differ", bpm=70)
+        narrow = tmp_path / "narrow-qrs.json"
+        narrow.write_text(json.dumps({"qrs": {"qrs_min_ms": 1.0, "qrs_max_ms": 2.0}}))
+        doc = json.loads(Path(past).read_text())
+        doc["config"] = narrow.name
+        Path(past).write_text(json.dumps(doc))
+        assert main(["run", within, past, "--now", NOW]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "pat-agree alerts=0 alarm=no decision=SCHEDULED",
+            "pat-differ alerts=0 alarm=no decision=SCHEDULED flagged-qrs-disagreement",
+        ]
+
     def test_jobs_outputs_sorted_by_patient(self, tmp_path, capsys):
         m_b = ecg_manifest(tmp_path, "pat-b", bpm=70)
         m_a = ecg_manifest(tmp_path, "pat-a", bpm=70)
@@ -393,6 +409,22 @@ class TestRunBatch:
                 assert parsed.raw == fresh.raw
             else:
                 assert parsed == fresh
+
+    def test_manifests_without_a_config_share_one_default(self, tmp_path, capsys,
+                                                          monkeypatch):
+        calls = []
+        real = cli.default_config
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "default_config", counting)
+        manifests = [shared_store_manifest(tmp_path, pid, HEALTHY_CSV) for pid in ("p-a", "p-b")]
+        manifests.append(ecg_manifest(tmp_path, "p-c", bpm=70))
+        assert main(["run", *manifests, "--now", NOW]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):

@@ -24,6 +24,7 @@ from edgevitals.messaging import TransmissionDecision, parse_message_xml
 from edgevitals.pipeline import run_patient, read_measurements_csv
 from edgevitals.rules import (
     AcquisitionMode,
+    DiseaseScope,
     MeasurementKind,
     Severity,
     parse_rules,
@@ -76,8 +77,8 @@ class TestConfig:
             config_from_dict({"config_version": 2})
 
     def test_disease_values(self):
-        assert config_from_dict({"disease": "COPD"}).disease == "COPD"
-        assert config_from_dict({"disease": "CKD"}).disease == "CKD"
+        assert config_from_dict({"disease": "COPD"}).disease is DiseaseScope.COPD
+        assert config_from_dict({"disease": "CKD"}).disease is DiseaseScope.CKD
         with pytest.raises(ValueError):
             config_from_dict({"disease": "ASTHMA"})
 
@@ -168,7 +169,7 @@ class TestConfig:
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"disease": "COPD"}))
-        assert load_config(str(path)).disease == "COPD"
+        assert load_config(str(path)).disease is DiseaseScope.COPD
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         with pytest.raises(ValueError):
@@ -260,7 +261,7 @@ class TestPipelineEcg:
         assert result.alerts == []
         assert result.decision is TransmissionDecision.SCHEDULED
         assert parse_message_xml(result.message_xml).urgency.value == "SCHEDULED"
-        assert not result.qrs_flagged
+        assert result.report["qrs_flagged"] is False
 
     def test_artifacts_written(self, tmp_path):
         result, _ = run_ecg_patient(tmp_path, bpm=125)
@@ -309,7 +310,6 @@ class TestPipelineEcg:
 
     def test_prediction_included_when_model_given(self, tmp_path):
         result, _ = run_ecg_patient(tmp_path, bpm=125, model=hr_model())
-        assert result.prediction == "WORSENING"
         assert result.report["prediction"] == "WORSENING"
         msg = parse_message_xml(result.message_xml)
         assert ("predicted_severity", "WORSENING") in msg.features
@@ -386,7 +386,7 @@ class TestPipelineSinglePass:
             tmp_path, bpm=125, model=hr_model(),
             extra_measurements="BODY_WEIGHT,70.0,1000,NOSILENT,\n"
                                "QUESTIONNAIRE_ITEM,1.0,1000,NOSILENT,questionnaire_01\n")
-        assert result.prediction == "WORSENING"
+        assert result.report["prediction"] == "WORSENING"
         assert [a.rule_id for a in result.alerts] == ["hr-high", "stress-index"]
         assert views == [("p1", 60000)]
 

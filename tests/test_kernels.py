@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from edgevitals.ecg_preprocess import (
     DB4_REC_HI,
     DB4_REC_LO,
-    _DEC_HI_R,
-    _DEC_LO_R,
     _dwt_step,
     _idwt_step,
     denoise_samples,
@@ -66,8 +64,8 @@ def explicit_synthesis(a, d, out_len):
 def test_down_convolve_bitwise_equals_explicit_sum(n, seed):
     x = np.random.default_rng(seed).normal(size=n)
     lo, hi = _dwt_step(x)
-    assert np.array_equal(lo, explicit_analysis(x, _DEC_LO_R))
-    assert np.array_equal(hi, explicit_analysis(x, _DEC_HI_R))
+    assert np.array_equal(lo, explicit_analysis(x, DB4_REC_LO))
+    assert np.array_equal(hi, explicit_analysis(x, DB4_REC_HI))
 
 
 def test_down_convolve_length_matches_halfband():
@@ -131,8 +129,8 @@ def test_dwt_db4_matches_explicit_sum():
     a = x
     for level in range(3):
         assert dec.level_input_lengths[level] == len(a)
-        assert np.array_equal(dec.details[level], explicit_analysis(a, _DEC_HI_R))
-        a = explicit_analysis(a, _DEC_LO_R)
+        assert np.array_equal(dec.details[level], explicit_analysis(a, DB4_REC_HI))
+        a = explicit_analysis(a, DB4_REC_LO)
     assert np.array_equal(dec.approximation, a)
     assert dec.level_input_lengths[0] == 777
 

@@ -117,6 +117,7 @@ def drawn_models(data, n_trees, attrs_per_split, seed, bootstrap):
 def assert_round_trips(model, queries):
     text = model_to_json(model)
     loaded = model_from_json(text)
+    assert loaded == model
     assert model_to_json(loaded) == text
     for q in queries:
         assert predict_any(loaded, q) == predict_any(model, q)
