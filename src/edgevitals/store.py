@@ -35,19 +35,20 @@ class IngestResult:
 def _record_to_line(rec):
     doc = {
         "patient": rec.patient_id,
-        "kind": rec.kind.value,
+        "kind": rec.kind._value_,
         "value": rec.value,
         "ts": rec.timestamp_ms,
-        "mode": rec.mode.value,
+        "mode": rec.mode._value_,
     }
     if rec.name:
         doc["name"] = rec.name
-    return json.dumps(doc, separators=(",", ":"), sort_keys=False)
+    return _encode(doc)
 
 
 _KIND_BY_VALUE = {k.value: k for k in MeasurementKind}
 _MODE_BY_VALUE = {m.value: m for m in AcquisitionMode}
 _decode = json.JSONDecoder().raw_decode
+_encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
 
 
 def _record_from_line(line, patient_id):
@@ -91,7 +92,6 @@ class MeasurementStore:
         self.root = root_dir
         os.makedirs(root_dir, exist_ok=True)
         self._log = {}      # patient -> list of records in append order, once loaded
-        self._keys = {}     # patient -> set of record keys
         self._repair = {}   # patient -> (byte offset, prefix) to fix a torn tail on append
         self._cursors = {}  # patient -> (sent, last_scheduled_ms), once loaded
 
@@ -111,7 +111,6 @@ class MeasurementStore:
     def _load_patient(self, patient_id):
         path = self._path(patient_id)
         records = []
-        keys = set()
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -136,12 +135,10 @@ class MeasurementStore:
                 self._repair[patient_id] = (data.rfind(b"\n") + 1, "")
                 break
             records.append(rec)
-            keys.add(rec.key())
         else:
             if not terminated:
                 self._repair[patient_id] = (len(data), "\n")
         self._log[patient_id] = records
-        self._keys[patient_id] = keys
 
     def patients(self):
         on_disk = {f[:-len(".jsonl")] for f in os.listdir(self.root) if f.endswith(".jsonl")}
@@ -151,7 +148,9 @@ class MeasurementStore:
         """Appends new records; duplicates are dropped, bad records are
         rejected with a reason and the batch continues, and so is each
         record whose patient id is not filesystem-safe. Each patient's new
-        records are written with one append."""
+        records are written with one append. A stored duplicate has its batch
+        record's timestamp, so each call keys only the stored records at a
+        batch timestamp, in one pass over the patient's log."""
         result = IngestResult()
         fresh = {}  # patient -> {key: record} new in this batch, in batch order
         unsafe = set()  # ids in this batch that name no file; each checked once
@@ -171,14 +170,15 @@ class MeasurementStore:
                     continue
                 self._patient_log(rec.patient_id)
                 fresh[rec.patient_id] = {}
-            key = rec.key()
-            if key not in self._keys[rec.patient_id]:
-                fresh[rec.patient_id].setdefault(key, rec)
+            fresh[rec.patient_id].setdefault(rec.key(), rec)
         for patient_id, new in fresh.items():
+            times = {rec.timestamp_ms for rec in new.values()}
+            for rec in self._log[patient_id]:
+                if rec.timestamp_ms in times:
+                    new.pop(rec.key(), None)
             if new:
                 self._append(patient_id, new.values())
                 self._log[patient_id].extend(new.values())
-                self._keys[patient_id].update(new)
                 result.appended += len(new)
         return result
 
@@ -194,7 +194,7 @@ class MeasurementStore:
         except BaseException:
             # the file may hold part of the batch; reload it on next use so
             # memory holds exactly what is on disk
-            del self._log[patient_id], self._keys[patient_id]
+            del self._log[patient_id]
             raise
 
     def records(self, patient_id):

@@ -1,12 +1,15 @@
-"""Memory of the ECG path, in bytes per input sample, under tracemalloc.
+"""Memory under tracemalloc: of the ECG path, in bytes per input sample,
+and of the measurement store, in bytes per loaded record.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a
 call, less what was allocated before it, counts every array the call holds
 at once, its result included. A float64 array the length of the record is
-8 B per sample. Each call is measured after a warm-up call, so imports and
-first-call caches do not count.
+8 B per sample. The store is measured by what it still holds after the
+call, not by its peak. Each call is measured after a warm-up call, so
+imports and first-call caches do not count.
 """
 
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -16,7 +19,7 @@ from edgevitals import pipeline, signal_features
 from edgevitals.config import default_config
 from edgevitals.ecg_preprocess import wavelet_denoise
 from edgevitals.qrs_detect import pan_tompkins
-from edgevitals.rules import parse_rules
+from edgevitals.rules import MeasurementKind, MeasurementRecord, parse_rules
 from edgevitals.signal_core import SignalKind, read_signal_csv
 from edgevitals.store import MeasurementStore
 
@@ -90,3 +93,25 @@ def test_run_patient_drops_raw_and_cleaned_samples_before_pan_tompkins(record, t
     assert (alive_at_detection[-1] - base) / n < 16.0
     # the whole run, its ECG branch included, stays under seven record copies
     assert peak / n < 56.0
+
+
+def test_store_holds_a_loaded_log_once(tmp_path):
+    # a record with its own float and int is about 145 B on CPython 3.11;
+    # a key tuple per record in a set, as the store once kept, made it 320 B
+    n, t0 = 20_000, 1_720_000_000_000
+    log = [MeasurementRecord("p1", MeasurementKind.HEART_RATE, 60.0 + i % 40, t0 + 60_000 * i)
+           for i in range(n)]
+    MeasurementStore(str(tmp_path)).ingest(log + [MeasurementRecord(
+        "warm-up", MeasurementKind.SPO2, 97.0, t0)])
+    row = MeasurementRecord("p1", MeasurementKind.SPO2, 97.0, t0 + 60_000 * n)
+    MeasurementStore(str(tmp_path)).ingest([dataclasses.replace(row, patient_id="warm-up")])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        store = MeasurementStore(str(tmp_path))
+        assert store.ingest([row]).appended == 1
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(store.log_records("p1")) == n + 1
+    assert held / n < 200.0

@@ -1,9 +1,10 @@
 """The per-record codecs against their oracle (tests/messaging_reference.py):
-the outbound `<measurement>`/`<evidence>` element and the store's log line
-parser. Property tests draw every kind and mode, names from the whole XML
-1.0 character range (markup characters, tab, CR and LF included) and
-values at the edges of the float range."""
+the outbound `<measurement>`/`<evidence>` element, the store's log line
+writer and parser, and its ingest dedupe. Property tests draw every kind
+and mode, names from the whole XML 1.0 character range (markup characters,
+tab, CR and LF included) and values at the edges of the float range."""
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -31,7 +32,13 @@ from edgevitals.rules import (
 )
 from edgevitals import store as store_module
 from edgevitals.store import MeasurementStore, _record_to_line
-from messaging_reference import _record_from_doc, load_log, record_xml
+from messaging_reference import (
+    _record_from_doc,
+    ingest_with_key_set,
+    load_log,
+    record_line,
+    record_xml,
+)
 
 XML_CHARS = st.one_of(
     st.sampled_from("&<>\"'\t\r\n"),
@@ -197,6 +204,95 @@ class TestStoreRoundTrip:
         # per patient, not per record: the ingest check, the load and the append
         assert checked.count("../p1") == checked.count("a/b") == 1
         assert checked.count("p1") == checked.count("p-2") == 3
+
+
+class TestRecordLine:
+    @settings(max_examples=400, deadline=None)
+    @given(st.builds(
+        MeasurementRecord, st.sampled_from(["p1", "p-2", "A_9"]), st.sampled_from(MeasurementKind),
+        st.one_of(VALUES, st.sampled_from([-0.0, 1e16, -1e16, 5e-324, 1e-7, 2**53 + 1])),
+        TIMESTAMPS, st.sampled_from(AcquisitionMode),
+        st.text(st.one_of(st.sampled_from('"\\/\u00e9\u2028\U0001f600'), XML_CHARS),
+                max_size=12)))
+    @example(MeasurementRecord("p1", MeasurementKind.FEATURE, -0.0, 0, name='"\\\u00e9'))
+    @example(MeasurementRecord("p1", MeasurementKind.SPO2, 1e16, -1, AcquisitionMode.SILENT))
+    @example(MeasurementRecord("p1", MeasurementKind.HEART_RATE, 5e-324, 2**53, name="\U0001f600"))
+    def test_bytes_match_json_dumps(self, rec):
+        assert _record_to_line(rec).encode("utf-8") == record_line(rec).encode("utf-8")
+
+
+HR, SPO2 = MeasurementKind.HEART_RATE, MeasurementKind.SPO2
+# few values per field, so drawn records often share a timestamp and most of a key
+CLOSE_RECORDS = st.builds(MeasurementRecord, st.sampled_from(["p1", "p2"]),
+                          st.sampled_from([HR, SPO2]), st.sampled_from([0.0, -0.0, 1.0]),
+                          st.integers(0, 2), st.sampled_from(AcquisitionMode),
+                          st.sampled_from(["", "a"]))
+
+
+def as_row(rec):
+    return {"patient_id": rec.patient_id, "kind": rec.kind.value, "value": rec.value,
+            "timestamp_ms": rec.timestamp_ms, "mode": rec.mode.value, "name": rec.name}
+
+
+BATCH_ITEMS = st.one_of(
+    CLOSE_RECORDS, CLOSE_RECORDS.map(as_row),
+    CLOSE_RECORDS.map(lambda r: dict(as_row(r), value=float("nan"))),
+    CLOSE_RECORDS.map(lambda r: dict(as_row(r), kind="NOPE")),
+    CLOSE_RECORDS.map(lambda r: dataclasses.replace(r, patient_id="../p1")),
+    CLOSE_RECORDS.map(lambda r: dict(as_row(r), patient_id="a b")))
+# a stored record with one field changed, at its timestamp: another key for
+# kind and name; the same key for 0.0 against -0.0 (they compare equal) and
+# for mode, which the key leaves out
+OTHER = {HR: SPO2, SPO2: HR, "": "a", "a": "",
+         AcquisitionMode.SILENT: AcquisitionMode.NOSILENT,
+         AcquisitionMode.NOSILENT: AcquisitionMode.SILENT}
+NEAR = {
+    "kind": lambda r: dataclasses.replace(r, kind=OTHER[r.kind]),
+    "name": lambda r: dataclasses.replace(r, name=OTHER[r.name]),
+    "value": lambda r: dataclasses.replace(r, value=-r.value if r.value == 0 else 0.0),
+    "mode": lambda r: dataclasses.replace(r, mode=OTHER[r.mode]),
+}
+
+
+@st.composite
+def stored_and_batch(draw):
+    """Stored logs of p1 and p2 and a batch for both, with records one field
+    off a stored one and records repeated within the batch."""
+    stored = draw(st.lists(CLOSE_RECORDS, max_size=10, unique_by=lambda r: r.key()))
+    batch = draw(st.lists(BATCH_ITEMS, max_size=10))
+    near = [NEAR[draw(st.sampled_from(sorted(NEAR)))](rec)
+            for rec in (draw(st.lists(st.sampled_from(stored), max_size=4)) if stored else ())]
+    repeats = draw(st.lists(st.sampled_from(batch), max_size=3)) if batch else []
+    for item in near + repeats:
+        batch.insert(draw(st.integers(0, len(batch))), item)
+    return stored, batch
+
+
+def log_bytes(log):
+    return "".join(record_line(rec) + "\n" for rec in log).encode("utf-8")
+
+
+class TestIngestDedupe:
+    @settings(max_examples=300, deadline=None)
+    @given(stored_and_batch())
+    def test_matches_a_store_that_keeps_every_key(self, drawn):
+        stored, batch = drawn
+        logs = {}
+        for rec in stored:
+            logs.setdefault(rec.patient_id, []).append(rec)
+        appended, rejections, after = ingest_with_key_set(logs, batch)
+        with tempfile.TemporaryDirectory() as root:
+            for pid, log in logs.items():
+                with open(os.path.join(root, pid + ".jsonl"), "wb") as fh:
+                    fh.write(log_bytes(log))
+            store = MeasurementStore(root)
+            result = store.ingest(batch)
+            in_memory = {pid: log_bytes(store.log_records(pid)) for pid in ("p1", "p2")}
+            on_disk = files(root)
+        assert result.appended == appended
+        assert result.rejections == rejections
+        assert in_memory == {pid: log_bytes(after.get(pid, [])) for pid in ("p1", "p2")}
+        assert on_disk == {pid + ".jsonl": log_bytes(log) for pid, log in after.items() if log}
 
 
 JSON_VALUES = st.recursive(

@@ -275,6 +275,17 @@ class TestStorePersistence:
         assert [r.value for r in MeasurementStore(str(tmp_path)).log_records("p1")] == [
             60.0, 61.0, 62.0]
 
+    def test_corrupt_log_of_a_later_batch_patient_fails_before_any_append(self, tmp_path):
+        MeasurementStore(str(tmp_path)).ingest([rec(60.0, 1000), rec(70.0, 1000, patient="p2")])
+        p1, p2 = tmp_path / "p1.jsonl", tmp_path / "p2.jsonl"
+        p2.write_bytes(b"garbage not json\n" + p2.read_bytes())
+        before = p1.read_bytes()
+        store = MeasurementStore(str(tmp_path))
+        with pytest.raises(IntegrityError, match=r"p2\.jsonl line 1"):
+            store.ingest([rec(61.0, 2000), rec(60.0, 1000), rec(71.0, 2000, patient="p2")])
+        assert p1.read_bytes() == before
+        assert store.log_records("p1") == [rec(60.0, 1000)]
+
     def test_midfile_corruption_is_integrity_error(self, tmp_path):
         store = MeasurementStore(str(tmp_path))
         store.ingest([rec(60.0, 1000), rec(61.0, 2000)])
