@@ -6,7 +6,7 @@ weighted indices. Device path: measurement store, transmission policy,
 canonical outbound XML, batch CLI.
 
 Each public name is imported from the module that defines it, for example
-`edgevitals.pipeline.run_patient` or `edgevitals.rules.explain`; importing
+`edgevitals.pipeline.run_patient` or `edgevitals.rules.parse_rules`; importing
 the package itself loads no submodule.
 """
 

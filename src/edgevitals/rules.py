@@ -19,10 +19,9 @@ import math
 import operator
 import re
 import xml.etree.ElementTree as ET
-from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .errors import IntegrityError, RuleParseError, RuleSemanticError
+from .errors import RuleParseError, RuleSemanticError
 
 __all__ = [
     "MeasurementKind",
@@ -40,7 +39,6 @@ __all__ = [
     "evaluate_with_report",
     "evaluation_report",
     "report_to_json_line",
-    "explain",
 ]
 
 
@@ -137,7 +135,6 @@ _OPS = {
     "ge": operator.ge,
     "eq": operator.eq,
 }
-_OP_SYMBOL = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "="}
 
 
 @dataclass(frozen=True)
@@ -171,10 +168,8 @@ _PREDICATES = {
 }
 _POSITIVE = {"window_hours", "duration_minutes"}
 
-# <and>, <or> and <not>: each verdict from the children's verdicts, and
-# how explain() introduces the children
+# <and>, <or> and <not>: each verdict from the children's verdicts
 _LOGIC = {"and": all, "or": any, "not": lambda verdicts: not verdicts[0]}
-_LOGIC_LABEL = {"and": "all of", "or": "any of", "not": "not"}
 
 
 @dataclass(frozen=True)
@@ -258,9 +253,12 @@ def _parse_condition(elem, kinds):
     if tag in ("and", "or") and len(elem) < 2:
         raise RuleSemanticError("<%s> needs at least 2 children" % tag)
     if tag in _LOGIC:
+        _check_attrs(elem, ())
         return Logic(tag, tuple(_parse_condition(c, kinds) for c in elem))
     if tag not in _PREDICATES:
         raise RuleSemanticError("unknown condition element <%s>" % tag)
+    if len(elem):
+        raise RuleSemanticError("<%s> takes no child elements" % tag)
     node, numbers = _PREDICATES[tag]
     _check_attrs(elem, {"kind", "op", *numbers})
     cond = node(_member(MeasurementKind, _attr(elem, "kind"), "measurement kind"),
@@ -289,6 +287,8 @@ def parse_rules(xml_text):
             raise RuleSemanticError("unexpected element <%s> under <rules>" % child.tag)
         _check_attrs(child, {"id", "scope", "severity", "message"})
         rule_id = _attr(child, "id")
+        if not rule_id:
+            raise RuleSemanticError("rule id must not be empty")
         if rule_id in seen_ids:
             raise RuleSemanticError("duplicate rule id %r" % rule_id)
         seen_ids.add(rule_id)
@@ -310,42 +310,33 @@ def parse_rules(xml_text):
     return RuleSet(rules=tuple(rules), schema=schema)
 
 
-# A condition node after evaluation. value is what the verdict was computed
-# from: the latest value (threshold), the percent change with the reference
-# as consulted[0] (percent_change; None when there is no usable reference)
-# or the number of observations in the window (sustained); None for logic.
-_Trace = namedtuple("_Trace", "condition verdict value consulted children", defaults=((),))
-
-
 def _trace(condition, by_kind, now_ms):
-    """The one evaluation pass behind alerts, reports and explain."""
+    """The one evaluation pass behind alerts and reports: the verdict and
+    the records it was computed from, in the order they were consulted."""
     if isinstance(condition, Logic):
-        children = tuple(_trace(c, by_kind, now_ms) for c in condition.children)
-        verdict = _LOGIC[condition.op]([t.verdict for t in children])
-        consulted = tuple(r for t in children for r in t.consulted)
-        return _Trace(condition, verdict, None, consulted, children)
+        traces = [_trace(c, by_kind, now_ms) for c in condition.children]
+        verdict = _LOGIC[condition.op]([v for v, _ in traces])
+        return verdict, tuple(r for _, consulted in traces for r in consulted)
     records = by_kind[condition.kind]
     latest = records[-1]
     if isinstance(condition, Threshold):
-        return _Trace(condition, _OPS[condition.op](latest.value, condition.value),
-                      latest.value, (latest,))
+        return _OPS[condition.op](latest.value, condition.value), (latest,)
     if isinstance(condition, PercentChange):
         horizon = now_ms - condition.window_hours * 3600000.0
         in_window = [r for r in records if r.timestamp_ms >= horizon]
         if not in_window:
-            return _Trace(condition, False, None, (latest,))
+            return False, (latest,)
         ref = in_window[0]
         if ref.value == 0:
-            return _Trace(condition, False, None, (ref, latest))
+            return False, (ref, latest)
         change = (latest.value - ref.value) / ref.value * 100.0
-        return _Trace(condition, _OPS[condition.op](change, condition.percent),
-                      change, (ref, latest))
+        return _OPS[condition.op](change, condition.percent), (ref, latest)
     if isinstance(condition, Sustained):
         horizon = now_ms - condition.duration_minutes * 60000.0
         in_window = tuple(r for r in records if r.timestamp_ms >= horizon)
         verdict = len(in_window) >= 2 and all(
             _OPS[condition.op](r.value, condition.value) for r in in_window)
-        return _Trace(condition, verdict, len(in_window), in_window)
+        return verdict, in_window
     raise TypeError("unknown condition node %r" % condition)
 
 
@@ -384,11 +375,11 @@ def evaluate_with_report(ruleset, by_kind, patient_id, now_ms, disease=None,
         if missing:
             skipped.append({"rule": rule.id, "missing_kinds": missing})
             continue
-        trace = _trace(rule.condition, by_kind, now_ms)
-        if not trace.verdict:
+        verdict, consulted = _trace(rule.condition, by_kind, now_ms)
+        if not verdict:
             continue
         first = {}
-        for rec in trace.consulted:
+        for rec in consulted:
             first.setdefault(rec.key(), rec)
         evidence = tuple(first.values())
         if not evidence:
@@ -438,53 +429,3 @@ def _alert_dict(alert):
 def report_to_json_line(report):
     # a NaN or infinity would not be JSON; the ValueError fails the patient instead
     return json.dumps(report, separators=(",", ":"), sort_keys=False, allow_nan=False)
-
-
-def _render(trace, lines, depth):
-    pad = "  " * depth
-    cond = trace.condition
-    if isinstance(cond, Threshold):
-        lines.append("%sthreshold: %s %s %g, observed %g at %d" % (
-            pad, cond.kind.value, _OP_SYMBOL[cond.op],
-            cond.value, trace.value, trace.consulted[0].timestamp_ms))
-    elif isinstance(cond, PercentChange):
-        if trace.value is None:
-            lines.append("%spercent_change: %s, no usable reference in window" % (
-                pad, cond.kind.value))
-        else:
-            ref, latest = trace.consulted
-            lines.append("%spercent_change: %s %s %g%% over %gh, computed %+.2f%% (%g -> %g)" % (
-                pad, cond.kind.value, _OP_SYMBOL[cond.op], cond.percent,
-                cond.window_hours, trace.value, ref.value, latest.value))
-    elif isinstance(cond, Sustained):
-        lines.append("%ssustained: %s %s %g for %g min, %d observations" % (
-            pad, cond.kind.value, _OP_SYMBOL[cond.op], cond.value,
-            cond.duration_minutes, trace.value))
-    else:
-        lines.append("%s%s:" % (pad, _LOGIC_LABEL[cond.op]))
-        for child in trace.children:
-            _render(child, lines, depth + 1)
-
-
-def explain(alert, ruleset, history):
-    """Human-readable trace: the rule condition with the values its
-    verdict was computed from, and the evidence records."""
-    rule = next((r for r in ruleset.rules if r.id == alert.rule_id), None)
-    if rule is None:
-        raise IntegrityError("alert cites unknown rule %r" % alert.rule_id)
-    history_keys = {r.key() for r in history}
-    for rec in alert.evidence:
-        if rec.key() not in history_keys:
-            raise IntegrityError("alert evidence not present in history: %r" % (rec.key(),))
-    by_kind = history_view(history, alert.patient_id, alert.fired_at_ms)[0]
-    lines = [
-        "rule %s (%s): %s" % (rule.id, rule.severity.value, rule.message or "<no message>"),
-        "fired at %d for patient %s" % (alert.fired_at_ms, alert.patient_id),
-        "condition:",
-    ]
-    _render(_trace(rule.condition, by_kind, alert.fired_at_ms), lines, 1)
-    lines.append("evidence:")
-    for rec in alert.evidence:
-        lines.append("  %s = %g at %d (%s)" % (
-            rec.kind.value, rec.value, rec.timestamp_ms, rec.mode.value))
-    return "\n".join(lines)

@@ -140,10 +140,6 @@ class MeasurementStore:
                 self._repair[patient_id] = (len(data), "\n")
         self._log[patient_id] = records
 
-    def patients(self):
-        on_disk = {f[:-len(".jsonl")] for f in os.listdir(self.root) if f.endswith(".jsonl")}
-        return sorted(on_disk.union(p for p, log in self._log.items() if log))
-
     def ingest(self, records):
         """Appends new records; duplicates are dropped, bad records are
         rejected with a reason and the batch continues, and so is each

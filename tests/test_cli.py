@@ -955,10 +955,17 @@ class TestRulesCheck:
         assert main(["rules-check", path]) == 0
         assert "ok: 3 rules" in capsys.readouterr().out
 
-    def test_invalid_rules_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rule", [
+        '<rule id="a" severity="ALARM"><threshold kind="NOPE" op="gt" value="1"/></rule>',
+        '<rule id="a" severity="ALARM"><not extra="1">'
+        '<threshold kind="SPO2" op="lt" value="90"/></not></rule>',
+        '<rule id="a" severity="ALARM"><threshold kind="SPO2" op="lt" value="90">'
+        '<threshold kind="SPO2" op="gt" value="99"/></threshold></rule>',
+        '<rule id="" severity="ALARM"><threshold kind="SPO2" op="lt" value="90"/></rule>',
+    ], ids=["unknown-kind", "logic-attribute", "predicate-child", "empty-id"])
+    def test_invalid_rules_exit_1(self, tmp_path, capsys, rule):
         path = tmp_path / "bad.xml"
-        path.write_text('<rules><rule id="a" severity="ALARM">'
-                        '<threshold kind="NOPE" op="gt" value="1"/></rule></rules>')
+        path.write_text("<rules>%s</rules>" % rule)
         assert main(["rules-check", str(path)]) == 1
         assert "invalid" in capsys.readouterr().err
 

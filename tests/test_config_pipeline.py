@@ -18,7 +18,7 @@ from edgevitals.classify.schema import (
 )
 from edgevitals.classify.tree import train_decision_tree
 from edgevitals.config import config_from_dict, default_config, load_config
-from edgevitals.errors import IngestionError, IntegrityError
+from edgevitals.errors import IngestionError
 from edgevitals.ecg_preprocess import remove_baseline_linear
 from edgevitals.messaging import TransmissionDecision, parse_message_xml
 from edgevitals.pipeline import run_patient, read_measurements_csv
@@ -474,9 +474,9 @@ class TestPipelineIndices:
         assert [a.rule_id for a in result.alerts] == ["stress-index"]
         assert abs(result.report["stress_index"] - 0.9) < 1e-6
 
-    def test_explain_covers_rule_alerts_only(self, tmp_path):
+    def test_index_alert_is_not_a_rule_alert(self, tmp_path):
         # an index alert comes from the config's weighted indices, so the
-        # rule set that explain renders from does not name it
+        # rule set does not name it
         meas = tmp_path / "meas.csv"
         meas.write_text("kind,value,timestamp_ms,mode,name\n" + "".join(
             "QUESTIONNAIRE_ITEM,1.0,1000,NOSILENT,questionnaire_%02d\n" % i
@@ -487,8 +487,7 @@ class TestPipelineIndices:
                              measurements_csv=str(meas), out_dir=str(tmp_path / "out"))
         assert [a.rule_id for a in result.alerts] == ["stress-index"]
         assert result.report["stress_index"] == 1.0
-        with pytest.raises(IntegrityError, match="alert cites unknown rule 'stress-index'"):
-            rules.explain(result.alerts[0], ruleset, store.log_records("p1"))
+        assert "stress-index" not in {r.id for r in ruleset.rules}
 
 
 class TestPipelineMeasurementsOnly:

@@ -1,18 +1,26 @@
-"""Every name a module under src/ imports is used by that module.
+"""Every name a module under src/ imports is used by that module, and
+every function and method under src/ has a caller there.
 
-No linter ships with the project, so the check parses each module with
+No linter ships with the project, so both checks parse each module with
 the standard library's `ast`. An import counts as used when its bound name
 appears as a name anywhere in the module (attribute chains start from
 one) or is listed in `__all__`. An import statement whose lines carry
 `# noqa` is skipped: it is made for its side effect.
+
+A top-level function counts as called when its name appears somewhere in
+src/ outside its own `def`: as a name, an attribute or an imported name. A
+method of a top-level class counts only as an attribute. Dunder methods
+are called by Python itself and are not checked.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 
 
@@ -48,3 +56,104 @@ def test_the_check_sees_an_unused_import_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def name_uses(node):
+    """(names, attributes): how often each identifier appears under node as
+    a name or an imported name, and as an attribute."""
+    names, attributes = Counter(), Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            attributes[sub.attr] += 1
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in sub.names)
+    return names, attributes
+
+
+def uncalled(sources):
+    """The (module, qualified name) of each top-level function and method
+    in sources, a {module: source} map, that nothing in sources calls."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    names, attributes = Counter(), Counter()
+    defs = []
+    for module, tree in trees.items():
+        used_names, used_attributes = name_uses(tree)
+        names += used_names
+        attributes += used_attributes
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((module, node.name, node, False))
+            elif isinstance(node, ast.ClassDef):
+                defs.extend((module, "%s.%s" % (node.name, item.name), item, True)
+                            for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    found = []
+    for module, qualname, node, is_method in defs:
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        own_names, own_attributes = name_uses(node)
+        calls = attributes[name] - own_attributes[name]
+        if not is_method:
+            calls += names[name] - own_names[name]
+        if calls == 0:
+            found.append((module, qualname))
+    return sorted(found)
+
+
+def src_sources():
+    return {".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"):
+            path.read_text(encoding="utf-8") for path in MODULES}
+
+
+def perfbench_hook_targets():
+    """The (module, attribute) each entry of perfbench/layers.py's HOOKS
+    wraps. A traced run times these by name, so they stay while a hook
+    names them, called in src/ or not."""
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    (hooks,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["HOOKS"]]
+    return {(hook.elts[1].value, hook.elts[2].value) for hook in hooks.elts}
+
+
+# Definitions with no caller in src/, each kept for the reason given.
+ALLOWED_UNCALLED = {
+    # argparse calls it on a usage error
+    ("edgevitals.cli", "_Parser.error"),
+    # the reader every outbound message must parse back through
+    ("edgevitals.messaging", "parse_message_xml"),
+    # test-side constructors: moving them into tests/ would not shrink the code
+    ("edgevitals.qrs_detect", "RRSeries.from_intervals"),
+    ("edgevitals.classify.schema", "dataset_to_csv"),
+}
+
+
+def test_the_caller_check_on_a_sample_source():
+    sources = {
+        "pkg": "from .a import imported\n",
+        "pkg.a": (
+            "def imported(): pass\n"
+            "def used(): pass\n"
+            "def unused(): return used()\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "handler = {'x': used}\n"
+            "class C:\n"
+            "    def __init__(self): self.m()\n"
+            "    def m(self): pass\n"
+            "    def by_name(self): pass\n"
+            "    def only_itself(self): return self.only_itself()\n"
+            "by_name = 1\n"),
+    }
+    assert uncalled(sources) == [("pkg.a", "C.by_name"), ("pkg.a", "C.only_itself"),
+                                 ("pkg.a", "recursive"), ("pkg.a", "unused")]
+
+
+def test_every_function_and_method_in_src_has_a_caller():
+    allowed = ALLOWED_UNCALLED | perfbench_hook_targets()
+    assert [d for d in uncalled(src_sources()) if d not in allowed] == []
+
+
+def test_every_allowlisted_name_exists_and_has_no_caller():
+    assert sorted(ALLOWED_UNCALLED - set(uncalled(src_sources()))) == []

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgevitals.errors import IntegrityError, RuleParseError, RuleSemanticError
+from edgevitals.errors import RuleParseError, RuleSemanticError
 from edgevitals.rules import (
     AcquisitionMode,
-    Alert,
     DiseaseScope,
     MeasurementKind,
     MeasurementRecord,
     Severity,
     evaluate,
     evaluation_report,
-    explain,
     history_key,
     history_view,
     parse_rules,
@@ -118,6 +116,26 @@ class TestParse:
         with pytest.raises(RuleSemanticError):
             parse_rules(xml)
 
+    @pytest.mark.parametrize("condition, message", [
+        ('<and extra="1"><threshold kind="SPO2" op="lt" value="90"/>'
+         '<threshold kind="HEART_RATE" op="gt" value="120"/></and>',
+         "<and> has unknown attribute 'extra'"),
+        ('<not op="gt"><threshold kind="SPO2" op="lt" value="90"/></not>',
+         "<not> has unknown attribute 'op'"),
+        ('<threshold kind="SPO2" op="lt" value="90"><sustained kind="SPO2" op="lt" '
+         'value="90" duration_minutes="30"/></threshold>',
+         "<threshold> takes no child elements"),
+    ], ids=["and-attribute", "not-attribute", "predicate-child"])
+    def test_condition_shape_rejected(self, condition, message):
+        xml = '<rules><rule id="a" severity="ALARM">%s</rule></rules>' % condition
+        with pytest.raises(RuleSemanticError, match=re.escape(message)):
+            parse_rules(xml)
+
+    def test_empty_rule_id_rejected(self):
+        xml = '<rules><rule id="" severity="ALARM"><threshold kind="SPO2" op="lt" value="90"/></rule></rules>'
+        with pytest.raises(RuleSemanticError, match="rule id must not be empty"):
+            parse_rules(xml)
+
     def test_missing_required_attribute(self):
         xml = '<rules><rule id="a" severity="ALARM"><threshold kind="SPO2" value="90"/></rule></rules>'
         with pytest.raises(RuleSemanticError):
@@ -169,6 +187,7 @@ class TestEvaluate:
         ]
         alerts = evaluate(self.rules, history, "p1", 20 * HOUR)
         assert [a.rule_id for a in alerts] == ["weight-gain"]
+        assert alerts[0].evidence == tuple(history)
 
     def test_weight_small_change_silent(self):
         history = [
@@ -309,44 +328,6 @@ class TestReport:
         }
 
 
-class TestExplain:
-    def test_percent_change_trace(self):
-        rules = parse_rules(GOLDEN)
-        history = [
-            rec(MeasurementKind.BODY_WEIGHT, 70.0, 0),
-            rec(MeasurementKind.BODY_WEIGHT, 71.5, 20 * HOUR),
-        ]
-        alerts = evaluate(rules, history, "p1", 20 * HOUR)
-        text = explain(alerts[0], rules, history)
-        assert "+2.14%" in text
-        assert "weight-gain" in text
-        assert "70" in text and "71.5" in text
-
-    def test_threshold_trace_shows_observation(self):
-        rules = parse_rules(GOLDEN)
-        history = [rec(MeasurementKind.HEART_RATE, 125.0, 1000)]
-        alerts = evaluate(rules, history, "p1", 2000)
-        text = explain(alerts[0], rules, history)
-        assert "125" in text
-        assert "HEART_RATE" in text
-
-    def test_unknown_rule_is_integrity_error(self):
-        rules = parse_rules(GOLDEN)
-        history = [rec(MeasurementKind.HEART_RATE, 125.0, 1000)]
-        alert = Alert("ghost", "p1", Severity.ALARM, 2000,
-                      (history[0],))
-        with pytest.raises(IntegrityError):
-            explain(alert, rules, history)
-
-    def test_dangling_evidence_is_integrity_error(self):
-        rules = parse_rules(GOLDEN)
-        history = [rec(MeasurementKind.HEART_RATE, 125.0, 1000)]
-        stranger = rec(MeasurementKind.HEART_RATE, 126.0, 1500)
-        alert = Alert("hr-high", "p1", Severity.ALARM, 2000, (stranger,))
-        with pytest.raises(IntegrityError):
-            explain(alert, rules, history)
-
-
 README_RULES = """\
 <rules schema="1">
   <rule id="hr-high" scope="BOTH" severity="ALARM" message="heart rate above 120 bpm">
@@ -388,65 +369,32 @@ README_HISTORY = [
     rec(MeasurementKind.GLUCOSE, 190.0, 30 * HOUR),
 ]
 
-# Exact explain() text for each README rule on README_HISTORY at 30 h;
-# "quiet" adds the any-of and no-usable-reference forms.
-PINNED_EXPLAIN = {
-    "hr-high": """\
-rule hr-high (ALARM): heart rate above 120 bpm
-fired at 108000000 for patient p1
-condition:
-  threshold: HEART_RATE > 120, observed 125.5 at 104400000
-evidence:
-  HEART_RATE = 125.5 at 104400000 (NOSILENT)""",
-    "weight-gain": """\
-rule weight-gain (ALARM): <no message>
-fired at 108000000 for patient p1
-condition:
-  percent_change: BODY_WEIGHT > 2% over 24h, computed +2.14% (70 -> 71.5)
-evidence:
-  BODY_WEIGHT = 70 at 36000000 (NOSILENT)
-  BODY_WEIGHT = 71.5 at 72000000 (NOSILENT)""",
-    "low-spo2-sustained": """\
-rule low-spo2-sustained (LIGHT_ALERT): <no message>
-fired at 108000000 for patient p1
-condition:
-  sustained: SPO2 < 92 for 360 min, 3 observations
-evidence:
-  SPO2 = 91 at 90000000 (NOSILENT)
-  SPO2 = 90 at 97200000 (NOSILENT)
-  SPO2 = 89.5 at 104400000 (NOSILENT)""",
-    "compound": """\
-rule compound (ALARM): <no message>
-fired at 108000000 for patient p1
-condition:
-  all of:
-    threshold: HEART_RATE > 110, observed 125.5 at 104400000
-    not:
-      threshold: BODY_TEMPERATURE > 38, observed 37.2 at 100800000
-evidence:
-  HEART_RATE = 125.5 at 104400000 (NOSILENT)
-  BODY_TEMPERATURE = 37.2 at 100800000 (NOSILENT)""",
-    "quiet": """\
-rule quiet (LIGHT_ALERT): no glucose trend
-fired at 108000000 for patient p1
-condition:
-  not:
-    any of:
-      percent_change: GLUCOSE, no usable reference in window
-      sustained: GLUCOSE > 180 for 30 min, 1 observations
-evidence:
-  GLUCOSE = 0 at 104400000 (NOSILENT)
-  GLUCOSE = 190 at 108000000 (NOSILENT)""",
-}
+# The alerts the README rules raise on README_HISTORY at 30 h, in report
+# order, each with its evidence records; the evidence goes into the
+# outbound message, so its records and their order are pinned.
+PINNED_ALERTS = [
+    ("compound", [(MeasurementKind.HEART_RATE, 125.5, 29 * HOUR),
+                  (MeasurementKind.BODY_TEMPERATURE, 37.2, 28 * HOUR)]),
+    ("hr-high", [(MeasurementKind.HEART_RATE, 125.5, 29 * HOUR)]),
+    ("weight-gain", [(MeasurementKind.BODY_WEIGHT, 70.0, 10 * HOUR),
+                     (MeasurementKind.BODY_WEIGHT, 71.5, 20 * HOUR)]),
+    ("low-spo2-sustained", [(MeasurementKind.SPO2, 91.0, 25 * HOUR),
+                            (MeasurementKind.SPO2, 90.0, 27 * HOUR),
+                            (MeasurementKind.SPO2, 89.5, 29 * HOUR)]),
+    # not(any of): the percent change has no usable reference (the first
+    # glucose value in the window is 0) and one observation is not sustained
+    ("quiet", [(MeasurementKind.GLUCOSE, 0.0, 29 * HOUR),
+               (MeasurementKind.GLUCOSE, 190.0, 30 * HOUR)]),
+]
 
 
-class TestExplainPinned:
-    def test_readme_rules_explain_text(self):
+class TestReadmeRulesPinned:
+    def test_readme_rules_fire_with_pinned_evidence(self):
         rules = parse_rules(README_RULES)
         alerts = evaluate(rules, README_HISTORY, "p1", 30 * HOUR)
-        assert sorted(a.rule_id for a in alerts) == sorted(PINNED_EXPLAIN)
-        for alert in alerts:
-            assert explain(alert, rules, README_HISTORY) == PINNED_EXPLAIN[alert.rule_id]
+        assert [(a.rule_id, list(a.evidence)) for a in alerts] == [
+            (rule_id, [rec(*fields) for fields in evidence])
+            for rule_id, evidence in PINNED_ALERTS]
 
 
 OP_FUNCS = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
@@ -454,8 +402,8 @@ OP_FUNCS = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
 PROP_KINDS = (MeasurementKind.HEART_RATE, MeasurementKind.BODY_WEIGHT)
 MINUTE = 60000
 
-# Integer values and thresholds keep every number explain prints with %g
-# exact, so a printed value can be compared as the verdict compared it.
+# Small integers, so that draws often hold tied records, a zero reference
+# value or an eq comparison that holds.
 _kind = st.sampled_from(PROP_KINDS).map(lambda k: k.value)
 _op = st.sampled_from(sorted(OP_FUNCS))
 _num = st.integers(0, 200).map(str)
@@ -505,58 +453,52 @@ def rules_xml(*conditions):
         '<rule id="%s" severity="ALARM">%s</rule>' % (rid, cond) for rid, cond in conditions)
 
 
-def leaf_verdict(leaf, history, now_ms):
-    rules = parse_rules(rules_xml(("leaf", tree_xml(leaf))))
-    return bool(evaluate(rules, history, "p1", now_ms))
+def oracle(node, by_kind, now_ms):
+    """The condition's verdict, computed apart from the evaluator: by_kind
+    maps a kind's name to its visible records, oldest first."""
+    tag, body = node
+    if tag == "not":
+        return not oracle(body[0], by_kind, now_ms)
+    if tag in ("and", "or"):
+        verdicts = [oracle(c, by_kind, now_ms) for c in body]
+        return all(verdicts) if tag == "and" else any(verdicts)
+    records = by_kind[body["kind"]]
+    test = OP_FUNCS[body["op"]]
+    if tag == "threshold":
+        return test(records[-1].value, float(body["value"]))
+    if tag == "percent_change":
+        horizon = now_ms - float(body["window_hours"]) * HOUR
+        window = [r for r in records if r.timestamp_ms >= horizon]
+        if not window or window[0].value == 0:
+            return False
+        ref = window[0].value
+        return test((records[-1].value - ref) / ref * 100.0, float(body["percent"]))
+    horizon = now_ms - float(body["duration_minutes"]) * MINUTE
+    window = [r for r in records if r.timestamp_ms >= horizon]
+    return len(window) >= 2 and all(test(r.value, float(body["value"])) for r in window)
 
 
-class TestExplainProperty:
+class TestEvaluateProperty:
     @settings(max_examples=300, deadline=None)
     @given(tree=_tree, history=_history, now_minute=st.integers(0, 480))
-    def test_explain_values_reproduce_leaf_verdicts(self, tree, history, now_minute):
+    def test_rule_fires_exactly_when_the_oracle_holds(self, tree, history, now_minute):
         now_ms = now_minute * MINUTE
         cond = tree_xml(tree)
         rules = parse_rules(rules_xml(("r", cond), ("not-r", "<not>%s</not>" % cond)))
         alerts = evaluate(rules, history, "p1", now_ms)
         report = evaluation_report(rules, history, "p1", now_ms)
         assert [a["rule"] for a in report["alerts"]] == [a.rule_id for a in alerts]
-        if report["skipped_rules"]:
+        visible = sorted((r for r in history if r.patient_id == "p1" and r.timestamp_ms <= now_ms),
+                         key=lambda r: (r.timestamp_ms, r.kind.value, r.name, r.value))
+        by_kind = {k.value: [r for r in visible if r.kind is k] for k in PROP_KINDS}
+        if any(not by_kind[attrs["kind"]] for _, attrs in tree_leaves(tree)):
             assert alerts == []
+            assert [s["rule"] for s in report["skipped_rules"]] == ["r", "not-r"]
             return
         # exactly one of a condition and its negation holds
-        (alert,) = alerts
-        lines = explain(alert, rules, history).split("\n")
-        body = lines[lines.index("condition:") + 1:lines.index("evidence:")]
-        leaf_lines = [l.strip() for l in body
-                      if l.strip().split(":")[0] in ("threshold", "percent_change", "sustained")]
-        visible = sorted((r for r in history if r.patient_id == "p1" and r.timestamp_ms <= now_ms),
-                         key=lambda r: (r.timestamp_ms, r.kind.value))
-        assert len(leaf_lines) == len(tree_leaves(tree))
-        for (tag, attrs), line in zip(tree_leaves(tree), leaf_lines):
-            assert line.startswith(tag + ": " + attrs["kind"])
-            verdict = leaf_verdict((tag, attrs), history, now_ms)
-            test = OP_FUNCS[attrs["op"]]
-            if tag == "threshold":
-                observed = float(re.search(r"observed (\S+) at", line).group(1))
-                assert test(observed, float(attrs["value"])) == verdict
-            elif tag == "percent_change":
-                if line.endswith("no usable reference in window"):
-                    assert not verdict
-                    continue
-                m = re.search(r"computed (\S+)% \((\S+) -> (\S+)\)$", line)
-                ref, latest = float(m.group(2)), float(m.group(3))
-                change = (latest - ref) / ref * 100.0
-                assert m.group(1) == "%+.2f" % change
-                assert test(change, float(attrs["percent"])) == verdict
-            else:
-                n = int(re.search(r"(\d+) observations$", line).group(1))
-                of_kind = [r for r in visible if r.kind.value == attrs["kind"]]
-                horizon = now_ms - float(attrs["duration_minutes"]) * MINUTE
-                window = of_kind[len(of_kind) - n:]
-                assert all(r.timestamp_ms >= horizon for r in window)
-                assert n == len(of_kind) or of_kind[-n - 1].timestamp_ms < horizon
-                value = float(attrs["value"])
-                assert verdict == (n >= 2 and all(test(r.value, value) for r in window))
+        holds = oracle(tree, by_kind, now_ms)
+        assert [a.rule_id for a in alerts] == ["r" if holds else "not-r"]
+        assert all(r in visible for r in alerts[0].evidence)
 
 
 # records of two patients that tie often on time, kind, name and value;

@@ -113,8 +113,6 @@ class TestStoreLazyLoad:
         monkeypatch.setattr(MeasurementStore, "_load_patient", counting)
         store = MeasurementStore(str(tmp_path))
         assert loaded == []
-        assert store.patients() == ["p1", "p2"]
-        assert loaded == []
         store.records("p2")
         store.log_records("p2")
         store.untransmitted("p2")
@@ -127,14 +125,7 @@ class TestStoreLazyLoad:
         assert store.records("nobody") == []
         assert store.log_records("nobody") == []
         assert store.untransmitted("nobody") == []
-        assert store.patients() == []
         assert os.listdir(str(tmp_path)) == []
-
-    def test_patients_lists_disk_and_memory(self, tmp_path):
-        MeasurementStore(str(tmp_path)).ingest([rec(60.0, 0, patient="p2")])
-        store = MeasurementStore(str(tmp_path))
-        store.ingest([rec(60.0, 0, patient="p1")])
-        assert store.patients() == ["p1", "p2"]
 
     def test_ingest_opens_the_log_once_per_batch(self, tmp_path, monkeypatch):
         store = MeasurementStore(str(tmp_path))
@@ -163,7 +154,6 @@ class TestStorePersistence:
         reloaded = MeasurementStore(str(tmp_path))
         assert reloaded.records("p1") == store.records("p1")
         assert reloaded.log_records("p1") == store.log_records("p1")
-        assert reloaded.patients() == ["p1"]
 
     def test_records_are_time_sorted_log_keeps_append_order(self, tmp_path):
         store = MeasurementStore(str(tmp_path))
