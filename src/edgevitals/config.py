@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .classify.schema import patient_schema
 from .classify.weighted import WeightedIndexModel
-from .messaging import DailySchedule
+from .messaging import send_offset_ms
 from .rules import DiseaseScope
 
 __all__ = ["PipelineConfig", "default_config", "load_config", "config_from_dict"]
@@ -87,7 +87,7 @@ class PipelineConfig:
     it while checking it."""
     raw: dict
     disease: DiseaseScope | None  # None: rules of every scope apply
-    schedule: DailySchedule
+    send_offset_ms: int  # schedule.send_time, in ms after midnight UTC
     stress_index: WeightedIndexModel
     lifestyle_index: WeightedIndexModel
 
@@ -177,8 +177,7 @@ def config_from_dict(doc):
     if merged["disease"] not in (None, "COPD", "CKD"):
         raise ValueError("disease must be COPD, CKD or null")
     disease = None if merged["disease"] is None else DiseaseScope(merged["disease"])
-    schedule = DailySchedule(merged["schedule"]["send_time"])
-    schedule.offset_ms()  # validates send_time
+    offset_ms = send_offset_ms(merged["schedule"]["send_time"])
     stress, lifestyle = (WeightedIndexModel(merged[k]["weights"], merged[k]["threshold"])
                          for k in ("stress_index", "lifestyle_index"))
     if merged["preprocess"]["baseline_method"] not in ("linear", "poly"):
@@ -188,7 +187,7 @@ def config_from_dict(doc):
     if merged["qrs"]["detector"] not in ("pan_tompkins", "wavelet"):
         raise ValueError("detector must be pan_tompkins or wavelet")
     _check_ranges(merged)
-    return PipelineConfig(merged, disease, schedule, stress, lifestyle)
+    return PipelineConfig(merged, disease, offset_ms, stress, lifestyle)
 
 
 def default_config():

@@ -17,7 +17,7 @@ __all__ = [
     "remove_baseline_poly",
     "dwt_db4",
     "idwt_db4",
-    "wavelet_denoise",
+    "denoise_samples",
 ]
 
 # 8-tap Daubechies-4 orthonormal filter bank, exact to double precision
@@ -169,15 +169,10 @@ def idwt_db4(decomposition):
     return a
 
 
-def wavelet_denoise(signal, levels=4, threshold_mode="soft"):
+def denoise_samples(samples, levels=4, threshold_mode="soft"):
     """Threshold every detail band at the universal level
     sigma * sqrt(2 ln N), sigma estimated from the finest band via
     median(|d1|) / 0.6745, then reconstruct."""
-    denoised = denoise_samples(signal.samples, levels, threshold_mode)
-    return signal.replace_samples(denoised)
-
-
-def denoise_samples(samples, levels=4, threshold_mode="soft"):
     if threshold_mode not in ("soft", "hard"):
         raise ValueError("threshold_mode must be 'soft' or 'hard'")
     x = np.asarray(samples, dtype=np.float64)

@@ -45,7 +45,9 @@ def sdnn(rr):
 
 def _segment_bins(rr):
     """Group interval values by SEGMENT_S wall-clock bins anchored at the
-    first onset. Bins holding fewer than 2 intervals are dropped."""
+    first onset. Bins holding fewer than 2 intervals are dropped, and
+    fewer than 2 bins left is a NoDataError."""
+    _require(rr, 2)
     width_ms = SEGMENT_S * 1000.0
     idx = np.floor((rr.onsets_ms - rr.onsets_ms[0]) / width_ms).astype(int)
     bins = []
@@ -53,25 +55,21 @@ def _segment_bins(rr):
         members = rr.intervals_ms[idx == b]
         if len(members) >= 2:
             bins.append(members)
+    if len(bins) < 2:
+        raise NoDataError("need at least 2 usable segments")
     return bins
 
 
 def sdann(rr):
     """Population SD of the per-segment interval means."""
-    _require(rr, 2)
     bins = _segment_bins(rr)
-    if len(bins) < 2:
-        raise NoDataError("need at least 2 usable segments")
     means = np.array([np.mean(b) for b in bins])
     return float(np.sqrt(np.mean((means - np.mean(means)) ** 2)))
 
 
 def sdnnidx(rr):
     """Mean of the per-segment population SDs."""
-    _require(rr, 2)
     bins = _segment_bins(rr)
-    if len(bins) < 2:
-        raise NoDataError("need at least 2 usable segments")
     sds = [np.sqrt(np.mean((b - np.mean(b)) ** 2)) for b in bins]
     return float(np.mean(sds))
 
@@ -85,14 +83,12 @@ def _successive_diffs(rr):
 
 def pnn50(rr):
     """Percent of successive differences strictly greater than 50 ms."""
-    _require(rr, 2)
     diffs = _successive_diffs(rr)
     return float(100.0 * np.count_nonzero(np.abs(diffs) > 50.0) / len(diffs))
 
 
 def rmssd(rr):
     """Root mean square of successive differences."""
-    _require(rr, 2)
     diffs = _successive_diffs(rr)
     return float(np.sqrt(np.mean(diffs ** 2)))
 

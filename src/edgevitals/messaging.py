@@ -24,8 +24,8 @@ from .rules import AcquisitionMode, Alert, MeasurementKind, MeasurementRecord, S
 __all__ = [
     "Urgency",
     "TransmissionDecision",
-    "DailySchedule",
     "OutboundMessage",
+    "send_offset_ms",
     "decide_transmission",
     "build_message_xml",
     "parse_message_xml",
@@ -46,22 +46,6 @@ class TransmissionDecision(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DailySchedule:
-    """One scheduled send per day at send_time (UTC, "HH:MM")."""
-    send_time: str = "20:00"
-
-    def offset_ms(self):
-        try:
-            hh, mm = self.send_time.split(":")
-            hh, mm = int(hh), int(mm)
-        except ValueError:
-            raise ValueError("send_time must be HH:MM, got %r" % self.send_time) from None
-        if not (0 <= hh < 24 and 0 <= mm < 60):
-            raise ValueError("send_time out of range: %r" % self.send_time)
-        return (hh * 60 + mm) * 60000
-
-
-@dataclass(frozen=True)
 class OutboundMessage:
     patient_id: str
     created_at_ms: int
@@ -71,14 +55,25 @@ class OutboundMessage:
     measurements: tuple  # records not yet covered by an earlier message
 
 
-def decide_transmission(alerts, schedule, now_ms, last_scheduled_send_ms=None):
-    """IMMEDIATE on any ALARM; SCHEDULED when a daily slot has passed since
-    the last scheduled send; HOLD otherwise. Light alerts ride the next
-    scheduled send."""
+def send_offset_ms(send_time):
+    """The daily send slot send_time, "HH:MM" in UTC, in ms after midnight."""
+    try:
+        hh, mm = send_time.split(":")
+        hh, mm = int(hh), int(mm)
+    except ValueError:
+        raise ValueError("send_time must be HH:MM, got %r" % send_time) from None
+    if not (0 <= hh < 24 and 0 <= mm < 60):
+        raise ValueError("send_time out of range: %r" % send_time)
+    return (hh * 60 + mm) * 60000
+
+
+def decide_transmission(alerts, send_offset_ms, now_ms, last_scheduled_send_ms=None):
+    """IMMEDIATE on any ALARM; SCHEDULED when a daily slot, send_offset_ms
+    after midnight UTC, has passed since the last scheduled send; HOLD
+    otherwise. Light alerts ride the next scheduled send."""
     if any(a.severity is Severity.ALARM for a in alerts):
         return TransmissionDecision.IMMEDIATE
-    offset = schedule.offset_ms()
-    latest_slot = ((now_ms - offset) // _DAY_MS) * _DAY_MS + offset
+    latest_slot = ((now_ms - send_offset_ms) // _DAY_MS) * _DAY_MS + send_offset_ms
     last = -float("inf") if last_scheduled_send_ms is None else last_scheduled_send_ms
     if latest_slot > last:
         return TransmissionDecision.SCHEDULED
@@ -114,10 +109,6 @@ def quoteattr(data):
     if "'" not in data:
         return "'%s'" % data
     return '"%s"' % data.replace('"', "&quot;")
-
-
-def _fmt_value(v):
-    return repr(float(v))
 
 
 # kind and mode quoted once per member, keyed by value (see
@@ -165,7 +156,7 @@ def build_message_xml(message):
                 out.append("<feature name=%s code=%s/>" % (quoteattr(name), quoteattr(value)))
             else:
                 out.append("<feature name=%s value=%s/>" % (
-                    quoteattr(name), quoteattr(_fmt_value(value))))
+                    quoteattr(name), quoteattr(repr(float(value)))))
         out.append("</features>")
     else:
         out.append("<features/>")

@@ -109,19 +109,13 @@ def read_measurements_csv(path, patient_id):
     return out
 
 
-def _index_scores(model, named_values):
-    """Latest named values mapped to scores; out-of-[0,1] values count as
-    explicitly missing."""
+def _index_alert(rule_id, model, by_name, patient_id, now_ms):
+    """(index, alert) from the latest named values; a value outside
+    [0, 1] counts as missing."""
     scores = {}
     for name in model.weights:
-        v = named_values.get(name)
-        scores[name] = v if v is not None and 0.0 <= v <= 1.0 else None
-    return scores
-
-
-def _index_alert(rule_id, model, by_name, patient_id, now_ms):
-    named_values = {n: r.value for n, r in by_name.items()}
-    scores = _index_scores(model, named_values)
+        rec = by_name.get(name)
+        scores[name] = rec.value if rec is not None and 0.0 <= rec.value <= 1.0 else None
     try:
         index, triggered = weighted_index(model, scores)
     except NoDataError:
@@ -297,7 +291,7 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
         report["prediction"] = label.name
         report["prediction_distribution"] = [round(p, 6) for p in dist]
 
-    decision = decide_transmission(alerts, cfg.schedule, now_ms,
+    decision = decide_transmission(alerts, cfg.send_offset_ms, now_ms,
                                    store.last_scheduled_send(patient_id))
     message_xml = ""
     if decision is not TransmissionDecision.HOLD:

@@ -1,8 +1,9 @@
 """Respiration-rate estimation and volume features.
 
-Rate comes from the dominant spectral line of 60 s windows below 2 Hz;
-tidal volume and vital capacity come from per-breath excursions of the
-calibrated signal.
+`respiration_rate` takes the rate of each back-to-back window (60 s
+unless the config's respiration.window_s says otherwise) from the window's
+dominant spectral line up to F_MAX_HZ; tidal volume and vital capacity
+come from per-breath excursions of the calibrated signal.
 """
 
 import numpy as np
@@ -11,7 +12,6 @@ from .errors import NoDataError
 from .signal_core import SignalKind, dft_magnitude, hamming_window
 
 __all__ = [
-    "stft_dominant_frequency",
     "respiration_rate",
     "volume_features",
 ]
@@ -25,13 +25,10 @@ def _check_respiration(signal):
         raise ValueError("expected a respiration signal")
 
 
-def stft_dominant_frequency(signal, window_s=60.0):
-    """Per back-to-back window: Hamming window, DFT, argmax magnitude over
-    (0, F_MAX_HZ].
-
-    DC is excluded and ties resolve to the lower bin. Returns a list of
-    (window_start_s, dominant_frequency_hz).
-    """
+def respiration_rate(signal, window_s=60.0):
+    """Breaths per minute per back-to-back window: Hamming window, DFT, and
+    the argmax magnitude over (0, F_MAX_HZ] times 60. DC is excluded and
+    ties resolve to the lower bin."""
     _check_respiration(signal)
     if signal.duration_seconds < window_s:
         raise NoDataError("signal shorter than one window")
@@ -54,15 +51,9 @@ def stft_dominant_frequency(signal, window_s=60.0):
             raise NoDataError("window too short for any in-band bin")
         band = spectrum.magnitudes[1: k_max + 1]
         k_dom = 1 + int(np.argmax(band))
-        out.append((start, k_dom * spectrum.bin_width_hz))
+        out.append(k_dom * spectrum.bin_width_hz * 60.0)
         start += window_s
-    return out
-
-
-def respiration_rate(signal, window_s=60.0):
-    """Breaths per minute per window: dominant frequency times 60."""
-    doms = stft_dominant_frequency(signal, window_s)
-    return np.array([f * 60.0 for _, f in doms])
+    return np.array(out)
 
 
 def volume_features(signal, calibration):

@@ -32,7 +32,6 @@ __all__ = [
     "Severity",
     "DiseaseScope",
     "Rule",
-    "RuleSet",
     "Alert",
     "parse_rules",
     "evaluate",
@@ -189,15 +188,6 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class RuleSet:
-    rules: tuple
-    schema: str = "1"
-
-    def __len__(self):
-        return len(self.rules)
-
-
-@dataclass(frozen=True)
 class Alert:
     rule_id: str
     patient_id: str
@@ -268,7 +258,12 @@ def _parse_condition(elem, kinds):
     return cond
 
 
+# the ids of the index alerts a patient run adds next to the rule alerts
+_INDEX_ALERT_IDS = ("stress-index", "lifestyle-index")
+
+
 def parse_rules(xml_text):
+    """The document's rules, as a tuple in document order."""
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -277,9 +272,8 @@ def parse_rules(xml_text):
     if root.tag != "rules":
         raise RuleSemanticError("root element must be <rules>, got <%s>" % root.tag)
     _check_attrs(root, {"schema"})
-    schema = root.attrib.get("schema", "1")
-    if schema != "1":
-        raise RuleSemanticError("unsupported rules schema %r" % schema)
+    if root.attrib.get("schema", "1") != "1":
+        raise RuleSemanticError("unsupported rules schema %r" % root.attrib["schema"])
     rules = []
     seen_ids = set()
     for child in root:
@@ -291,6 +285,9 @@ def parse_rules(xml_text):
             raise RuleSemanticError("rule id must not be empty")
         if rule_id in seen_ids:
             raise RuleSemanticError("duplicate rule id %r" % rule_id)
+        if rule_id in _INDEX_ALERT_IDS:
+            raise RuleSemanticError("rule id %r is reserved for the config's index alert"
+                                    % rule_id)
         seen_ids.add(rule_id)
         scope = _member(DiseaseScope, child.attrib.get("scope", "BOTH"), "scope")
         severity = _member(Severity, _attr(child, "severity"), "severity")
@@ -307,7 +304,7 @@ def parse_rules(xml_text):
             condition=condition,
             kinds=tuple(sorted(kinds, key=lambda k: k.value)),
         ))
-    return RuleSet(rules=tuple(rules), schema=schema)
+    return tuple(rules)
 
 
 def _trace(condition, by_kind, now_ms):
@@ -368,7 +365,7 @@ def evaluate_with_report(ruleset, by_kind, patient_id, now_ms, disease=None,
     the one sort and render into the report the same way."""
     alerts = []
     skipped = []
-    for rule in ruleset.rules:
+    for rule in ruleset:
         if disease is not None and rule.scope not in (DiseaseScope.BOTH, disease):
             continue
         missing = [k.value for k in rule.kinds if k not in by_kind]
@@ -420,6 +417,7 @@ def _alert_dict(alert):
                 "value": r.value,
                 "ts": r.timestamp_ms,
                 "mode": r.mode.value,
+                **({"name": r.name} if r.name else {}),
             }
             for r in alert.evidence
         ],

@@ -7,10 +7,10 @@ gives a recording, so a measurement-only run never loads them.
 
 from . import hrv
 from .ecg_preprocess import (
+    denoise_samples,
     remove_baseline_linear,
     remove_baseline_poly,
     select_pq_knots,
-    wavelet_denoise,
 )
 from .errors import NoDataError
 from .qrs_detect import (
@@ -54,8 +54,8 @@ def ecg_features(read_samples, rate_hz, cfg, features):
         knots = select_pq_knots(signal, rough)
         cleaned = remove_baseline_poly(signal, knots)
     del signal
-    den = wavelet_denoise(cleaned, levels=pre["wavelet_levels"],
-                          threshold_mode=pre["threshold_mode"])
+    den = cleaned.replace_samples(denoise_samples(cleaned.samples, pre["wavelet_levels"],
+                                                  pre["threshold_mode"]))
     del cleaned
     qcfg = cfg["qrs"]
     pt_peaks = pan_tompkins(den)

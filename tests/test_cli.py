@@ -323,6 +323,9 @@ class TestRunBatch:
         ("config", "{not json", "is not valid JSON"),
         ("rules", '<rules><rule id="a" severity="ALARM"/></rules>', "exactly one condition"),
         ("rules", "<rules>", "no element found"),
+        ("rules", '<rules><rule id="lifestyle-index" severity="LIGHT_ALERT">'
+                  '<threshold kind="SPO2" op="lt" value="90"/></rule></rules>',
+         "rule id 'lifestyle-index' is reserved"),
         ("model", "{}", "not a model document"),
         ("model", WEIGHTED_INDEX_MODEL, "unknown model type 'weighted_index'"),
         ("model", TWO_ATTRIBUTE_TREE,
@@ -953,7 +956,7 @@ class TestRulesCheck:
     def test_valid_rules(self, tmp_path, capsys):
         path = write_rules(tmp_path)
         assert main(["rules-check", path]) == 0
-        assert "ok: 3 rules" in capsys.readouterr().out
+        assert capsys.readouterr().out == "ok: 3 rules, schema 1\n"
 
     @pytest.mark.parametrize("rule", [
         '<rule id="a" severity="ALARM"><threshold kind="NOPE" op="gt" value="1"/></rule>',
@@ -962,7 +965,9 @@ class TestRulesCheck:
         '<rule id="a" severity="ALARM"><threshold kind="SPO2" op="lt" value="90">'
         '<threshold kind="SPO2" op="gt" value="99"/></threshold></rule>',
         '<rule id="" severity="ALARM"><threshold kind="SPO2" op="lt" value="90"/></rule>',
-    ], ids=["unknown-kind", "logic-attribute", "predicate-child", "empty-id"])
+        '<rule id="stress-index" severity="LIGHT_ALERT">'
+        '<threshold kind="SPO2" op="lt" value="90"/></rule>',
+    ], ids=["unknown-kind", "logic-attribute", "predicate-child", "empty-id", "reserved-id"])
     def test_invalid_rules_exit_1(self, tmp_path, capsys, rule):
         path = tmp_path / "bad.xml"
         path.write_text("<rules>%s</rules>" % rule)

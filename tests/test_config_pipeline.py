@@ -45,7 +45,8 @@ class TestConfig:
         assert cfg.disease is None
         assert cfg["preprocess"]["baseline_method"] == "linear"
         assert cfg["qrs"]["detector"] == "pan_tompkins"
-        assert cfg.schedule.send_time == "20:00"
+        assert cfg["schedule"]["send_time"] == "20:00"
+        assert cfg.send_offset_ms == 72000000
         stress = cfg.stress_index
         assert len(stress.weights) == 13
         assert sum(stress.weights.values()) == 1.0
@@ -324,9 +325,10 @@ class TestPipelineEcgStages:
             calls.append(len(samples))
             return real(samples, *args, **kwargs)
 
-        # both modules bind the name; a second denoise from either shows
+        # three modules bind the name; a second denoise from any shows
         monkeypatch.setattr(ecg_preprocess, "denoise_samples", counting)
         monkeypatch.setattr(qrs_detect, "denoise_samples", counting)
+        monkeypatch.setattr(signal_features, "denoise_samples", counting)
         run_ecg_patient(tmp_path, bpm=70)
         assert calls == [15000]
 
@@ -487,7 +489,21 @@ class TestPipelineIndices:
                              measurements_csv=str(meas), out_dir=str(tmp_path / "out"))
         assert [a.rule_id for a in result.alerts] == ["stress-index"]
         assert result.report["stress_index"] == 1.0
-        assert "stress-index" not in {r.id for r in ruleset.rules}
+        assert "stress-index" not in {r.id for r in ruleset}
+
+    def test_index_alert_evidence_names_each_row_in_the_report(self, tmp_path):
+        # the rows differ only by name, so without it the evidence reads the same
+        meas = tmp_path / "meas.csv"
+        meas.write_text("kind,value,timestamp_ms,mode,name\n" + "".join(
+            "QUESTIONNAIRE_ITEM,1.0,1000,NOSILENT,questionnaire_%02d\n" % i
+            for i in range(1, 14)))
+        out = tmp_path / "out"
+        run_patient("p1", MeasurementStore(str(tmp_path / "store")), default_config(),
+                    parse_rules(RULES), now_ms=2000, measurements_csv=str(meas),
+                    out_dir=str(out))
+        (alert,) = json.loads((out / "p1" / "report.jsonl").read_text())["alerts"]
+        names = [e["name"] for e in alert["evidence"]]
+        assert names == ["questionnaire_%02d" % i for i in range(1, 14)]
 
 
 class TestPipelineMeasurementsOnly:

@@ -13,7 +13,6 @@ from edgevitals.ecg_preprocess import (
     remove_baseline_linear,
     remove_baseline_poly,
     select_pq_knots,
-    wavelet_denoise,
 )
 from edgevitals.signal_core import SampledSignal, SignalKind
 
@@ -100,10 +99,10 @@ class TestDenoise:
         with pytest.raises(ValueError):
             denoise_samples(np.zeros(64), 2, "medium")
 
-    def test_signal_wrapper_preserves_metadata(self):
+    def test_denoised_signal_preserves_metadata(self):
         x, _ = synth_ecg(60)
         sig = ecg_signal(x, 250.0, start_ms=123)
-        out = wavelet_denoise(sig)
+        out = sig.replace_samples(denoise_samples(sig.samples))
         assert out.start_time_ms == 123
         assert out.kind is SignalKind.ECG
         assert len(out.samples) == len(x)

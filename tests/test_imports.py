@@ -1,5 +1,6 @@
-"""Every name a module under src/ imports is used by that module, and
-every function and method under src/ has a caller there.
+"""Every name a module under src/ imports is used by that module, every
+name a module exports in `__all__` is bound at its top level, and every
+function and method under src/ has a caller there.
 
 No linter ships with the project, so both checks parse each module with
 the standard library's `ast`. An import counts as used when its bound name
@@ -24,6 +25,15 @@ SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 
 
+def exported(tree):
+    """The names the module's top-level `__all__` assignment lists."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
 def unused_imports(source):
     tree = ast.parse(source)
     lines = source.splitlines()
@@ -39,10 +49,7 @@ def unused_imports(source):
             if alias.name != "*":
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used.update(exported(tree))
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -56,6 +63,35 @@ def test_the_check_sees_an_unused_import_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unbound_exports(source):
+    """The names in `__all__` that no top-level statement of the module
+    binds: a def, a class, an import or an assignment target."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(sub.id for t in targets for sub in ast.walk(t)
+                         if isinstance(sub, ast.Name))
+    return sorted(set(exported(tree)) - bound)
+
+
+def test_the_export_check_on_a_sample_source():
+    source = ("import os.path\nfrom json import dumps as d\nX, (Y, Z) = 1, (2, 3)\n"
+              "N: int = 4\ndef f():\n    local = 5\nclass C: pass\n"
+              "__all__ = ['os', 'd', 'X', 'Y', 'Z', 'N', 'f', 'C', 'dumps', 'local']\n")
+    assert unbound_exports(source) == ["dumps", "local"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_module_binds_every_name_it_exports(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []
 
 
 def name_uses(node):

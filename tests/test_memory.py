@@ -17,7 +17,7 @@ import pytest
 from conftest import ecg_signal, synth_ecg, write_signal_csv
 from edgevitals import pipeline, signal_features
 from edgevitals.config import default_config
-from edgevitals.ecg_preprocess import wavelet_denoise
+from edgevitals.ecg_preprocess import denoise_samples
 from edgevitals.qrs_detect import pan_tompkins
 from edgevitals.rules import MeasurementKind, MeasurementRecord, parse_rules
 from edgevitals.signal_core import SignalKind, read_signal_csv
@@ -56,7 +56,12 @@ def test_read_signal_csv_holds_the_parsed_table_and_one_temporary(record):
     assert per_sample < 32.0
 
 
-@pytest.mark.parametrize("stage", [wavelet_denoise, pan_tompkins])
+def denoise(signal):
+    # the ECG branch's denoise stage
+    return signal.replace_samples(denoise_samples(signal.samples))
+
+
+@pytest.mark.parametrize("stage", [denoise, pan_tompkins])
 def test_stage_holds_under_five_and_a_half_record_copies(record, stage):
     signal = ecg_signal(record[0], FS)
     per_sample = peak_bytes_per_sample(lambda: stage(signal), len(signal.samples))

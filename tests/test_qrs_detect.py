@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgevitals.ecg_preprocess import wavelet_denoise
+from edgevitals.ecg_preprocess import denoise_samples
 from edgevitals.errors import NoDataError
 from edgevitals.qrs_detect import (
     BeatLabel,
@@ -165,7 +165,8 @@ class TestWaveletQrs:
         sig = ecg_signal(x)
         anns = wavelet_qrs(sig, threshold_mode=mode)
         assert anns
-        assert anns == annotate_spikes(wavelet_denoise(sig, threshold_mode=mode))
+        den = sig.replace_samples(denoise_samples(sig.samples, threshold_mode=mode))
+        assert anns == annotate_spikes(den)
 
 
 class TestAnnotationsCsv:

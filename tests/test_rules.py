@@ -44,17 +44,19 @@ def rec(kind, value, ts, patient="p1"):
 class TestParse:
     def test_golden_rules(self):
         rs = parse_rules(GOLDEN)
-        assert len(rs) == 3
-        assert [r.id for r in rs.rules] == ["hr-high", "weight-gain", "fever"]
-        assert rs.rules[0].severity is Severity.ALARM
-        assert rs.rules[1].scope is DiseaseScope.CKD
-        assert rs.rules[1].condition.window_hours == 24.0
+        assert type(rs) is tuple and len(rs) == 3
+        assert [r.id for r in rs] == ["hr-high", "weight-gain", "fever"]
+        assert rs[0].severity is Severity.ALARM
+        assert rs[1].scope is DiseaseScope.CKD
+        assert rs[1].condition.window_hours == 24.0
 
     def test_empty_document(self):
         assert len(parse_rules("<rules/>")) == 0
 
     def test_schema_defaults_to_1(self):
-        assert parse_rules("<rules></rules>").schema == "1"
+        # a document without `schema` parses as schema 1
+        assert parse_rules("<rules></rules>") == ()
+        assert parse_rules(GOLDEN.replace(' schema="1"', "")) == parse_rules(GOLDEN)
 
     def test_unsupported_schema(self):
         with pytest.raises(RuleSemanticError):
@@ -91,10 +93,10 @@ class TestParse:
             <and><threshold kind="HEART_RATE" op="gt" value="100"/>
                  <sustained kind="SPO2" op="lt" value="92" duration_minutes="5"/></and>
         </or></rule></rules>"""
-        (rule,) = parse_rules(xml).rules
+        (rule,) = parse_rules(xml)
         assert rule.kinds == (MeasurementKind.HEART_RATE, MeasurementKind.SPO2)
         assert [c.op for c in rule.condition.children] == ["not", "and"]
-        assert parse_rules(GOLDEN).rules[1].kinds == (MeasurementKind.BODY_WEIGHT,)
+        assert parse_rules(GOLDEN)[1].kinds == (MeasurementKind.BODY_WEIGHT,)
 
     def test_unknown_element(self):
         xml = '<rules><rule id="a" severity="ALARM"><trend kind="SPO2" op="gt" value="1"/></rule></rules>'
@@ -134,6 +136,14 @@ class TestParse:
     def test_empty_rule_id_rejected(self):
         xml = '<rules><rule id="" severity="ALARM"><threshold kind="SPO2" op="lt" value="90"/></rule></rules>'
         with pytest.raises(RuleSemanticError, match="rule id must not be empty"):
+            parse_rules(xml)
+
+    @pytest.mark.parametrize("rule_id", ["stress-index", "lifestyle-index"])
+    def test_index_alert_ids_reserved(self, rule_id):
+        # a patient run adds alerts with these ids from the config's indices
+        xml = ('<rules><rule id="%s" severity="LIGHT_ALERT">'
+               '<threshold kind="SPO2" op="lt" value="90"/></rule></rules>' % rule_id)
+        with pytest.raises(RuleSemanticError, match="rule id '%s' is reserved" % rule_id):
             parse_rules(xml)
 
     def test_missing_required_attribute(self):

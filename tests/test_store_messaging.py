@@ -7,13 +7,13 @@ import pytest
 
 from edgevitals.errors import IntegrityError, SchemaMismatchError
 from edgevitals.messaging import (
-    DailySchedule,
     OutboundMessage,
     TransmissionDecision,
     Urgency,
     build_message_xml,
     decide_transmission,
     parse_message_xml,
+    send_offset_ms,
 )
 from edgevitals.rules import (
     AcquisitionMode,
@@ -393,7 +393,7 @@ def light(rule="stress-index", patient="p1", fired=5000):
 
 
 class TestDecideTransmission:
-    SCHED = DailySchedule("20:00")
+    SCHED = send_offset_ms("20:00")
 
     def ms(self, day, hh, mm=0):
         return day * DAY + (hh * 60 + mm) * 60000
@@ -425,6 +425,15 @@ class TestDecideTransmission:
         last = self.ms(9, 20)
         assert decide_transmission([], self.SCHED, now, last) \
             is TransmissionDecision.HOLD
+
+    def test_send_time_is_ms_after_midnight(self):
+        assert self.SCHED == 72000000
+        assert send_offset_ms("00:00") == 0
+        assert send_offset_ms("23:59") == (23 * 60 + 59) * 60000
+        with pytest.raises(ValueError, match="send_time must be HH:MM, got '8pm'"):
+            send_offset_ms("8pm")
+        with pytest.raises(ValueError, match="send_time out of range: '24:00'"):
+            send_offset_ms("24:00")
 
     def test_light_alerts_never_immediate(self):
         for hh in range(24):
