@@ -254,22 +254,25 @@ def cmd_train(args):
         return EXIT_ERROR
     if len(data) == 0:
         raise UsageError("dataset has no rows")
-    if args.algorithm == "tree":
-        model = train_decision_tree(data, max_depth=args.max_depth, min_leaf=args.min_leaf)
-        depth, nodes = _tree_summary(model.root)
-        print("trained decision tree: depth=%d nodes=%d rows=%d" % (depth, nodes, len(data)))
-    elif args.algorithm == "forest":
-        model = train_random_forest(
-            data, n_trees=args.n_trees, attrs_per_split=args.attrs_per_split,
-            seed=args.seed, bootstrap=not args.no_bootstrap,
-            max_depth=args.max_depth, min_leaf=args.min_leaf)
-        print("trained random forest: trees=%d attrs_per_split=%d seed=%d rows=%d" % (
-            args.n_trees, args.attrs_per_split, args.seed, len(data)))
-    else:
-        model = train_naive_bayes(data)
-        priors = " ".join("%s=%.4f" % (lab.name, p)
-                          for lab, p in sorted(model.priors.items(), key=lambda kv: kv[0].ordinal))
-        print("trained naive bayes: rows=%d priors: %s" % (len(data), priors))
+    try:
+        if args.algorithm == "tree":
+            model = train_decision_tree(data, max_depth=args.max_depth, min_leaf=args.min_leaf)
+            depth, nodes = _tree_summary(model.root)
+            print("trained decision tree: depth=%d nodes=%d rows=%d" % (depth, nodes, len(data)))
+        elif args.algorithm == "forest":
+            model = train_random_forest(
+                data, n_trees=args.n_trees, attrs_per_split=args.attrs_per_split,
+                seed=args.seed, bootstrap=not args.no_bootstrap,
+                max_depth=args.max_depth, min_leaf=args.min_leaf)
+            print("trained random forest: trees=%d attrs_per_split=%d seed=%d rows=%d" % (
+                args.n_trees, args.attrs_per_split, args.seed, len(data)))
+        else:
+            model = train_naive_bayes(data)
+            priors = " ".join("%s=%.4f" % (lab.name, p) for lab, p in
+                              sorted(model.priors.items(), key=lambda kv: kv[0].ordinal))
+            print("trained naive bayes: rows=%d priors: %s" % (len(data), priors))
+    except ValueError as exc:  # the dataset has rows, so a numeric flag is at fault
+        raise UsageError(str(exc)) from None
     text = model_to_json(model)  # before the open, so a model it refuses leaves no file
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

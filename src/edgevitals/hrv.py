@@ -126,10 +126,10 @@ def band_powers(rr):
     tach = np.interp(grid, rr.onsets_ms, rr.intervals_ms)
     tach = tach - np.mean(tach)
     windowed = tach * hamming_window(len(tach))
-    spectrum = dft_magnitude(windowed, TACHOGRAM_RATE_HZ)
+    magnitudes = dft_magnitude(windowed)
     n = len(windowed)
-    freqs = np.arange(len(spectrum.magnitudes)) * spectrum.bin_width_hz
-    power = 2.0 * spectrum.magnitudes ** 2 / n ** 2
+    freqs = np.arange(len(magnitudes)) * (TACHOGRAM_RATE_HZ / n)
+    power = 2.0 * magnitudes ** 2 / n ** 2
     lf_mask = (freqs >= LF_BAND_HZ[0]) & (freqs < LF_BAND_HZ[1])
     hf_mask = (freqs >= HF_BAND_HZ[0]) & (freqs <= HF_BAND_HZ[1])
     return {"lf_power": float(np.sum(power[lf_mask])),

@@ -15,6 +15,7 @@ byte-identical messages:
 
 import datetime
 import enum
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 _DAY_MS = 86400000
+_HH_MM = re.compile("[0-9]{2}:[0-9]{2}")
 
 
 class Urgency(enum.Enum):
@@ -56,12 +58,10 @@ class OutboundMessage:
 
 
 def send_offset_ms(send_time):
-    """The daily send slot send_time, "HH:MM" in UTC, in ms after midnight."""
-    try:
-        hh, mm = send_time.split(":")
-        hh, mm = int(hh), int(mm)
-    except ValueError:
-        raise ValueError("send_time must be HH:MM, got %r" % send_time) from None
+    """The daily send slot send_time, "HH:MM" UTC in ASCII digits, in ms after midnight."""
+    if not _HH_MM.fullmatch(send_time):
+        raise ValueError("send_time must be HH:MM, got %r" % send_time)
+    hh, mm = int(send_time[:2]), int(send_time[3:])
     if not (0 <= hh < 24 and 0 <= mm < 60):
         raise ValueError("send_time out of range: %r" % send_time)
     return (hh * 60 + mm) * 60000
@@ -201,7 +201,6 @@ def parse_message_xml(text):
                 evidence = tuple(_record_from_elem(e, patient) for e in a)
                 alerts.append(Alert(
                     rule_id=a.attrib["rule"],
-                    patient_id=patient,
                     severity=Severity(a.attrib["severity"]),
                     fired_at_ms=int(a.attrib["fired-at"]),
                     evidence=evidence,

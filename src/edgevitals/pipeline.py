@@ -5,7 +5,7 @@ Steps (each optional input skips its branch):
      a row that does not parse fails the run before any signal work.
   2. ECG: the CSV is parsed in a child process (`forked`, which `run
      --jobs` also forks its workers with) while this one imports numpy and
-     scipy; the child sends the samples back and exits.
+     scipy; the child sends the checked signal back and exits.
      Then baseline removal, one wavelet denoise whose output feeds both
      Pan-Tompkins and the spike annotator, QRS with the configured
      detector plus a cross-check against the other one, RR series, HRV
@@ -56,6 +56,7 @@ from .rules import (
     MeasurementKind,
     MeasurementRecord,
     Severity,
+    ascii_number,
     evaluate_with_report,
     history_view,
     report_to_json_line,
@@ -91,8 +92,8 @@ def read_measurements_csv(path, patient_id):
                                      % path)
             for row in reader:
                 try:
-                    value = float(row["value"])
-                    timestamp_ms = int(row["timestamp_ms"])
+                    value = ascii_number(row["value"])
+                    timestamp_ms = ascii_number(row["timestamp_ms"], int)
                 except (TypeError, ValueError) as exc:
                     raise IngestionError("%s:%d: %s" % (path, reader.line_num, exc)) from None
                 out.append({
@@ -109,7 +110,7 @@ def read_measurements_csv(path, patient_id):
     return out
 
 
-def _index_alert(rule_id, model, by_name, patient_id, now_ms):
+def _index_alert(rule_id, model, by_name, now_ms):
     """(index, alert) from the latest named values; a value outside
     [0, 1] counts as missing."""
     scores = {}
@@ -126,7 +127,6 @@ def _index_alert(rule_id, model, by_name, patient_id, now_ms):
                      if scores.get(n) is not None)
     return index, Alert(
         rule_id=rule_id,
-        patient_id=patient_id,
         severity=Severity.LIGHT_ALERT,
         fired_at_ms=int(now_ms),
         evidence=evidence,
@@ -230,8 +230,7 @@ def forked(fn, *args):
 
 def _read_ecg(path, rate_hz):
     from .signal_core import SignalKind, read_signal_csv
-    ecg = read_signal_csv(path, rate_hz, SignalKind.ECG)
-    return ecg.samples, ecg.start_time_ms
+    return read_signal_csv(path, rate_hz, SignalKind.ECG)
 
 
 def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
@@ -244,22 +243,14 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
     rows = read_measurements_csv(measurements_csv, patient_id) if measurements_csv else []
 
     ecg_end_ms = resp_end_ms = None
-    with (forked(_read_ecg, ecg_csv, ecg_rate_hz) if ecg_csv
-          else contextlib.nullcontext()) as wait:
-        if ecg_csv or resp_csv:
-            # the signal layers load numpy and scipy; measurement-only runs skip them
+    # the signal layers load numpy and scipy; measurement-only runs skip them
+    if ecg_csv:
+        with forked(_read_ecg, ecg_csv, ecg_rate_hz) as wait:
             from . import signal_features
-        if ecg_csv:
-            def read_ecg():
-                try:
-                    return wait()
-                except ChildProcessError as exc:
-                    raise IngestionError("%s: ECG reader %s before sending the samples"
-                                         % (ecg_csv, exc)) from None
-
             beats_csv, disagreement, ecg_end_ms = signal_features.ecg_features(
-                read_ecg, ecg_rate_hz, cfg, features)
+                wait, ecg_csv, cfg, features)
     if resp_csv:
+        from . import signal_features
         resp_end_ms = signal_features.resp_features(resp_csv, resp_rate_hz, cfg, features)
 
     # one append; the CSV rows come first in the log, then the derived rates
@@ -268,10 +259,9 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
                 for row, reason in store.ingest(rows).rejections]
 
     by_kind, by_name = history_view(store.log_records(patient_id), patient_id, now_ms)
-    stress_index, stress_alert = _index_alert(
-        "stress-index", cfg.stress_index, by_name, patient_id, now_ms)
+    stress_index, stress_alert = _index_alert("stress-index", cfg.stress_index, by_name, now_ms)
     lifestyle_index, lifestyle_alert = _index_alert(
-        "lifestyle-index", cfg.lifestyle_index, by_name, patient_id, now_ms)
+        "lifestyle-index", cfg.lifestyle_index, by_name, now_ms)
     alerts, report = evaluate_with_report(
         ruleset, by_kind, patient_id, now_ms, cfg.disease,
         extra_alerts=[a for a in (stress_alert, lifestyle_alert) if a is not None])

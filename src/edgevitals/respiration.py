@@ -2,8 +2,9 @@
 
 `respiration_rate` takes the rate of each back-to-back window (60 s
 unless the config's respiration.window_s says otherwise) from the window's
-dominant spectral line up to F_MAX_HZ; tidal volume and vital capacity
-come from per-breath excursions of the calibrated signal.
+dominant spectral line up to F_MAX_HZ; the windows share one length n, so
+one bin width rate / n. Tidal volume and vital capacity come from
+per-breath excursions of the calibrated signal.
 """
 
 import numpy as np
@@ -28,13 +29,18 @@ def _check_respiration(signal):
 def respiration_rate(signal, window_s=60.0):
     """Breaths per minute per back-to-back window: Hamming window, DFT, and
     the argmax magnitude over (0, F_MAX_HZ] times 60. DC is excluded and
-    ties resolve to the lower bin."""
+    ties resolve to the lower bin. A window with no bin in that band, a
+    one-sample window among them, raises NoDataError."""
     _check_respiration(signal)
     if signal.duration_seconds < window_s:
         raise NoDataError("signal shorter than one window")
     samples, rate = signal.samples, signal.rate_hz
     n = int(round(window_s * rate))
     weights = hamming_window(n)
+    bin_hz = rate / n
+    k_max = min(int(np.floor(F_MAX_HZ / bin_hz + 1e-9)), n // 2)
+    if k_max < 1:
+        raise NoDataError("window too short for any in-band bin")
     out = []
     start = 0.0
     while start + window_s <= signal.duration_seconds + 1e-9:
@@ -44,14 +50,9 @@ def respiration_rate(signal, window_s=60.0):
         win = samples[i0: i0 + n]
         # demean before windowing, otherwise a DC offset leaks through the
         # window's sidelobes into the low bins and masks the true peak
-        spectrum = dft_magnitude((win - np.mean(win)) * weights, rate)
-        k_max = int(np.floor(F_MAX_HZ / spectrum.bin_width_hz + 1e-9))
-        k_max = min(k_max, len(spectrum.magnitudes) - 1)
-        if k_max < 1:
-            raise NoDataError("window too short for any in-band bin")
-        band = spectrum.magnitudes[1: k_max + 1]
+        band = dft_magnitude((win - np.mean(win)) * weights)[1: k_max + 1]
         k_dom = 1 + int(np.argmax(band))
-        out.append(k_dom * spectrum.bin_width_hz * 60.0)
+        out.append(k_dom * bin_hz * 60.0)
         start += window_s
     return np.array(out)
 

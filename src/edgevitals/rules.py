@@ -29,10 +29,12 @@ __all__ = [
     "MeasurementRecord",
     "history_key",
     "history_view",
+    "ascii_number",
     "Severity",
     "DiseaseScope",
     "Rule",
     "Alert",
+    "record_doc",
     "parse_rules",
     "evaluate",
     "evaluate_with_report",
@@ -73,6 +75,17 @@ class DiseaseScope(enum.Enum):
 # characters outside the XML 1.0 Char production; a name holding one would
 # make the outbound message unparseable
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# float() and int() read "_" and non-ASCII digits, which np.loadtxt refuses
+_NOT_ASCII_NUMBER = re.compile(r"_|(?![0-9])\d")
+
+
+def ascii_number(raw, convert=float):
+    """convert(raw) for a number of a rule document or a measurements CSV;
+    one holding "_" or a non-ASCII digit is a ValueError too."""
+    value = convert(raw)
+    if _NOT_ASCII_NUMBER.search(raw):
+        raise ValueError("%r is not an ASCII number" % raw)
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +195,6 @@ class Rule:
     id: str
     scope: DiseaseScope
     severity: Severity
-    message: str
     condition: object
     kinds: tuple  # the measurement kinds the condition reads, ordered by value
 
@@ -190,7 +202,6 @@ class Rule:
 @dataclass(frozen=True)
 class Alert:
     rule_id: str
-    patient_id: str
     severity: Severity
     fired_at_ms: int
     evidence: tuple = field(repr=False)
@@ -225,7 +236,7 @@ def _parse_op(elem):
 def _parse_float(elem, name, positive=False):
     raw = _attr(elem, name)
     try:
-        v = float(raw)
+        v = ascii_number(raw)
     except ValueError:
         raise RuleSemanticError("<%s> attribute %r is not a number: %r" % (elem.tag, name, raw)) from None
     if not math.isfinite(v):
@@ -300,7 +311,6 @@ def parse_rules(xml_text):
             id=rule_id,
             scope=scope,
             severity=severity,
-            message=child.attrib.get("message", ""),
             condition=condition,
             kinds=tuple(sorted(kinds, key=lambda k: k.value)),
         ))
@@ -383,7 +393,7 @@ def evaluate_with_report(ruleset, by_kind, patient_id, now_ms, disease=None,
             # negated conditions can fire without touching a record;
             # cite the latest record of each referenced kind instead
             evidence = tuple(by_kind[k][-1] for k in rule.kinds)
-        alerts.append(Alert(rule.id, patient_id, rule.severity, int(now_ms), evidence))
+        alerts.append(Alert(rule.id, rule.severity, int(now_ms), evidence))
     alerts.extend(extra_alerts)
     alerts.sort(key=_alert_order)
     report = {
@@ -406,21 +416,27 @@ def evaluation_report(ruleset, history, patient_id, now_ms, disease=None):
     return evaluate_with_report(ruleset, by_kind, patient_id, now_ms, disease)[1]
 
 
+def record_doc(rec):
+    """A record as a JSON object without its patient: kind, value, ts,
+    mode, and name when it has one. The store's log lines and the report's
+    evidence both write it."""
+    doc = {
+        "kind": rec.kind._value_,
+        "value": rec.value,
+        "ts": rec.timestamp_ms,
+        "mode": rec.mode._value_,
+    }
+    if rec.name:
+        doc["name"] = rec.name
+    return doc
+
+
 def _alert_dict(alert):
     return {
         "rule": alert.rule_id,
         "severity": alert.severity.value,
         "fired_at": alert.fired_at_ms,
-        "evidence": [
-            {
-                "kind": r.kind.value,
-                "value": r.value,
-                "ts": r.timestamp_ms,
-                "mode": r.mode.value,
-                **({"name": r.name} if r.name else {}),
-            }
-            for r in alert.evidence
-        ],
+        "evidence": [record_doc(r) for r in alert.evidence],
     }
 
 

@@ -1,7 +1,7 @@
 """Shared signal representation and spectral primitives."""
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,7 +10,6 @@ from .errors import IngestionError
 __all__ = [
     "SignalKind",
     "SampledSignal",
-    "Spectrum",
     "hamming_window",
     "dft_magnitude",
     "read_signal_csv",
@@ -53,14 +52,6 @@ class SampledSignal:
         return SampledSignal(samples, self.rate_hz, self.start_time_ms, self.kind)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided magnitude spectrum; magnitudes[k] sits at k * bin_width_hz."""
-
-    magnitudes: np.ndarray = field(repr=False)
-    bin_width_hz: float
-
-
 def hamming_window(n):
     """Window weights w[k] = 0.54 - 0.46 cos(2 pi k / (n-1)); [1.0] for n=1."""
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -71,16 +62,15 @@ def hamming_window(n):
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
 
 
-def dft_magnitude(samples, rate_hz):
-    """Magnitude spectrum up to Nyquist. No zero padding: n_fft = len(samples),
-    so bin_width is exactly rate_hz / n."""
+def dft_magnitude(samples):
+    """One-sided magnitude spectrum up to Nyquist. No zero padding: n_fft =
+    len(samples) = n, so bin k of a signal sampled at rate sits at k * rate / n."""
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("need at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
-    mags = np.abs(np.fft.rfft(x))
-    return Spectrum(magnitudes=mags, bin_width_hz=rate_hz / len(x))
+    return np.abs(np.fft.rfft(x))
 
 
 def read_signal_csv(path, rate_hz, kind):

@@ -12,7 +12,7 @@ from .ecg_preprocess import (
     remove_baseline_poly,
     select_pq_knots,
 )
-from .errors import NoDataError
+from .errors import IngestionError, NoDataError
 from .qrs_detect import (
     BeatLabel,
     annotate_spikes,
@@ -22,7 +22,7 @@ from .qrs_detect import (
     rr_from_peaks,
 )
 from .respiration import respiration_rate, volume_features
-from .signal_core import SampledSignal, SignalKind, read_signal_csv
+from .signal_core import SignalKind, read_signal_csv
 
 __all__ = ["ecg_features", "resp_features"]
 
@@ -31,19 +31,22 @@ def _end_ms(signal):
     return signal.start_time_ms + int(round(signal.duration_seconds * 1000.0))
 
 
-def ecg_features(read_samples, rate_hz, cfg, features):
+def ecg_features(read_signal, path, cfg, features):
     """The ECG branch; returns (beats.csv text, QRS disagreement %, end time).
-    `read_samples()` waits for the forked reader that `run_patient` started
-    and returns (samples, start time in ms). scipy.signal is imported before
-    that wait, so the import runs while the reader parses. From then on this
-    function alone holds the samples, and drops each stage's input once that
-    stage's output exists: the received array once the signal is built, the
-    raw samples after baseline removal, the cleaned ones after the denoise,
-    before Pan-Tompkins runs."""
+    `read_signal()` waits for the forked reader that `run_patient` started
+    on path and returns the ECG `SampledSignal` it checked; a reader that
+    dies before sending it is an IngestionError naming path. scipy.signal
+    is imported before that wait, so the import runs while the reader
+    parses. From then on this function alone holds the samples, and drops
+    each stage's input once that stage's output exists: the raw samples
+    after baseline removal, the cleaned ones after the denoise, before
+    Pan-Tompkins runs."""
     import scipy.signal  # noqa: F401 -- loaded here, while the reader parses
-    samples, start_time_ms = read_samples()
-    signal = SampledSignal(samples, rate_hz, start_time_ms, SignalKind.ECG)
-    del samples
+    try:
+        signal = read_signal()
+    except ChildProcessError as exc:
+        raise IngestionError("%s: ECG reader %s before sending the samples"
+                             % (path, exc)) from None
     end_ms = _end_ms(signal)
     pre = cfg["preprocess"]
     if pre["baseline_method"] == "linear":

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import IntegrityError
-from .rules import AcquisitionMode, MeasurementKind, MeasurementRecord, history_key
+from .rules import AcquisitionMode, MeasurementKind, MeasurementRecord, history_key, record_doc
 
 __all__ = ["MeasurementStore", "IngestResult", "write_atomic"]
 
@@ -33,16 +33,7 @@ class IngestResult:
 
 
 def _record_to_line(rec):
-    doc = {
-        "patient": rec.patient_id,
-        "kind": rec.kind._value_,
-        "value": rec.value,
-        "ts": rec.timestamp_ms,
-        "mode": rec.mode._value_,
-    }
-    if rec.name:
-        doc["name"] = rec.name
-    return _encode(doc)
+    return _encode({"patient": rec.patient_id, **record_doc(rec)})
 
 
 _KIND_BY_VALUE = {k.value: k for k in MeasurementKind}

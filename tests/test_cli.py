@@ -345,6 +345,7 @@ class TestRunBatch:
          "config key 'qrs.qrs_min_ms' must not exceed qrs.qrs_max_ms"),
         ("config", '{"respiration": {"window_s": 0}}',
          "config key 'respiration.window_s' must be a finite number > 0, got 0"),
+        ("config", '{"schedule": {"send_time": "8:00"}}', "send_time must be HH:MM, got '8:00'"),
         ("config", '{"stress_index": {"weights": {"questionnaire_01": 1.0}, "threshold": 0.5, '
                    '"treshold": 0.9}}', "unknown config key 'stress_index.treshold'"),
     ])
@@ -784,7 +785,7 @@ class TestForkedEcgReader:
                 fh.write(BAD_ECG["jitter"])
         if case == "parent-raises":
             # raises before it waits, while the child still parses or writes
-            def failing(read_samples, rate_hz, cfg, features):
+            def failing(read_signal, path, cfg, features):
                 raise RuntimeError("parent failed")
             monkeypatch.setattr(signal_features, "ecg_features", failing)
         no_child_left()
@@ -944,6 +945,23 @@ class TestTrainEval:
         report = json.loads(text, parse_constant=refuse)
         assert report["prediction"] == "STABLE"
         assert report["prediction_distribution"] == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("algorithm, flag, value, reason", [
+        ("tree", "--min-leaf", "0", "min_leaf must be >= 1"),
+        ("tree", "--max-depth", "-1", "max_depth must be >= 0"),
+        ("forest", "--n-trees", "0", "n_trees must be >= 1"),
+        ("forest", "--attrs-per-split", "0", "attrs_per_split must be in [1, 41]"),
+        ("forest", "--attrs-per-split", "99", "attrs_per_split must be in [1, 41]"),
+        ("forest", "--seed", "-1", "expected non-negative integer"),
+    ])
+    def test_train_bad_numeric_flag_is_usage_error(self, tmp_path, capsys, algorithm, flag,
+                                                   value, reason):
+        dataset = write_dataset(tmp_path, "train.csv", TRAIN_PAIRS)
+        model = tmp_path / "m.json"
+        assert main(["train", dataset, "--algorithm", algorithm, "--out", str(model),
+                     flag, value]) == 64
+        assert capsys.readouterr().err == "usage error: %s\n" % reason
+        assert not model.exists()
 
     def test_train_missing_algorithm_is_usage_error(self, tmp_path):
         dataset = write_dataset(tmp_path, "train.csv", TRAIN_PAIRS)

@@ -29,6 +29,7 @@ from edgevitals.rules import (
     Severity,
     parse_rules,
 )
+from edgevitals.signal_core import SampledSignal
 from edgevitals.store import MeasurementStore
 
 RULES = """<rules>
@@ -204,6 +205,27 @@ class TestMeasurementsCsv:
         with pytest.raises(IngestionError, match=r"m\.csv:3: "):
             read_measurements_csv(str(path), "p1")
 
+    @pytest.mark.parametrize("row, raw", [
+        ("HEART_RATE,1_20,1000", "1_20"),
+        ("HEART_RATE,120,1_000", "1_000"),
+        ("HEART_RATE,\u0661\u0662\u0660,1000", "\u0661\u0662\u0660"),
+        ("HEART_RATE,120,\u0661\u0660\u0660\u0660", "\u0661\u0660\u0660\u0660"),
+    ])
+    def test_number_outside_ascii_digits_names_file_and_line(self, tmp_path, row, raw):
+        # float() and int() read each of these; the signal CSVs' reader refuses them
+        path = tmp_path / "m.csv"
+        path.write_text("kind,value,timestamp_ms\nBODY_WEIGHT,70.5,1000\n%s\n" % row,
+                        encoding="utf-8")
+        with pytest.raises(IngestionError, match=re.escape(
+                "%s:3: %r is not an ASCII number" % (path, raw))):
+            read_measurements_csv(str(path), "p1")
+
+    def test_blanks_sign_and_exponent_still_read(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("kind,value,timestamp_ms\nBODY_WEIGHT, +7.05e1 , 1000 \n")
+        (row,) = read_measurements_csv(str(path), "p1")
+        assert (row["value"], row["timestamp_ms"]) == (70.5, 1000)
+
 
 def run_ecg_patient(tmp_path, bpm, model=None, extra_measurements="",
                     config=None):
@@ -331,6 +353,21 @@ class TestPipelineEcgStages:
         monkeypatch.setattr(signal_features, "denoise_samples", counting)
         run_ecg_patient(tmp_path, bpm=70)
         assert calls == [15000]
+
+    def test_the_parent_builds_only_the_cleaned_and_denoised_signals(self, tmp_path,
+                                                                     monkeypatch):
+        # the forked reader checks the record and sends its SampledSignal
+        # as it is, so the parent checks and copies no received samples
+        built = []
+        real = SampledSignal.__post_init__
+
+        def counting(signal):
+            built.append(len(signal.samples))
+            real(signal)
+
+        monkeypatch.setattr(SampledSignal, "__post_init__", counting)
+        run_ecg_patient(tmp_path, bpm=70)
+        assert built == [15000, 15000]
 
     def test_highpass_config_reaches_baseline_removal(self, tmp_path, monkeypatch):
         seen = []
@@ -595,14 +632,14 @@ class TestPipelineMeasurementsOnly:
         assert "rejected_rows" not in result.report
 
 
-def run_resp_patient(tmp_path):
+def run_resp_patient(tmp_path, cfg=None):
     fs = 25.0
     t = np.arange(int(120 * fs)) / fs
     samples = 1.5 * np.sin(2 * np.pi * 0.25 * t)
     resp_path = tmp_path / "resp.csv"
     write_signal_csv(str(resp_path), samples, fs)
     store = MeasurementStore(str(tmp_path / "store"))
-    result = run_patient("p1", store, default_config(), parse_rules(RULES),
+    result = run_patient("p1", store, cfg or default_config(), parse_rules(RULES),
                          now_ms=120000, resp_csv=str(resp_path),
                          out_dir=str(tmp_path / "out"))
     return result, store
@@ -631,3 +668,11 @@ class TestPipelineRespiration:
         result, _ = run_resp_patient(tmp_path)
         assert "tidal_volume_l" in result.features
         assert len(calls) == 1
+
+    def test_one_sample_window_leaves_the_rate_blank(self, tmp_path):
+        # 0.04 s at 25 Hz is one sample: no bin in the breathing band
+        cfg = config_from_dict({"respiration": {"window_s": 0.04}})
+        result, store = run_resp_patient(tmp_path, cfg)
+        assert "respiration_rate_bpm" not in result.features
+        assert "tidal_volume_l" in result.features
+        assert store.records("p1") == []

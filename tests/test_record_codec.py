@@ -93,7 +93,7 @@ class TestRecordXml:
     @given(st.lists(RECORDS, max_size=8), st.lists(RECORDS, min_size=1, max_size=3),
            st.booleans())
     def test_build_parse_round_trip(self, measurements, evidence, alarm):
-        alert = Alert("r-1", "p1", Severity.ALARM if alarm else Severity.LIGHT_ALERT,
+        alert = Alert("r-1", Severity.ALARM if alarm else Severity.LIGHT_ALERT,
                       1720000000123, tuple(evidence))
         message = OutboundMessage(
             patient_id="p1", created_at_ms=1720000000123,

@@ -51,6 +51,13 @@ class TestDominantFrequency:
         with pytest.raises(ValueError):
             respiration_rate(ecg_signal(breathing(0.3), fs=250.0))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_window_with_no_in_band_bin(self, n):
+        # at 25 Hz a window of n <= 3 samples has no bin in (0, F_MAX_HZ]
+        sig = resp_signal(breathing(0.3, 1.0), fs=FS)
+        with pytest.raises(NoDataError, match="window too short for any in-band bin"):
+            respiration_rate(sig, window_s=n / FS)
+
 
 class TestRespirationRate:
     def test_rate_is_dominant_times_60(self):

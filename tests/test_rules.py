@@ -173,6 +173,27 @@ class TestParse:
                            match="<%s> attribute '%s' must be finite" % (tag, attribute)):
             parse_rules(xml)
 
+    @pytest.mark.parametrize("raw", ["1_20", "\u0669\u0662", "1\uff12", "1_2e1"])
+    @pytest.mark.parametrize("element, attribute", [
+        ('<threshold kind="HEART_RATE" op="lt" value="{}"/>', "value"),
+        ('<percent_change kind="BODY_WEIGHT" op="gt" percent="{}" window_hours="24"/>',
+         "percent"),
+        ('<sustained kind="SPO2" op="lt" value="90" duration_minutes="{}"/>',
+         "duration_minutes"),
+    ], ids=["value", "percent", "duration_minutes"])
+    def test_number_outside_ascii_digits_rejected(self, element, attribute, raw):
+        # float() reads each of these; the signal CSVs' reader refuses them
+        xml = '<rules><rule id="a" severity="ALARM">%s</rule></rules>' % element.format(raw)
+        tag = element.split()[0][1:]
+        with pytest.raises(RuleSemanticError, match=re.escape(
+                "<%s> attribute '%s' is not a number: %r" % (tag, attribute, raw))):
+            parse_rules(xml)
+
+    def test_blanks_sign_and_exponent_still_read(self):
+        xml = ('<rules><rule id="a" severity="ALARM">'
+               '<threshold kind="HEART_RATE" op="gt" value=" +1.2e2 "/></rule></rules>')
+        assert parse_rules(xml)[0].condition.value == 120.0
+
 
 class TestEvaluate:
     def setup_method(self):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -384,12 +385,11 @@ class TestTransmissionCursor:
 
 
 def alarm(rule="hr-high", patient="p1", fired=5000):
-    return Alert(rule, patient, Severity.ALARM, fired,
-                 (rec(130.0, 4000, patient=patient),))
+    return Alert(rule, Severity.ALARM, fired, (rec(130.0, 4000, patient=patient),))
 
 
-def light(rule="stress-index", patient="p1", fired=5000):
-    return Alert(rule, patient, Severity.LIGHT_ALERT, fired, ())
+def light(rule="stress-index", fired=5000):
+    return Alert(rule, Severity.LIGHT_ALERT, fired, ())
 
 
 class TestDecideTransmission:
@@ -434,6 +434,12 @@ class TestDecideTransmission:
             send_offset_ms("8pm")
         with pytest.raises(ValueError, match="send_time out of range: '24:00'"):
             send_offset_ms("24:00")
+
+    @pytest.mark.parametrize("text", ["20: 00", "\u0662\u0660:00", "+8:00", "8:0", " 8:-0",
+                                      "1_0:00", "20:00 "])
+    def test_send_time_is_two_ascii_digits_each(self, text):
+        with pytest.raises(ValueError, match=re.escape("send_time must be HH:MM, got %r" % text)):
+            send_offset_ms(text)
 
     def test_light_alerts_never_immediate(self):
         for hh in range(24):
