@@ -31,10 +31,10 @@ from .classify.serialize import model_from_json, model_to_json
 from .classify.tree import train_decision_tree
 from .config import default_config, load_config
 from .errors import RuleParseError, RuleSemanticError, SchemaMismatchError
-from .messaging import TransmissionDecision
+from .messaging import Urgency
 from .pipeline import forked, run_patient
 from .rules import parse_rules
-from .store import _PATIENT_RE, MeasurementStore
+from .store import _PATIENT_RE, MeasurementStore, write_atomic
 
 __all__ = ["main"]
 
@@ -182,9 +182,10 @@ def _summarise(doc, parsed, now_ms):
     except Exception as exc:
         return False, True, "%s error=%s: %s" % (pid, type(exc).__name__, exc)
     # decide_transmission sends at once exactly when an ALARM fired
-    alarm = res.decision is TransmissionDecision.IMMEDIATE
+    alarm = res.decision is Urgency.IMMEDIATE
+    decision = res.decision.value if res.decision else "HOLD"
     return alarm, False, "%s alerts=%d alarm=%s decision=%s%s" % (
-        pid, len(res.alerts), "yes" if alarm else "no", res.decision.value,
+        pid, len(res.alerts), "yes" if alarm else "no", decision,
         " flagged-qrs-disagreement" if res.report.get("qrs_flagged") else "")
 
 
@@ -273,9 +274,7 @@ def cmd_train(args):
             print("trained naive bayes: rows=%d priors: %s" % (len(data), priors))
     except ValueError as exc:  # the dataset has rows, so a numeric flag is at fault
         raise UsageError(str(exc)) from None
-    text = model_to_json(model)  # before the open, so a model it refuses leaves no file
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_atomic(args.out, model_to_json(model))  # a model it refuses leaves no file
     print("model written to %s" % args.out)
     return EXIT_OK
 

@@ -24,7 +24,6 @@ from .rules import AcquisitionMode, Alert, MeasurementKind, MeasurementRecord, S
 
 __all__ = [
     "Urgency",
-    "TransmissionDecision",
     "OutboundMessage",
     "send_offset_ms",
     "decide_transmission",
@@ -41,20 +40,22 @@ class Urgency(enum.Enum):
     SCHEDULED = "SCHEDULED"
 
 
-class TransmissionDecision(enum.Enum):
-    IMMEDIATE = "IMMEDIATE"
-    SCHEDULED = "SCHEDULED"
-    HOLD = "HOLD"
+def _has_alarm(alerts):
+    return any(a.severity is Severity.ALARM for a in alerts)
 
 
 @dataclass(frozen=True)
 class OutboundMessage:
     patient_id: str
     created_at_ms: int
-    urgency: Urgency
     alerts: tuple
     features: tuple      # (name, value) pairs; the latest feature snapshot
     measurements: tuple  # records not yet covered by an earlier message
+
+    @property
+    def urgency(self):
+        """IMMEDIATE exactly when the message carries an ALARM."""
+        return Urgency.IMMEDIATE if _has_alarm(self.alerts) else Urgency.SCHEDULED
 
 
 def send_offset_ms(send_time):
@@ -68,16 +69,16 @@ def send_offset_ms(send_time):
 
 
 def decide_transmission(alerts, send_offset_ms, now_ms, last_scheduled_send_ms=None):
-    """IMMEDIATE on any ALARM; SCHEDULED when a daily slot, send_offset_ms
-    after midnight UTC, has passed since the last scheduled send; HOLD
-    otherwise. Light alerts ride the next scheduled send."""
-    if any(a.severity is Severity.ALARM for a in alerts):
-        return TransmissionDecision.IMMEDIATE
+    """Urgency.IMMEDIATE on any ALARM; Urgency.SCHEDULED when a daily slot,
+    send_offset_ms after midnight UTC, has passed since the last scheduled
+    send; None, a hold, otherwise. Light alerts ride the next scheduled send."""
+    if _has_alarm(alerts):
+        return Urgency.IMMEDIATE
     latest_slot = ((now_ms - send_offset_ms) // _DAY_MS) * _DAY_MS + send_offset_ms
     last = -float("inf") if last_scheduled_send_ms is None else last_scheduled_send_ms
     if latest_slot > last:
-        return TransmissionDecision.SCHEDULED
-    return TransmissionDecision.HOLD
+        return Urgency.SCHEDULED
+    return None
 
 
 def _iso8601(ms):
@@ -125,14 +126,7 @@ def _record_xml(tag, rec):
         _QUOTED[rec.mode._value_], name)
 
 
-def _check_urgency(urgency, alerts):
-    """A message is IMMEDIATE exactly when it carries an ALARM."""
-    if (urgency is Urgency.IMMEDIATE) != any(a.severity is Severity.ALARM for a in alerts):
-        raise IntegrityError("urgency %s does not match alarm presence" % urgency.value)
-
-
 def build_message_xml(message):
-    _check_urgency(message.urgency, message.alerts)
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
     out.append("<chronious-msg schema=\"1\" patient=%s urgency=%s created=%s>" % (
         quoteattr(message.patient_id), quoteattr(message.urgency.value),
@@ -216,12 +210,13 @@ def parse_message_xml(text):
                 measurements.append(_record_from_elem(m, patient))
         else:
             raise SchemaMismatchError("unknown section <%s>" % section.tag)
-    _check_urgency(urgency, alerts)
-    return OutboundMessage(
+    message = OutboundMessage(
         patient_id=patient,
         created_at_ms=created,
-        urgency=urgency,
         alerts=tuple(alerts),
         features=tuple(features),
         measurements=tuple(measurements),
     )
+    if urgency is not message.urgency:
+        raise IntegrityError("urgency %s does not match alarm presence" % urgency.value)
+    return message

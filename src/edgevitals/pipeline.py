@@ -26,8 +26,9 @@ Steps (each optional input skips its branch):
   7. Optional classifier prediction from the assembled feature vector.
   8. Transmission decision and canonical outbound XML.
 
-Artifacts land in <out_dir>/<patient>/: report.jsonl, features.csv,
-beats.csv (when ECG ran), message.xml (when not held); the cursor moves last.
+Artifacts land in <out_dir>/<patient>/, each replaced atomically:
+report.jsonl, features.csv, beats.csv (when ECG ran) and message.xml (when
+not held); a run without one removes the previous run's. The cursor moves last.
 """
 
 import contextlib
@@ -43,13 +44,7 @@ from .classify.metrics import predict_any
 from .classify.schema import CATEGORICAL, RECORDING_FEATURES, FeatureVector, patient_schema
 from .classify.weighted import weighted_index
 from .errors import IngestionError, NoDataError
-from .messaging import (
-    OutboundMessage,
-    TransmissionDecision,
-    Urgency,
-    build_message_xml,
-    decide_transmission,
-)
+from .messaging import OutboundMessage, Urgency, build_message_xml, decide_transmission
 from .rules import (
     AcquisitionMode,
     Alert,
@@ -72,8 +67,8 @@ class PipelineResult:
     alerts: list
     report: dict
     features: dict
-    decision: TransmissionDecision
-    message_xml: str
+    decision: Urgency | None  # None: held
+    message_xml: str | None
     artifacts: list
 
 
@@ -283,42 +278,33 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
 
     decision = decide_transmission(alerts, cfg.send_offset_ms, now_ms,
                                    store.last_scheduled_send(patient_id))
-    message_xml = ""
-    if decision is not TransmissionDecision.HOLD:
+    message_xml = None
+    if decision is not None:
         pending = store.untransmitted(patient_id)
         feature_pairs = tuple(sorted(features.items()))
         if model is not None:
             feature_pairs += (("predicted_severity", report["prediction"]),)
-        message = OutboundMessage(
-            patient_id=patient_id,
-            created_at_ms=int(now_ms),
-            urgency=Urgency(decision.value),
-            alerts=tuple(alerts),
-            features=feature_pairs,
-            measurements=tuple(pending),
-        )
-        message_xml = build_message_xml(message)
+        message_xml = build_message_xml(OutboundMessage(
+            patient_id=patient_id, created_at_ms=int(now_ms), alerts=tuple(alerts),
+            features=feature_pairs, measurements=tuple(pending)))
 
     pdir = os.path.join(out_dir, patient_id)
     os.makedirs(pdir, exist_ok=True)
-    texts = [("report.jsonl", report_to_json_line(report) + "\n"),
-             ("features.csv", _features_csv(features))]
-    if beats_csv is not None:
-        texts.append(("beats.csv", beats_csv))
     artifacts = []
-    for name, text in texts:
+    for name, text in (("report.jsonl", report_to_json_line(report) + "\n"),
+                       ("features.csv", _features_csv(features)),
+                       ("beats.csv", beats_csv), ("message.xml", message_xml)):
         path = os.path.join(pdir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        artifacts.append(path)
-    if message_xml:
-        path = os.path.join(pdir, "message.xml")
-        write_atomic(path, message_xml)
-        artifacts.append(path)
+        if text is None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        else:
+            write_atomic(path, text)
+            artifacts.append(path)
     # the last write: records count as sent only once their message is on disk
-    if decision is not TransmissionDecision.HOLD:
-        scheduled = decision is TransmissionDecision.SCHEDULED
-        store.mark_transmitted(patient_id, len(pending), now_ms if scheduled else None)
+    if decision is not None:
+        store.mark_transmitted(patient_id, len(pending),
+                               now_ms if decision is Urgency.SCHEDULED else None)
     return PipelineResult(patient_id, alerts, report, features, decision, message_xml, artifacts)
 
 

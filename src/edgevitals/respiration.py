@@ -29,18 +29,18 @@ def _check_respiration(signal):
 def respiration_rate(signal, window_s=60.0):
     """Breaths per minute per back-to-back window: Hamming window, DFT, and
     the argmax magnitude over (0, F_MAX_HZ] times 60. DC is excluded and
-    ties resolve to the lower bin. A window with no bin in that band, a
-    one-sample window among them, raises NoDataError."""
+    ties resolve to the lower bin. A window with no bin in that band, an
+    empty or one-sample window among them, raises NoDataError."""
     _check_respiration(signal)
     if signal.duration_seconds < window_s:
         raise NoDataError("signal shorter than one window")
     samples, rate = signal.samples, signal.rate_hz
     n = int(round(window_s * rate))
-    weights = hamming_window(n)
-    bin_hz = rate / n
+    bin_hz = rate / n if n else np.inf
     k_max = min(int(np.floor(F_MAX_HZ / bin_hz + 1e-9)), n // 2)
     if k_max < 1:
         raise NoDataError("window too short for any in-band bin")
+    weights = hamming_window(n)
     out = []
     start = 0.0
     while start + window_s <= signal.duration_seconds + 1e-9:

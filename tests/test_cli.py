@@ -231,6 +231,14 @@ class TestRunBatch:
         assert [l.split()[0] for l in capsys.readouterr().out.splitlines()] == [
             "p0", "p2", "p4"]
 
+    def test_rerun_before_the_next_slot_holds_and_leaves_no_message(self, tmp_path, capsys):
+        manifest = shared_store_manifest(tmp_path, "p-ok", HEALTHY_CSV)
+        assert main(["run", manifest, "--now", NOW]) == 0
+        assert main(["run", manifest, "--now", NOW]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "p-ok alerts=0 alarm=no decision=SCHEDULED", "p-ok alerts=0 alarm=no decision=HOLD"]
+        assert sorted(os.listdir(tmp_path / "out" / "p-ok")) == ["features.csv", "report.jsonl"]
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_csv_row_fails_only_its_patient(self, tmp_path, capsys, jobs):
         bad = shared_store_manifest(

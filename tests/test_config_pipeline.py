@@ -20,7 +20,7 @@ from edgevitals.classify.tree import train_decision_tree
 from edgevitals.config import config_from_dict, default_config, load_config
 from edgevitals.errors import IngestionError
 from edgevitals.ecg_preprocess import remove_baseline_linear
-from edgevitals.messaging import TransmissionDecision, parse_message_xml
+from edgevitals.messaging import Urgency, parse_message_xml
 from edgevitals.pipeline import run_patient, read_measurements_csv
 from edgevitals.rules import (
     AcquisitionMode,
@@ -269,7 +269,7 @@ class TestPipelineEcg:
         assert abs(result.features["mean_heart_rate_bpm"] - 125.0) <= 1.0
         assert [a.rule_id for a in result.alerts] == ["hr-high"]
         assert result.alerts[0].severity is Severity.ALARM
-        assert result.decision is TransmissionDecision.IMMEDIATE
+        assert result.decision is Urgency.IMMEDIATE
         msg = parse_message_xml(result.message_xml)
         assert msg.urgency.value == "IMMEDIATE"
         assert msg.alerts[0].rule_id == "hr-high"
@@ -282,7 +282,7 @@ class TestPipelineEcg:
         result, _ = run_ecg_patient(tmp_path, bpm=70)
         assert abs(result.features["mean_heart_rate_bpm"] - 70.0) <= 1.0
         assert result.alerts == []
-        assert result.decision is TransmissionDecision.SCHEDULED
+        assert result.decision is Urgency.SCHEDULED
         assert parse_message_xml(result.message_xml).urgency.value == "SCHEDULED"
         assert result.report["qrs_flagged"] is False
 
@@ -299,6 +299,22 @@ class TestPipelineEcg:
         header, row = feat_csv.strip().split("\n")
         assert header.split(",")[0] == "sdnn_ms"
         assert row.split(",")[header.split(",").index("mean_heart_rate_bpm")] != ""
+
+    def test_each_tick_leaves_exactly_its_artifacts(self, tmp_path):
+        def assert_listing_is(result, names):
+            assert sorted(os.path.basename(p) for p in result.artifacts) == names
+            assert sorted(os.listdir(tmp_path / "out" / "p1")) == names
+
+        result, store = run_ecg_patient(tmp_path, bpm=70)
+        assert result.decision is Urgency.SCHEDULED
+        assert_listing_is(result, ["beats.csv", "features.csv", "message.xml", "report.jsonl"])
+        # measurements only, before the next send slot: no beats, held
+        meas = tmp_path / "later.csv"
+        meas.write_text("kind,value,timestamp_ms\nBODY_WEIGHT,70.0,90000\n")
+        result = run_patient("p1", store, default_config(), parse_rules(RULES), now_ms=120000,
+                             measurements_csv=str(meas), out_dir=str(tmp_path / "out"))
+        assert result.decision is None and result.message_xml is None
+        assert_listing_is(result, ["features.csv", "report.jsonl"])
 
     def test_hrv_features_present(self, tmp_path):
         result, _ = run_ecg_patient(tmp_path, bpm=70)
@@ -323,7 +339,7 @@ class TestPipelineEcg:
                              default_config(), parse_rules(RULES), now_ms=7000,
                              ecg_csv=str(ecg_path), out_dir=str(tmp_path / "out"))
         assert result.features == {"sdnn_ms": 0.0, "mean_heart_rate_bpm": 75.0}
-        assert result.decision is TransmissionDecision.SCHEDULED
+        assert result.decision is Urgency.SCHEDULED
 
     def test_message_covers_store_exactly_once(self, tmp_path):
         result, store = run_ecg_patient(tmp_path, bpm=125)
@@ -472,7 +488,7 @@ class TestPipelineSinglePass:
         result = run_patient("p1", store, default_config(), parse_rules(RULES),
                              now_ms=2000, measurements_csv=str(meas),
                              out_dir=str(tmp_path / "out"))
-        assert result.decision is TransmissionDecision.IMMEDIATE
+        assert result.decision is Urgency.IMMEDIATE
         with open(tmp_path / "out" / "p1" / "message.xml", encoding="utf-8") as fh:
             msg = parse_message_xml(fh.read())
         assert [r.name for r in msg.measurements] == ["", "tab\tdel\x7f\x85"]
@@ -555,7 +571,7 @@ class TestPipelineMeasurementsOnly:
                              now_ms=72000000, measurements_csv=str(meas),
                              out_dir=str(tmp_path / "out"))
         assert [a.rule_id for a in result.alerts] == ["weight-gain"]
-        assert result.decision is TransmissionDecision.IMMEDIATE
+        assert result.decision is Urgency.IMMEDIATE
 
     def test_copd_scope_skips_ckd_rule(self, tmp_path):
         meas = tmp_path / "meas.csv"
@@ -669,9 +685,10 @@ class TestPipelineRespiration:
         assert "tidal_volume_l" in result.features
         assert len(calls) == 1
 
-    def test_one_sample_window_leaves_the_rate_blank(self, tmp_path):
-        # 0.04 s at 25 Hz is one sample: no bin in the breathing band
-        cfg = config_from_dict({"respiration": {"window_s": 0.04}})
+    # 0.04 s at 25 Hz is one sample and 0.01 s none: no bin in the breathing band
+    @pytest.mark.parametrize("window_s", [0.04, 0.01])
+    def test_one_sample_window_leaves_the_rate_blank(self, tmp_path, window_s):
+        cfg = config_from_dict({"respiration": {"window_s": window_s}})
         result, store = run_resp_patient(tmp_path, cfg)
         assert "respiration_rate_bpm" not in result.features
         assert "tidal_volume_l" in result.features

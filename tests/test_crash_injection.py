@@ -14,7 +14,7 @@ import os
 import pytest
 
 from edgevitals.config import default_config
-from edgevitals.messaging import TransmissionDecision, parse_message_xml
+from edgevitals.messaging import Urgency, parse_message_xml
 from edgevitals.pipeline import run_patient
 from edgevitals.rules import parse_rules
 from edgevitals.store import MeasurementStore
@@ -25,14 +25,13 @@ RULES = """<rules>
 
 HOUR = 3600000
 DAY = 24 * HOUR
-D = TransmissionDecision
-# (now, new measurement rows, decision); the default send slot is 20:00
+# (now, new measurement rows, decision, None for a hold); the default send slot is 20:00
 TICKS = [
     (DAY + 21 * HOUR, [("HEART_RATE", 70.0, DAY + 20 * HOUR),
-                       ("BODY_WEIGHT", 70.0, DAY + 20 * HOUR)], D.SCHEDULED),
-    (DAY + 22 * HOUR, [("HEART_RATE", 72.0, DAY + 21 * HOUR)], D.HOLD),
-    (DAY + 23 * HOUR, [("HEART_RATE", 130.0, DAY + 22 * HOUR)], D.IMMEDIATE),
-    (2 * DAY + 21 * HOUR, [("HEART_RATE", 75.0, 2 * DAY + 20 * HOUR)], D.SCHEDULED),
+                       ("BODY_WEIGHT", 70.0, DAY + 20 * HOUR)], Urgency.SCHEDULED),
+    (DAY + 22 * HOUR, [("HEART_RATE", 72.0, DAY + 21 * HOUR)], None),
+    (DAY + 23 * HOUR, [("HEART_RATE", 130.0, DAY + 22 * HOUR)], Urgency.IMMEDIATE),
+    (2 * DAY + 21 * HOUR, [("HEART_RATE", 75.0, 2 * DAY + 20 * HOUR)], Urgency.SCHEDULED),
 ]
 
 
@@ -92,8 +91,11 @@ def writes_per_tick(tmp_path, monkeypatch):
 
 def run_scenario(tmp_path, monkeypatch, crash_tick, crash_at):
     """All ticks in order, the given one crashed once and rerun. Returns
-    the decisions and the messages of the completed ticks."""
+    the decisions and the messages of the completed ticks. After each
+    completed tick the patient's directory holds exactly its artifacts,
+    message.xml among them exactly when the tick sent."""
     decisions, messages = [], []
+    pdir = tmp_path / "out" / "p1"
     for t in range(len(TICKS)):
         if t == crash_tick:
             with monkeypatch.context() as m:
@@ -102,9 +104,11 @@ def run_scenario(tmp_path, monkeypatch, crash_tick, crash_at):
                     run_tick(tmp_path, t)
         result = run_tick(tmp_path, t)
         decisions.append(result.decision)
-        if result.decision is not D.HOLD:
-            messages.append(parse_message_xml(
-                (tmp_path / "out" / "p1" / "message.xml").read_text(encoding="utf-8")))
+        listing = sorted(os.listdir(pdir))
+        assert listing == sorted(os.path.basename(p) for p in result.artifacts)
+        assert ("message.xml" in listing) == (result.decision is not None)
+        if result.decision is not None:
+            messages.append(parse_message_xml((pdir / "message.xml").read_text(encoding="utf-8")))
     return decisions, messages
 
 

@@ -12,6 +12,11 @@ A top-level function counts as called when its name appears somewhere in
 src/ outside its own `def`: as a name, an attribute or an imported name. A
 method of a top-level class counts only as an attribute. Dunder methods
 are called by Python itself and are not checked.
+
+Files are written only by store.py: its log appends and `write_atomic`,
+which every other module replaces a whole file with, so a crash never
+leaves a half-written artifact. A builtin `open` call elsewhere whose mode
+writes is reported.
 """
 
 import ast
@@ -193,3 +198,32 @@ def test_every_function_and_method_in_src_has_a_caller():
 
 def test_every_allowlisted_name_exists_and_has_no_caller():
     assert sorted(ALLOWED_UNCALLED - set(uncalled(src_sources()))) == []
+
+
+def write_opens(source):
+    """The line of each builtin `open` call in source whose mode can write:
+    it holds "w", "a", "x" or "+", or is not a string literal."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+        mode = modes[0] if modes else ast.Constant("r")
+        if not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_write_check_on_a_sample_source():
+    source = ("open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode='a')\nopen(p, 'r+b')\n"
+              "open(p, m)\nos.fdopen(fd, 'wb')\nopen(p, encoding='utf-8')\nopen(p, 'xb')\n")
+    assert write_opens(source) == [3, 4, 5, 6, 9]
+
+
+NOT_STORE = [p for p in MODULES if p != SRC / "edgevitals" / "store.py"]
+
+
+@pytest.mark.parametrize("path", NOT_STORE, ids=[str(p.relative_to(SRC)) for p in NOT_STORE])
+def test_only_the_store_opens_files_for_writing(path):
+    assert write_opens(path.read_text(encoding="utf-8")) == []

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from edgevitals.errors import IntegrityError
 from edgevitals.messaging import (
     OutboundMessage,
-    Urgency,
     _record_xml,
     build_message_xml,
     parse_message_xml,
@@ -96,9 +95,7 @@ class TestRecordXml:
         alert = Alert("r-1", Severity.ALARM if alarm else Severity.LIGHT_ALERT,
                       1720000000123, tuple(evidence))
         message = OutboundMessage(
-            patient_id="p1", created_at_ms=1720000000123,
-            urgency=Urgency.IMMEDIATE if alarm else Urgency.SCHEDULED,
-            alerts=(alert,), features=(("sdnn_ms", 41.5),),
+            patient_id="p1", created_at_ms=1720000000123, alerts=(alert,), features=(("sdnn_ms", 41.5),),
             measurements=tuple(measurements))
         assert parse_message_xml(build_message_xml(message)) == message
 

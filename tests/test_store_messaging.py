@@ -9,7 +9,6 @@ import pytest
 from edgevitals.errors import IntegrityError, SchemaMismatchError
 from edgevitals.messaging import (
     OutboundMessage,
-    TransmissionDecision,
     Urgency,
     build_message_xml,
     decide_transmission,
@@ -76,8 +75,7 @@ class TestStoreIngest:
         assert all("XML" in reason for _, reason in result.rejections)
         names = [r.name for r in store.log_records("p1")]
         assert names == good
-        message = OutboundMessage("p1", 0, Urgency.SCHEDULED, (), (),
-                                  tuple(store.log_records("p1")))
+        message = OutboundMessage("p1", 0, (), (), tuple(store.log_records("p1")))
         parsed = parse_message_xml(build_message_xml(message))
         assert [r.name for r in parsed.measurements] == good
         assert [r.name for r in MeasurementStore(str(tmp_path)).log_records("p1")] == good
@@ -402,29 +400,25 @@ class TestDecideTransmission:
         now = self.ms(10, 9)
         decision = decide_transmission([alarm()], self.SCHED, now,
                                        last_scheduled_send_ms=now - 1)
-        assert decision is TransmissionDecision.IMMEDIATE
+        assert decision is Urgency.IMMEDIATE
 
     def test_first_contact_is_scheduled(self):
-        assert decide_transmission([], self.SCHED, self.ms(10, 9)) \
-            is TransmissionDecision.SCHEDULED
+        assert decide_transmission([], self.SCHED, self.ms(10, 9)) is Urgency.SCHEDULED
 
     def test_slot_passed_since_last_send(self):
         now = self.ms(10, 21)
         last = self.ms(9, 20, 30)
-        assert decide_transmission([], self.SCHED, now, last) \
-            is TransmissionDecision.SCHEDULED
+        assert decide_transmission([], self.SCHED, now, last) is Urgency.SCHEDULED
 
     def test_hold_between_slots(self):
         now = self.ms(10, 21)
         last = self.ms(10, 20, 30)
-        assert decide_transmission([], self.SCHED, now, last) \
-            is TransmissionDecision.HOLD
+        assert decide_transmission([], self.SCHED, now, last) is None
 
     def test_hold_before_todays_slot(self):
         now = self.ms(10, 9)
         last = self.ms(9, 20)
-        assert decide_transmission([], self.SCHED, now, last) \
-            is TransmissionDecision.HOLD
+        assert decide_transmission([], self.SCHED, now, last) is None
 
     def test_send_time_is_ms_after_midnight(self):
         assert self.SCHED == 72000000
@@ -445,16 +439,16 @@ class TestDecideTransmission:
         for hh in range(24):
             decision = decide_transmission([light()], self.SCHED, self.ms(10, hh),
                                            self.ms(9, 23))
-            assert decision is not TransmissionDecision.IMMEDIATE
+            assert decision is not Urgency.IMMEDIATE
 
 
 class TestMessageXml:
     def empty_message(self):
-        return OutboundMessage("p1", 1723456789123, Urgency.SCHEDULED, (), (), ())
+        return OutboundMessage("p1", 1723456789123, (), (), ())
 
     def alarm_message(self):
         return OutboundMessage(
-            "p1", 1723456789123, Urgency.IMMEDIATE,
+            "p1", 1723456789123,
             (alarm(),),
             (("mean_heart_rate_bpm", 130.25), ("drug_adherence", "full")),
             (rec(130.0, 4000), rec(97.5, 4500, kind=MeasurementKind.SPO2)),
@@ -478,13 +472,10 @@ class TestMessageXml:
         assert 'value="130.25"' in xml
         assert 'code="full"' in xml
 
-    def test_urgency_alarm_invariant(self):
-        msg = OutboundMessage("p1", 0, Urgency.IMMEDIATE, (), (), ())
-        with pytest.raises(IntegrityError):
-            build_message_xml(msg)
-        msg = OutboundMessage("p1", 0, Urgency.SCHEDULED, (alarm(),), (), ())
-        with pytest.raises(IntegrityError):
-            build_message_xml(msg)
+    def test_urgency_follows_the_alerts(self):
+        assert self.empty_message().urgency is Urgency.SCHEDULED
+        assert OutboundMessage("p1", 0, (light(),), (), ()).urgency is Urgency.SCHEDULED
+        assert self.alarm_message().urgency is Urgency.IMMEDIATE
 
     def test_parse_checks_the_urgency_alarm_invariant(self):
         scheduled = build_message_xml(self.empty_message())
@@ -507,7 +498,7 @@ class TestMessageXml:
 
     def test_attribute_escaping_round_trips(self):
         msg = OutboundMessage(
-            "p1", 1000, Urgency.SCHEDULED, (),
+            "p1", 1000, (),
             (('food "sweets" & snacks', "often<daily>"),),
             (rec(61.0, 500, name='lead "II" & aux'),),
         )
@@ -516,7 +507,7 @@ class TestMessageXml:
 
     def test_millisecond_timestamps_survive(self):
         for ms in (0, 999, 1723456789123, 4102444799999):
-            msg = OutboundMessage("p1", ms, Urgency.SCHEDULED, (), (), ())
+            msg = OutboundMessage("p1", ms, (), (), ())
             assert parse_message_xml(build_message_xml(msg)).created_at_ms == ms
 
     def test_unknown_section_rejected(self):
@@ -536,7 +527,6 @@ class TestMessageXml:
 
     def test_float_values_keep_full_precision(self):
         value = 123.45678901234567
-        msg = OutboundMessage("p1", 0, Urgency.SCHEDULED, (),
-                              (("sdnn_ms", value),), ())
+        msg = OutboundMessage("p1", 0, (), (("sdnn_ms", value),), ())
         parsed = parse_message_xml(build_message_xml(msg))
         assert parsed.features[0][1] == value
