@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filters import butter_sos, sosfiltfilt
 from .signal_core import SignalKind
 
 __all__ = [
@@ -64,9 +65,7 @@ def remove_baseline_linear(signal, cutoff_hz=0.5, order=2):
         raise ValueError("cutoff must lie in (0, Nyquist)")
     if order < 1:
         raise ValueError("order must be >= 1")
-    from scipy.signal import butter, sosfiltfilt
-
-    sos = butter(order, cutoff_hz, btype="highpass", fs=signal.rate_hz, output="sos")
+    sos = butter_sos(order, cutoff_hz, "highpass", signal.rate_hz)
     return signal.replace_samples(sosfiltfilt(sos, signal.samples))
 
 

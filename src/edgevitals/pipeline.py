@@ -4,8 +4,8 @@ Steps (each optional input skips its branch):
   1. Measurements CSV read (weight, temperature, questionnaire scores...);
      a row that does not parse fails the run before any signal work.
   2. ECG: the CSV is parsed in a child process (`forked`, which `run
-     --jobs` also forks its workers with) while this one imports numpy and
-     scipy; the child sends the checked signal back and exits.
+     --jobs` also forks its workers with) while this one imports the
+     signal layers; the child sends the checked signal back and exits.
      Then baseline removal, one wavelet denoise whose output feeds both
      Pan-Tompkins and the spike annotator, QRS with the configured
      detector plus a cross-check against the other one, RR series, HRV

@@ -13,6 +13,7 @@ import numpy as np
 
 from .ecg_preprocess import denoise_samples
 from .errors import NoDataError
+from .filters import butter_sos, find_peaks, sosfiltfilt
 
 __all__ = [
     "BeatLabel",
@@ -190,10 +191,8 @@ def pan_tompkins(signal):
     if peak == 0:
         return np.array([], dtype=int)
 
-    from scipy.signal import butter, find_peaks, sosfiltfilt
-
-    sos_lo = butter(2, 15.0, btype="lowpass", fs=fs, output="sos")
-    sos_hi = butter(2, 5.0, btype="highpass", fs=fs, output="sos")
+    sos_lo = butter_sos(2, 15.0, "lowpass", fs)
+    sos_hi = butter_sos(2, 5.0, "highpass", fs)
     bp = sosfiltfilt(sos_hi, sosfiltfilt(sos_lo, x / peak))
     deriv = np.convolve(bp, np.array([1.0, 2.0, 0.0, -2.0, -1.0]) * (fs / 8.0), mode="same")
     deriv *= deriv
@@ -201,7 +200,7 @@ def pan_tompkins(signal):
     del deriv  # not needed past the integration; find_peaks allocates next
 
     refractory = int(round(0.200 * fs))
-    cand, _ = find_peaks(mwi, distance=refractory)
+    cand = find_peaks(mwi, refractory)
     if len(cand) == 0:
         return np.array([], dtype=int)
     cm = mwi[cand]

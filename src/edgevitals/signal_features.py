@@ -1,8 +1,9 @@
 """The ECG and respiration branches of a patient run.
 
 This module alone imports the signal layers, and with them numpy and
-scipy; `pipeline.run_patient` imports it only for a patient whose manifest
-gives a recording, so a measurement-only run never loads them.
+scipy's compiled filter and peak kernels (not scipy's signal
+package); `pipeline.run_patient` imports it only for a patient whose
+manifest gives a recording, so a measurement-only run never loads them.
 """
 
 from . import hrv
@@ -35,13 +36,10 @@ def ecg_features(read_signal, path, cfg, features):
     """The ECG branch; returns (beats.csv text, QRS disagreement %, end time).
     `read_signal()` waits for the forked reader that `run_patient` started
     on path and returns the ECG `SampledSignal` it checked; a reader that
-    dies before sending it is an IngestionError naming path. scipy.signal
-    is imported before that wait, so the import runs while the reader
-    parses. From then on this function alone holds the samples, and drops
-    each stage's input once that stage's output exists: the raw samples
-    after baseline removal, the cleaned ones after the denoise, before
-    Pan-Tompkins runs."""
-    import scipy.signal  # noqa: F401 -- loaded here, while the reader parses
+    dies before sending it is an IngestionError naming path. From then on
+    this function alone holds the samples, and drops each stage's input
+    once that stage's output exists: the raw samples after baseline
+    removal, the cleaned ones after the denoise, before Pan-Tompkins runs."""
     try:
         signal = read_signal()
     except ChildProcessError as exc:

@@ -627,6 +627,30 @@ class TestForkedJobs:
         report = json.loads((tmp_path / "out" / "p-a" / "report.jsonl").read_text())
         assert "prediction" in report
 
+    @pytest.mark.parametrize("baseline_method", ["linear", "poly"])
+    def test_ecg_run_loads_no_scipy_signal_or_stats(self, tmp_path, baseline_method):
+        # the filter and peak kernels load by themselves and register as
+        # scipy.signal._sosfilt and the like; the packages must stay out
+        manifest = ecg_manifest(tmp_path, "p-a", bpm=70)
+        if baseline_method != "linear":
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"preprocess": {"baseline_method": baseline_method}}))
+            doc = json.loads(Path(manifest).read_text())
+            doc["config"] = config.name
+            Path(manifest).write_text(json.dumps(doc))
+        argv = ["run", manifest, "--now", NOW]
+        proc = fresh_python(
+            "import sys; from edgevitals.cli import main; code = main(%r); "
+            "sys.exit(code or 3 * any(m in sys.modules for m in ('scipy.signal', 'scipy.stats')))"
+            % argv)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == "p-a alerts=0 alarm=no decision=SCHEDULED\n"
+        _, truth = synth_ecg(70, duration_s=60.0)
+        beats = (tmp_path / "out-p-a" / "p-a" / "beats.csv").read_text().splitlines()[1:]
+        r_peaks = [int(row.split(",")[1]) for row in beats if row.endswith(",QRS")]
+        assert len(r_peaks) == len(truth)
+        assert max(abs(r - t) for r, t in zip(r_peaks, truth)) <= 2
+
     def test_jobs_run_patients_in_worker_processes(self, tmp_path, capsys, monkeypatch):
         pids = tmp_path / "pids"
         real = cli._run_one
