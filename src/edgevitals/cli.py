@@ -21,6 +21,8 @@ import contextlib
 import datetime
 import json
 import os
+import pickle
+import signal
 import sys
 
 from .classify.bayes import train_naive_bayes
@@ -32,7 +34,7 @@ from .classify.tree import train_decision_tree
 from .config import default_config, load_config
 from .errors import RuleParseError, RuleSemanticError, SchemaMismatchError
 from .messaging import Urgency
-from .pipeline import forked, run_patient
+from .pipeline import run_patient
 from .rules import parse_rules
 from .store import _PATIENT_RE, MeasurementStore, write_atomic
 
@@ -191,6 +193,70 @@ def _summarise(doc, parsed, now_ms):
 
 def _summarise_all(manifests, parsed, now_ms):
     return [_summarise(doc, parsed, now_ms) for doc in manifests]
+
+
+@contextlib.contextmanager
+def forked(fn, *args):
+    """Runs fn(*args) in a forked child while the caller goes on, and yields
+    a function that waits for the child and returns fn's result, raises
+    what fn raised, or raises ChildProcessError("exited with status S")
+    when the child died before reporting; the caller names the child. The
+    child streams (exception or None, result) into a pipe at pickle
+    protocol 5 and leaves with os._exit, so no atexit handler or stdio
+    buffer of the parent runs twice. It is reaped on every path, killed
+    first if it still runs. Under `edgevitals run` nothing has imported
+    numpy, whose BLAS starts threads, before the first fork, so the parent
+    forks with one thread."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    fd_in, fd_out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd_in)
+        os.close(fd_out)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(fd_in)
+            try:
+                payload = (None, fn(*args))
+            except Exception as exc:
+                payload = (exc, None)
+            with os.fdopen(fd_out, "wb") as fh:
+                pickle.dump(payload, fh, protocol=5)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(fd_out)
+    pipe = os.fdopen(fd_in, "rb")
+    reaped = False
+
+    def wait():
+        nonlocal reaped
+        try:
+            payload = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            payload = None
+        pipe.close()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        if payload is None:
+            raise ChildProcessError(
+                "exited with status %d" % os.waitstatus_to_exitcode(status))
+        exc, result = payload
+        if exc is not None:
+            raise exc
+        return result
+
+    try:
+        yield wait
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _summarise_forked(manifests, parsed, now_ms, jobs):

@@ -3,14 +3,11 @@
 Steps (each optional input skips its branch):
   1. Measurements CSV read (weight, temperature, questionnaire scores...);
      a row that does not parse fails the run before any signal work.
-  2. ECG: the CSV is parsed in a child process (`forked`, which `run
-     --jobs` also forks its workers with) while this one imports the
-     signal layers; the child sends the checked signal back and exits.
-     Then baseline removal, one wavelet denoise whose output feeds both
-     Pan-Tompkins and the spike annotator, QRS with the configured
-     detector plus a cross-check against the other one, RR series, HRV
-     features, trailing-60 s mean heart rate, stored as a HEART_RATE
-     measurement so rules can see it.
+  2. ECG: CSV read with its timestamp check, baseline removal, one
+     wavelet denoise whose output feeds both Pan-Tompkins and the spike
+     annotator, QRS with the configured detector plus a cross-check
+     against the other one, RR series, HRV features, trailing-60 s mean
+     heart rate, stored as a HEART_RATE measurement so rules can see it.
   3. Respiration: windowed dominant-frequency rate (stored as a
      RESPIRATION_RATE measurement) and breath-volume features.
      Steps 2 and 3 live in `signal_features`, imported only for a patient
@@ -35,9 +32,6 @@ import contextlib
 import csv
 import io
 import os
-import pickle
-import signal
-import sys
 from dataclasses import dataclass
 
 from .classify.metrics import predict_any
@@ -159,75 +153,6 @@ def _derived_records(patient_id, features, ecg_end_ms, resp_end_ms):
     return out
 
 
-@contextlib.contextmanager
-def forked(fn, *args):
-    """Runs fn(*args) in a forked child while the caller goes on, and yields
-    a function that waits for the child and returns fn's result, raises
-    what fn raised, or raises ChildProcessError("exited with status S")
-    when the child died before reporting; the caller names the child. The
-    child streams (exception or None, result) into a pipe at pickle
-    protocol 5 and leaves with os._exit, so no atexit handler or stdio
-    buffer of the parent runs twice. It is reaped on every path, killed
-    first if it still runs. Under `edgevitals run` nothing has imported
-    numpy, whose BLAS starts threads, before the first fork, so the parent
-    forks with one thread."""
-    sys.stdout.flush()
-    sys.stderr.flush()
-    fd_in, fd_out = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(fd_in)
-        os.close(fd_out)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(fd_in)
-            try:
-                payload = (None, fn(*args))
-            except Exception as exc:
-                payload = (exc, None)
-            with os.fdopen(fd_out, "wb") as fh:
-                pickle.dump(payload, fh, protocol=5)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(fd_out)
-    pipe = os.fdopen(fd_in, "rb")
-    reaped = False
-
-    def wait():
-        nonlocal reaped
-        try:
-            payload = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            payload = None
-        pipe.close()
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        if payload is None:
-            raise ChildProcessError(
-                "exited with status %d" % os.waitstatus_to_exitcode(status))
-        exc, result = payload
-        if exc is not None:
-            raise exc
-        return result
-
-    try:
-        yield wait
-    finally:
-        pipe.close()
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _read_ecg(path, rate_hz):
-    from .signal_core import SignalKind, read_signal_csv
-    return read_signal_csv(path, rate_hz, SignalKind.ECG)
-
-
 def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
                 ecg_csv=None, ecg_rate_hz=250.0,
                 resp_csv=None, resp_rate_hz=25.0,
@@ -239,13 +164,12 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
 
     ecg_end_ms = resp_end_ms = None
     # the signal layers load numpy and scipy; measurement-only runs skip them
-    if ecg_csv:
-        with forked(_read_ecg, ecg_csv, ecg_rate_hz) as wait:
-            from . import signal_features
-            beats_csv, disagreement, ecg_end_ms = signal_features.ecg_features(
-                wait, ecg_csv, cfg, features)
-    if resp_csv:
+    if ecg_csv or resp_csv:
         from . import signal_features
+    if ecg_csv:
+        beats_csv, disagreement, ecg_end_ms = signal_features.ecg_features(
+            ecg_csv, ecg_rate_hz, cfg, features)
+    if resp_csv:
         resp_end_ms = signal_features.resp_features(resp_csv, resp_rate_hz, cfg, features)
 
     # one append; the CSV rows come first in the log, then the derived rates

@@ -73,6 +73,9 @@ def dft_magnitude(samples):
     return np.abs(np.fft.rfft(x))
 
 
+_JITTER_CHUNK = 1 << 16  # samples per step of the timestamp jitter check
+
+
 def read_signal_csv(path, rate_hz, kind):
     """Load a `timestamp_ms,value` CSV as a uniformly sampled signal.
 
@@ -101,20 +104,21 @@ def read_signal_csv(path, rate_hz, kind):
         raise IngestionError("%s: expected 2 columns, timestamp_ms and value, got %d"
                              % (path, data.shape[1]))
     ts, values = data[:, 0], data[:, 1]
-    finite_ts = np.isfinite(ts)
-    if not np.all(finite_ts):
+    if not np.all(np.isfinite(ts)):
         # a NaN gap would pass the jitter bound below, since NaN compares false
         raise IngestionError("%s: non-finite timestamp in data row %d"
-                             % (path, int(np.argmin(finite_ts)) + 1))
+                             % (path, int(np.argmin(np.isfinite(ts))) + 1))
     if not np.all(np.isfinite(values)):
         raise IngestionError("%s: non-finite sample value" % path)
     period_ms = 1000.0 / rate_hz
     if len(ts) > 1:
-        # in place and dropped before the samples are copied out, so the
-        # check adds one record-length temporary to the peak, not three
-        gaps = np.diff(ts)
-        gaps -= period_ms
-        worst = np.max(np.abs(gaps, out=gaps))
+        # a chunk at a time: a freed record-length temporary would raise
+        # glibc's mmap threshold and leave the later DSP arrays resident
+        worst = 0.0
+        for start in range(0, len(ts) - 1, _JITTER_CHUNK):
+            gaps = np.diff(ts[start:start + _JITTER_CHUNK + 1])
+            gaps -= period_ms
+            worst = max(worst, np.max(np.abs(gaps, out=gaps)))
         del gaps
         if worst > 0.01 * period_ms:
             raise IngestionError(

@@ -1,9 +1,10 @@
 """The ECG and respiration branches of a patient run.
 
-This module alone imports the signal layers, and with them numpy and
-scipy's compiled filter and peak kernels (not scipy's signal
-package); `pipeline.run_patient` imports it only for a patient whose
-manifest gives a recording, so a measurement-only run never loads them.
+Each branch reads its recording's CSV and turns it into features. This
+module alone imports the signal layers, and with them numpy and scipy's
+compiled filter and peak kernels (not scipy's signal package);
+`pipeline.run_patient` imports it only for a patient whose manifest gives
+a recording, so a measurement-only run never loads them.
 """
 
 from . import hrv
@@ -13,7 +14,7 @@ from .ecg_preprocess import (
     remove_baseline_poly,
     select_pq_knots,
 )
-from .errors import IngestionError, NoDataError
+from .errors import NoDataError
 from .qrs_detect import (
     BeatLabel,
     annotate_spikes,
@@ -32,19 +33,13 @@ def _end_ms(signal):
     return signal.start_time_ms + int(round(signal.duration_seconds * 1000.0))
 
 
-def ecg_features(read_signal, path, cfg, features):
+def ecg_features(path, rate_hz, cfg, features):
     """The ECG branch; returns (beats.csv text, QRS disagreement %, end time).
-    `read_signal()` waits for the forked reader that `run_patient` started
-    on path and returns the ECG `SampledSignal` it checked; a reader that
-    dies before sending it is an IngestionError naming path. From then on
-    this function alone holds the samples, and drops each stage's input
-    once that stage's output exists: the raw samples after baseline
-    removal, the cleaned ones after the denoise, before Pan-Tompkins runs."""
-    try:
-        signal = read_signal()
-    except ChildProcessError as exc:
-        raise IngestionError("%s: ECG reader %s before sending the samples"
-                             % (path, exc)) from None
+    It reads the CSV at path, sampled at rate_hz, and alone holds the
+    samples, dropping each stage's input once that stage's output exists:
+    the raw samples after baseline removal, the cleaned ones after the
+    denoise, before Pan-Tompkins runs."""
+    signal = read_signal_csv(path, rate_hz, SignalKind.ECG)
     end_ms = _end_ms(signal)
     pre = cfg["preprocess"]
     if pre["baseline_method"] == "linear":

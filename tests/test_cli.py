@@ -19,12 +19,11 @@ from edgevitals.classify.schema import (
 )
 from edgevitals.classify.serialize import model_to_json, schema_hash
 from edgevitals.classify.tree import DecisionTreeModel
-from edgevitals import cli, pipeline, signal_core, signal_features
+from edgevitals import cli
 from edgevitals.cli import main
-from edgevitals.config import default_config
 from edgevitals.errors import IngestionError
 from edgevitals.messaging import parse_message_xml
-from edgevitals.rules import MeasurementKind, MeasurementRecord, parse_rules
+from edgevitals.rules import MeasurementKind, MeasurementRecord
 from edgevitals.signal_core import SignalKind, read_signal_csv
 from edgevitals.store import MeasurementStore
 
@@ -748,15 +747,10 @@ BAD_ECG = {
 }
 
 
-def no_child_left():
-    # waitpid(-1) raises only when this process has no child at all
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestForkedEcgReader:
-    """The ECG CSV is parsed in a forked child; these pin what the parent
-    reports and that the child never outlives run_patient."""
+class TestEcgReader:
+    """The patient's own process reads the ECG CSV, as it reads the
+    respiration one; these pin what a rejected recording reports and
+    that only --jobs forks."""
 
     def batch(self, tmp_path):
         """An ECG patient and a measurement-only one; returns the manifests
@@ -777,7 +771,6 @@ class TestForkedEcgReader:
         assert capsys.readouterr().out.splitlines() == [
             "p-ecg error=IngestionError: %s" % expected.value,
             "p-ok alerts=0 alarm=no decision=SCHEDULED"]
-        no_child_left()
 
     def test_with_both_recordings_bad_the_ecg_error_is_reported(self, tmp_path, capsys):
         manifests, ecg = self.batch(tmp_path)
@@ -793,45 +786,12 @@ class TestForkedEcgReader:
         assert capsys.readouterr().out.splitlines()[0] == (
             "p-ecg error=IngestionError: %s: expected header 'timestamp_ms,value', "
             "got 'time,value'" % ecg)
-        no_child_left()
 
-    def test_a_reader_that_dies_fails_only_its_patient_naming_the_recording(
-            self, tmp_path, capsys, monkeypatch):
-        manifests, ecg = self.batch(tmp_path)
-        # the parent never reads an ECG itself, so only the child calls this
-        monkeypatch.setattr(signal_core, "read_signal_csv", lambda *args: os._exit(3))
-        assert main(["run", *manifests, "--now", NOW]) == 1
-        assert capsys.readouterr().out.splitlines() == [
-            "p-ecg error=IngestionError: %s: ECG reader exited with status 3 before "
-            "sending the samples" % ecg,
-            "p-ok alerts=0 alarm=no decision=SCHEDULED"]
-        no_child_left()
-
-    @pytest.mark.parametrize("case", ["returns", "reader-raises", "parent-raises"])
-    def test_the_reader_is_reaped_however_run_patient_ends(self, tmp_path, monkeypatch, case):
-        samples, _ = synth_ecg(70, duration_s=60.0)
-        ecg = str(tmp_path / "ecg.csv")
-        write_signal_csv(ecg, samples, 250.0)
-        if case == "reader-raises":
-            with open(ecg, "w") as fh:
-                fh.write(BAD_ECG["jitter"])
-        if case == "parent-raises":
-            # raises before it waits, while the child still parses or writes
-            def failing(read_signal, path, cfg, features):
-                raise RuntimeError("parent failed")
-            monkeypatch.setattr(signal_features, "ecg_features", failing)
-        no_child_left()
-        args = ("p1", MeasurementStore(str(tmp_path / "store")), default_config(),
-                parse_rules(RULES), 60000, str(tmp_path / "out"))
-        if case == "returns":
-            assert pipeline.run_patient(*args, ecg_csv=ecg).decision.value == "SCHEDULED"
-        else:
-            with pytest.raises((IngestionError, RuntimeError)):
-                pipeline.run_patient(*args, ecg_csv=ecg)
-        no_child_left()
-
-    def test_a_one_patient_ecg_run_forks_once_before_loading_numpy(self, tmp_path):
-        argv = ["run", ecg_manifest(tmp_path, "p-a", bpm=70), "--now", NOW]
+    @pytest.mark.parametrize("jobs, forks", [("1", []), ("2", [(False, 1), (False, 1)])])
+    def test_only_jobs_forks_and_each_fork_precedes_numpy(self, tmp_path, jobs, forks):
+        # each fork: (numpy loaded, threads in the forking process)
+        argv = ["run", ecg_manifest(tmp_path, "p-a", bpm=70),
+                ecg_manifest(tmp_path, "p-b", bpm=70), "--now", NOW, "--jobs", jobs]
         proc = fresh_python(
             "import os, sys\n"
             "real, forks = os.fork, []\n"
@@ -847,7 +807,8 @@ class TestForkedEcgReader:
             "sys.exit(code)\n" % argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "p-a alerts=0 alarm=no decision=SCHEDULED", "[(False, 1)]"]
+            "p-a alerts=0 alarm=no decision=SCHEDULED",
+            "p-b alerts=0 alarm=no decision=SCHEDULED", repr(forks)]
         assert proc.stderr == ""
 
 

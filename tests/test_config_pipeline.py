@@ -370,10 +370,10 @@ class TestPipelineEcgStages:
         run_ecg_patient(tmp_path, bpm=70)
         assert calls == [15000]
 
-    def test_the_parent_builds_only_the_cleaned_and_denoised_signals(self, tmp_path,
-                                                                     monkeypatch):
-        # the forked reader checks the record and sends its SampledSignal
-        # as it is, so the parent checks and copies no received samples
+    def test_the_run_builds_only_the_read_cleaned_and_denoised_signals(self, tmp_path,
+                                                                       monkeypatch):
+        # one check and copy each: the record as read, then the output of
+        # baseline removal and of the denoise
         built = []
         real = SampledSignal.__post_init__
 
@@ -383,7 +383,7 @@ class TestPipelineEcgStages:
 
         monkeypatch.setattr(SampledSignal, "__post_init__", counting)
         run_ecg_patient(tmp_path, bpm=70)
-        assert built == [15000, 15000]
+        assert built == [15000, 15000, 15000]
 
     def test_highpass_config_reaches_baseline_removal(self, tmp_path, monkeypatch):
         seen = []

@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from conftest import ecg_signal, synth_ecg, write_signal_csv
-from edgevitals import pipeline, signal_features
+from edgevitals import pipeline, signal_core, signal_features
 from edgevitals.config import default_config
 from edgevitals.ecg_preprocess import denoise_samples
 from edgevitals.qrs_detect import pan_tompkins
@@ -49,11 +49,14 @@ def peak_bytes_per_sample(fn, n):
 
 
 def test_read_signal_csv_holds_the_parsed_table_and_one_temporary(record):
-    # the two-column table (16 B), the samples copied out (8 B), a little slack
+    # the two-column table (16 B), the samples copied out (8 B), a little
+    # slack: the jitter check's chunks are shorter than the record, and no
+    # check holds a temporary the record's length
     samples, path = record
     per_sample = peak_bytes_per_sample(lambda: read_signal_csv(path, FS, SignalKind.ECG),
                                        len(samples))
-    assert per_sample < 32.0
+    assert per_sample < 25.0
+    assert len(samples) > 2 * signal_core._JITTER_CHUNK
 
 
 def denoise(signal):

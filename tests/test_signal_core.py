@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgevitals import signal_core
 from edgevitals.errors import IngestionError
 from edgevitals.signal_core import (
     SampledSignal,
@@ -125,6 +126,20 @@ class TestReadSignalCsv:
         path = tmp_path / "sig.csv"
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(IngestionError):
+            read_signal_csv(str(path), 250.0, SignalKind.ECG)
+
+    @pytest.mark.parametrize("bad_gap", [7, 8, 16, 28])
+    def test_jitter_check_reports_the_worst_gap_across_chunks(self, tmp_path, monkeypatch,
+                                                              bad_gap):
+        # chunks of 8 gaps; 7 ends the first chunk, 8 and 16 start the next
+        # ones and 28 is the record's last gap
+        monkeypatch.setattr(signal_core, "_JITTER_CHUNK", 8)
+        gaps = np.full(29, 4.0)
+        gaps[3], gaps[bad_gap] = 4.02, 5.0
+        ts = np.concatenate([[0.0], np.cumsum(gaps)])
+        path = tmp_path / "sig.csv"
+        path.write_text("timestamp_ms,value\n" + "".join("%r,0.0\n" % t for t in ts.tolist()))
+        with pytest.raises(IngestionError, match="sig.csv: timestamp jitter 1.000 ms exceeds"):
             read_signal_csv(str(path), 250.0, SignalKind.ECG)
 
     @pytest.mark.parametrize("bad_row", [1, 25])
