@@ -13,11 +13,11 @@ any patient runs. A patient that fails in `run` prints
 `<id> error=<Type>: <message>` and the others still run; the exit code is
 then 1. `run --jobs N` forks min(N, patients) workers, and worker k runs
 every Nth manifest from the k-th; a worker that dies fails only its own
-patients, each with `<id> error=ChildProcessError: ...`.
+patients, each with `<id> error=ChildProcessError: ...`, and the shares of
+workers that could not be forked run in the `run` process itself.
 """
 
 import argparse
-import contextlib
 import datetime
 import json
 import os
@@ -132,150 +132,120 @@ def _parse_file(key, path):
     return model
 
 
-def _parse_inputs(manifests):
-    """Each distinct config, rules and model file the (path, manifest)
-    pairs name, parsed once before any patient runs and keyed by (manifest
-    key, file path); the path None stands for the default config, or for
-    no model. A file that does not parse is a usage error, and so
-    are a model trained on another attribute schema and a high-pass cutoff
-    at or above the Nyquist frequency of an ECG that a linear baseline
-    removal would filter. Patients share the parsed objects; run_patient
-    only reads them."""
+def _parse_inputs(pairs):
+    """Replaces the config, rules and model path of each (path, manifest)
+    pair's manifest with the parsed object, before any patient runs: the
+    default config when the manifest names none, and None when it names
+    no model. Each distinct file is parsed once, and patients share the
+    parsed objects; run_patient only reads them. A file that does not parse
+    is a usage error, and so are a model trained on another attribute
+    schema and a high-pass cutoff at or above the Nyquist frequency of an
+    ECG that a linear baseline removal would filter."""
     parsed = {}
-    for manifest, doc in manifests:
+    for manifest, doc in pairs:
+        config_path = doc["config"]
         for key in ("config", "rules", "model"):
             path = doc[key]
-            if (key, path) in parsed:
-                continue
-            try:
-                parsed[key, path] = _parse_file(key, path)
-            except (ValueError, KeyError, TypeError, RuleParseError, RuleSemanticError,
-                    SchemaMismatchError) as exc:
-                raise UsageError("manifest %s: %s %s does not parse: %s" % (
-                    manifest, key, path, exc)) from None
-        if not doc["ecg"]:
-            continue
-        pre, nyquist = parsed["config", doc["config"]]["preprocess"], doc["ecg_rate_hz"] / 2
-        if pre["baseline_method"] == "linear" and not pre["highpass_cutoff_hz"] < nyquist:
+            if (key, path) not in parsed:
+                try:
+                    parsed[key, path] = _parse_file(key, path)
+                except (ValueError, KeyError, TypeError, RuleParseError, RuleSemanticError,
+                        SchemaMismatchError) as exc:
+                    raise UsageError("manifest %s: %s %s does not parse: %s" % (
+                        manifest, key, path, exc)) from None
+            doc[key] = parsed[key, path]
+        pre, nyquist = doc["config"]["preprocess"], doc["ecg_rate_hz"] / 2
+        if doc["ecg"] and pre["baseline_method"] == "linear" and not (
+                pre["highpass_cutoff_hz"] < nyquist):
             raise UsageError(
                 "manifest %s: highpass_cutoff_hz %r in config %s must lie below %r Hz, "
                 "the Nyquist frequency of ecg_rate_hz %r" % (
-                    manifest, pre["highpass_cutoff_hz"], doc["config"] or "<default>",
+                    manifest, pre["highpass_cutoff_hz"], config_path or "<default>",
                     nyquist, doc["ecg_rate_hz"]))
-    return parsed
 
 
-def _run_one(doc, parsed, now_ms):
-    store_dir = doc["store_dir"] or os.path.join(doc["out_dir"], "store")
-    store = MeasurementStore(store_dir)
-    return run_patient(
-        doc["patient_id"], store, parsed["config", doc["config"]], parsed["rules", doc["rules"]],
-        now_ms, doc["out_dir"], ecg_csv=doc["ecg"], ecg_rate_hz=doc["ecg_rate_hz"],
-        resp_csv=doc["respiration"], resp_rate_hz=doc["resp_rate_hz"],
-        measurements_csv=doc["measurements"], model=parsed["model", doc["model"]])
-
-
-def _summarise(doc, parsed, now_ms):
-    """Runs one patient and returns (alarm, error, summary line): all the
-    parent needs, so a worker sends back no PipelineResult."""
-    pid = doc["patient_id"]
-    try:
-        res = _run_one(doc, parsed, now_ms)
-    except Exception as exc:
-        return False, True, "%s error=%s: %s" % (pid, type(exc).__name__, exc)
-    # decide_transmission sends at once exactly when an ALARM fired
-    alarm = res.decision is Urgency.IMMEDIATE
-    decision = res.decision.value if res.decision else "HOLD"
-    return alarm, False, "%s alerts=%d alarm=%s decision=%s%s" % (
-        pid, len(res.alerts), "yes" if alarm else "no", decision,
-        " flagged-qrs-disagreement" if res.report.get("qrs_flagged") else "")
-
-
-def _summarise_all(manifests, parsed, now_ms):
-    return [_summarise(doc, parsed, now_ms) for doc in manifests]
-
-
-@contextlib.contextmanager
-def forked(fn, *args):
-    """Runs fn(*args) in a forked child while the caller goes on, and yields
-    a function that waits for the child and returns fn's result, raises
-    what fn raised, or raises ChildProcessError("exited with status S")
-    when the child died before reporting; the caller names the child. The
-    child streams (exception or None, result) into a pipe at pickle
-    protocol 5 and leaves with os._exit, so no atexit handler or stdio
-    buffer of the parent runs twice. It is reaped on every path, killed
-    first if it still runs. Under `edgevitals run` nothing has imported
-    numpy, whose BLAS starts threads, before the first fork, so the parent
-    forks with one thread."""
-    sys.stdout.flush()
-    sys.stderr.flush()
-    fd_in, fd_out = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(fd_in)
-        os.close(fd_out)
-        raise
-    if pid == 0:
-        status = 1
+def _summarise(docs, now_ms):
+    """Runs each manifest's patient and returns its (alarm, error, summary
+    line): all the parent needs, so a worker sends back no PipelineResult."""
+    summaries = []
+    for doc in docs:
+        pid = doc["patient_id"]
         try:
-            os.close(fd_in)
+            store = MeasurementStore(doc["store_dir"] or os.path.join(doc["out_dir"], "store"))
+            res = run_patient(
+                pid, store, doc["config"], doc["rules"], now_ms, doc["out_dir"],
+                ecg_csv=doc["ecg"], ecg_rate_hz=doc["ecg_rate_hz"], resp_csv=doc["respiration"],
+                resp_rate_hz=doc["resp_rate_hz"], measurements_csv=doc["measurements"],
+                model=doc["model"])
+        except Exception as exc:
+            summaries.append((False, True, "%s error=%s: %s" % (pid, type(exc).__name__, exc)))
+            continue
+        # decide_transmission sends at once exactly when an ALARM fired
+        alarm = res.decision is Urgency.IMMEDIATE
+        decision = res.decision.value if res.decision else "HOLD"
+        summaries.append((alarm, False, "%s alerts=%d alarm=%s decision=%s%s" % (
+            pid, len(res.alerts), "yes" if alarm else "no", decision,
+            " flagged-qrs-disagreement" if res.report.get("qrs_flagged") else "")))
+    return summaries
+
+
+def _summarise_forked(docs, now_ms, jobs):
+    """Each manifest's summary, from `jobs` forked workers: worker k runs
+    the share docs[k::jobs] and pickles its summaries into a pipe once, at
+    the end. Workers inherit the manifests with their parsed inputs, so
+    nothing else is pickled. A worker that dies, or raises, fails only its
+    own share. When a pipe or fork fails, no further worker is forked and
+    the parent runs the shares left over itself. Workers leave with
+    os._exit, so no atexit handler or stdio buffer of the parent runs twice,
+    and each is reaped, killed first if the parent leaves early. Under
+    `edgevitals run` nothing has imported numpy, whose BLAS starts threads,
+    before the first fork, so the parent forks with one thread."""
+    summaries = [None] * len(docs)
+    workers = []  # (share index, pid, read end of its pipe), in share order
+    try:
+        for k in range(jobs):
             try:
-                payload = (None, fn(*args))
-            except Exception as exc:
-                payload = (exc, None)
-            with os.fdopen(fd_out, "wb") as fh:
-                pickle.dump(payload, fh, protocol=5)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(fd_out)
-    pipe = os.fdopen(fd_in, "rb")
-    reaped = False
-
-    def wait():
-        nonlocal reaped
-        try:
-            payload = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            payload = None
-        pipe.close()
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        if payload is None:
-            raise ChildProcessError(
-                "exited with status %d" % os.waitstatus_to_exitcode(status))
-        exc, result = payload
-        if exc is not None:
-            raise exc
-        return result
-
-    try:
-        yield wait
+                fd_in, fd_out = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd_in)
+                os.close(fd_out)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(fd_in)
+                    with os.fdopen(fd_out, "wb") as fh:
+                        pickle.dump(_summarise(docs[k::jobs], now_ms), fh, protocol=5)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(fd_out)
+            workers.append((k, pid, os.fdopen(fd_in, "rb")))
+        for k in range(len(workers), jobs):
+            summaries[k::jobs] = _summarise(docs[k::jobs], now_ms)
+        while workers:
+            k, pid, pipe = workers[0]
+            with pipe:
+                try:
+                    share = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    share = None
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            summaries[k::jobs] = share or [
+                (False, True, "%s error=ChildProcessError: worker exited with status %d before "
+                 "reporting, so its run may have finished"
+                 % (doc["patient_id"], os.waitstatus_to_exitcode(status)))
+                for doc in docs[k::jobs]]
     finally:
-        pipe.close()
-        if not reaped:
+        for _, pid, pipe in workers:
+            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _summarise_forked(manifests, parsed, now_ms, jobs):
-    """Each manifest's summary, from `jobs` forked workers: worker k runs
-    the share manifests[k::jobs] and sends back its summaries once, at the
-    end. Workers inherit the manifests and the parsed inputs, so nothing
-    else is pickled. A worker that dies fails only its own share."""
-    shares = [manifests[k::jobs] for k in range(jobs)]
-    summaries = [None] * len(manifests)
-    with contextlib.ExitStack() as stack:
-        waits = [stack.enter_context(forked(_summarise_all, share, parsed, now_ms))
-                 for share in shares]
-        for k, (share, wait) in enumerate(zip(shares, waits)):
-            try:
-                summaries[k::jobs] = wait()
-            except ChildProcessError as exc:
-                summaries[k::jobs] = [(False, True, "%s error=ChildProcessError: worker %s before "
-                                       "reporting, so its run may have finished"
-                                       % (doc["patient_id"], exc)) for doc in share]
     return summaries
 
 
@@ -288,12 +258,11 @@ def cmd_run(args):
     ids = [m["patient_id"] for m in manifests]
     if len(set(ids)) != len(ids):
         raise UsageError("duplicate patient_id across manifests")
-    parsed = _parse_inputs(zip(args.manifest, manifests))
+    _parse_inputs(zip(args.manifest, manifests))
     if args.jobs > 1 and len(manifests) > 1:
-        summaries = _summarise_forked(manifests, parsed, now_ms,
-                                      min(args.jobs, len(manifests)))
+        summaries = _summarise_forked(manifests, now_ms, min(args.jobs, len(manifests)))
     else:
-        summaries = _summarise_all(manifests, parsed, now_ms)
+        summaries = _summarise(manifests, now_ms)
     for _, (_, _, line) in sorted(zip(ids, summaries), key=lambda ps: ps[0]):
         print(line)
     if any(error for _, error, _ in summaries):

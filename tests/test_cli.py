@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -395,25 +396,29 @@ class TestRunBatch:
         real = cli._parse_file
 
         def counting(key, path):
-            calls.append(key)
+            calls.append((key, path))
             return real(key, path)
 
-        shared = []
+        docs = []
         real_inputs = cli._parse_inputs
 
-        def keeping(manifests):
-            shared.append(real_inputs(manifests))
-            return shared[-1]
+        def keeping(pairs):
+            pairs = list(pairs)
+            docs.extend(doc for _, doc in pairs)
+            real_inputs(pairs)
 
         monkeypatch.setattr(cli, "_parse_file", counting)
         monkeypatch.setattr(cli, "_parse_inputs", keeping)
         capsys.readouterr()
         assert main(["run", *manifests, "--now", NOW, "--jobs", jobs]) == 0
-        assert sorted(calls) == ["config", "model", "rules"]
+        assert sorted(key for key, _ in calls) == ["config", "model", "rules"]
         assert len(capsys.readouterr().out.splitlines()) == 3
-        # what the patients shared is what a fresh parse of the files gives
-        for (key, path), parsed in shared[0].items():
-            fresh = real(key, path)
+        assert len(docs) == 3
+        # the patients shared one object per file, and after their runs it
+        # is still what a fresh parse of the file gives
+        for key, path in calls:
+            assert len({id(doc[key]) for doc in docs}) == 1
+            parsed, fresh = docs[0][key], real(key, path)
             if key == "model":
                 assert model_to_json(parsed) == model_to_json(fresh)
             elif key == "config":
@@ -468,11 +473,11 @@ class TestRunBatch:
             "import sys\n"
             "from edgevitals import cli\n"
             "POOL = ('multiprocessing', 'concurrent.futures')\n"
-            "real = cli._run_one\n"
-            "def checking(doc, parsed, now_ms):\n"
+            "real = cli.run_patient\n"
+            "def checking(*args, **kwargs):\n"
             "    assert not any(m in sys.modules for m in POOL), 'a worker loaded a pool module'\n"
-            "    return real(doc, parsed, now_ms)\n"
-            "cli._run_one = checking\n"
+            "    return real(*args, **kwargs)\n"
+            "cli.run_patient = checking\n"
             "code = cli.main(%r)\n"
             "sys.exit(code or sorted(m for m in POOL if m in sys.modules) or 0)\n"
             % ["run", *manifests, "--now", NOW, "--jobs", "2"])
@@ -652,14 +657,14 @@ class TestForkedJobs:
 
     def test_jobs_run_patients_in_worker_processes(self, tmp_path, capsys, monkeypatch):
         pids = tmp_path / "pids"
-        real = cli._run_one
+        real = cli.run_patient
 
-        def recording(doc, parsed, now_ms):
+        def recording(*args, **kwargs):
             with open(pids, "a") as fh:
                 fh.write("%d\n" % os.getpid())
-            return real(doc, parsed, now_ms)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_run_one", recording)
+        monkeypatch.setattr(cli, "run_patient", recording)
         manifests = [shared_store_manifest(tmp_path, "p%d" % i, HEALTHY_CSV) for i in range(4)]
         assert main(["run", *manifests, "--now", NOW, "--jobs", "2"]) == 0
         workers = [int(pid) for pid in pids.read_text().split()]
@@ -678,12 +683,12 @@ class TestForkedJobs:
         return fresh_python(
             "import os, sys\n"
             "from edgevitals import cli\n"
-            "real = cli._run_one\n"
-            "def dying(doc, parsed, now_ms):\n"
-            "    if doc['patient_id'] == %r:\n"
+            "real = cli.run_patient\n"
+            "def dying(patient_id, *args, **kwargs):\n"
+            "    if patient_id == %r:\n"
             "        os._exit(3)\n"
-            "    return real(doc, parsed, now_ms)\n"
-            "cli._run_one = dying\n"
+            "    return real(patient_id, *args, **kwargs)\n"
+            "cli.run_patient = dying\n"
             "sys.exit(cli.main(%r))\n" % (dying, argv))
 
     def test_a_dead_worker_fails_the_run_without_hanging(self, tmp_path):
@@ -712,6 +717,44 @@ class TestForkedJobs:
         # p-a finished before its worker died; p-c's death ended p-e and p-g unrun
         assert (tmp_path / "out" / "p-a").is_dir()
         assert not any((tmp_path / "out" / pid).exists() for pid in ("p-c", "p-e", "p-g"))
+
+    @pytest.mark.parametrize("call, nth", [("fork", 1), ("fork", 2), ("pipe", 2)])
+    def test_a_failed_fork_runs_the_shares_left_over_in_the_run_process(
+            self, tmp_path, capsys, monkeypatch, call, nth):
+        # the nth os.pipe or os.fork fails as it does when the system is
+        # out of processes; the workers already forked go on
+        runs = {}
+        for jobs in ("1", "2"):
+            work = tmp_path / ("jobs-" + jobs)
+            work.mkdir()
+            manifests = [shared_store_manifest(work, pid, HEALTHY_CSV)
+                         for pid in ("p-a", "p-b", "p-d")]
+            manifests.insert(2, shared_store_manifest(
+                work, "p-c", HEALTHY_CSV + "HEART_RATE,130.0,2000\n"))
+            with monkeypatch.context() as m:
+                if jobs == "2":
+                    real, calls = getattr(os, call), []
+
+                    def failing():
+                        calls.append(1)
+                        if len(calls) == nth:
+                            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                        return real()
+
+                    m.setattr(os, call, failing)
+                code = main(["run", *manifests, "--now", NOW, "--jobs", jobs])
+            files = {str(p.relative_to(work)): p.read_bytes()
+                     for p in sorted(work.rglob("*")) if p.is_file()}
+            runs[jobs] = code, capsys.readouterr().out, files
+        assert len(calls) == nth
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert runs["2"] == runs["1"]
+        code, out, files = runs["1"]
+        assert code == 2
+        assert out.splitlines() == [
+            "p-a alerts=0 alarm=no decision=SCHEDULED", "p-b alerts=0 alarm=no decision=SCHEDULED",
+            "p-c alerts=1 alarm=yes decision=IMMEDIATE", "p-d alerts=0 alarm=no decision=SCHEDULED"]
 
     @pytest.mark.parametrize("jobs, extra", [("2", 0), ("3", 2)])
     def test_forked_and_in_process_batches_write_the_same_bytes(self, tmp_path, capsys, jobs,
