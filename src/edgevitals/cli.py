@@ -12,12 +12,14 @@ or model file that does not parse). `run` finds every usage problem before
 any patient runs. A patient that fails in `run` prints
 `<id> error=<Type>: <message>` and the others still run; the exit code is
 then 1. `run --jobs N` forks min(N, patients) workers, and worker k runs
-every Nth manifest from the k-th; a worker that dies fails only its own
-patients, each with `<id> error=ChildProcessError: ...`, and the shares of
-workers that could not be forked run in the `run` process itself.
+every Nth manifest from the k-th, reporting each patient as its run ends;
+a worker that dies fails only those of its patients it has not reported,
+each with `<id> error=ChildProcessError: ...`, and the shares of workers
+that could not be forked run in the `run` process itself.
 """
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -191,10 +193,15 @@ def _summarise(docs, now_ms):
 
 def _summarise_forked(docs, now_ms, jobs):
     """Each manifest's summary, from `jobs` forked workers: worker k runs
-    the share docs[k::jobs] and pickles its summaries into a pipe once, at
-    the end. Workers inherit the manifests with their parsed inputs, so
-    nothing else is pickled. A worker that dies, or raises, fails only its
-    own share. When a pipe or fork fails, no further worker is forked and
+    the share docs[k::jobs] and pickles each patient's summary into a pipe
+    as that patient's run ends. Workers inherit the manifests with their
+    parsed inputs, so nothing else is pickled. A worker that dies, or
+    raises, fails only those of its patients it has not reported. The
+    parent reads the pipes in share order, each until EOF. A clean run's
+    summary pickles to 60-95 B, so a share of up to about 700 patients (a
+    1000-patient batch under --jobs 2) fits the 64 KiB pipe buffer; a
+    worker with a larger share waits in a write until the parent reaches
+    its pipe. When a pipe or fork fails, no further worker is forked and
     the parent runs the shares left over itself. Workers leave with
     os._exit, so no atexit handler or stdio buffer of the parent runs twice,
     and each is reaped, killed first if the parent leaves early. Under
@@ -215,32 +222,32 @@ def _summarise_forked(docs, now_ms, jobs):
                 os.close(fd_out)
                 break
             if pid == 0:
-                status = 1
                 try:
                     os.close(fd_in)
                     with os.fdopen(fd_out, "wb") as fh:
-                        pickle.dump(_summarise(docs[k::jobs], now_ms), fh, protocol=5)
-                    status = 0
+                        for doc in docs[k::jobs]:
+                            pickle.dump(_summarise([doc], now_ms)[0], fh, protocol=5)
+                            fh.flush()
+                    os._exit(0)
                 finally:
-                    os._exit(status)
+                    os._exit(1)  # the share raised
             os.close(fd_out)
             workers.append((k, pid, os.fdopen(fd_in, "rb")))
         for k in range(len(workers), jobs):
             summaries[k::jobs] = _summarise(docs[k::jobs], now_ms)
         while workers:
             k, pid, pipe = workers[0]
-            with pipe:
-                try:
-                    share = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    share = None
+            share = []
+            with pipe, contextlib.suppress(EOFError, pickle.UnpicklingError):
+                while True:
+                    share.append(pickle.load(pipe))
             status = os.waitpid(pid, 0)[1]
             del workers[0]
-            summaries[k::jobs] = share or [
+            summaries[k::jobs] = share + [
                 (False, True, "%s error=ChildProcessError: worker exited with status %d before "
                  "reporting, so its run may have finished"
                  % (doc["patient_id"], os.waitstatus_to_exitcode(status)))
-                for doc in docs[k::jobs]]
+                for doc in docs[k::jobs][len(share):]]
     finally:
         for _, pid, pipe in workers:
             pipe.close()

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import butter_sos, sosfiltfilt
-from .signal_core import SignalKind
 
 __all__ = [
     "WaveletDecomposition",
@@ -58,8 +57,6 @@ class WaveletDecomposition:
 def remove_baseline_linear(signal, cutoff_hz=0.5, order=2):
     """High-pass the ECG to strip baseline wander. Zero-phase, so QRS
     morphology is not skewed."""
-    if signal.kind is not SignalKind.ECG:
-        raise ValueError("baseline removal applies to ECG signals")
     nyquist = signal.rate_hz / 2.0
     if not (0 < cutoff_hz < nyquist):
         raise ValueError("cutoff must lie in (0, Nyquist)")

@@ -10,8 +10,9 @@ Steps (each optional input skips its branch):
      heart rate, stored as a HEART_RATE measurement so rules can see it.
   3. Respiration: windowed dominant-frequency rate (stored as a
      RESPIRATION_RATE measurement) and breath-volume features.
-     Steps 2 and 3 live in `signal_features`, imported only for a patient
-     with a recording, so a measurement-only run loads no numpy.
+     Steps 2 and 3 live in `signal_features`, which alone decides what a
+     recording yields; it is imported only for a patient with a recording,
+     so a measurement-only run loads no numpy.
   4. One store ingest of the CSV rows and the derived rates; rows the
      store rejects are listed in the report by line and reason.
   5. One view of the patient's history up to --now (`rules.history_view`):
@@ -40,10 +41,8 @@ from .classify.weighted import weighted_index
 from .errors import IngestionError, NoDataError
 from .messaging import OutboundMessage, Urgency, build_message_xml, decide_transmission
 from .rules import (
-    AcquisitionMode,
     Alert,
     MeasurementKind,
-    MeasurementRecord,
     Severity,
     ascii_number,
     evaluate_with_report,
@@ -139,20 +138,6 @@ def _feature_vector(features, by_kind, by_name):
     return FeatureVector.from_mapping(schema, mapping)
 
 
-def _derived_records(patient_id, features, ecg_end_ms, resp_end_ms):
-    """The rates the recordings yield as SILENT store records, each
-    stamped with the end time of the recording it came from (None when
-    that recording was not given)."""
-    out = []
-    for end_ms, kind, name in ((ecg_end_ms, MeasurementKind.HEART_RATE, "mean_heart_rate_bpm"),
-                               (resp_end_ms, MeasurementKind.RESPIRATION_RATE,
-                                "respiration_rate_bpm")):
-        if end_ms is not None and name in features:
-            out.append(MeasurementRecord(patient_id, kind, features[name], end_ms,
-                                         AcquisitionMode.SILENT))
-    return out
-
-
 def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
                 ecg_csv=None, ecg_rate_hz=250.0,
                 resp_csv=None, resp_rate_hz=25.0,
@@ -162,18 +147,19 @@ def run_patient(patient_id, store, cfg, ruleset, now_ms, out_dir,
 
     rows = read_measurements_csv(measurements_csv, patient_id) if measurements_csv else []
 
-    ecg_end_ms = resp_end_ms = None
     # the signal layers load numpy and scipy; measurement-only runs skip them
     if ecg_csv or resp_csv:
         from . import signal_features
+    # one append; the CSV rows come first in the log, then the recordings' rates
     if ecg_csv:
-        beats_csv, disagreement, ecg_end_ms = signal_features.ecg_features(
-            ecg_csv, ecg_rate_hz, cfg, features)
+        ecg, beats_csv, disagreement, records = signal_features.ecg_features(
+            ecg_csv, ecg_rate_hz, cfg, patient_id)
+        features.update(ecg)
+        rows += records
     if resp_csv:
-        resp_end_ms = signal_features.resp_features(resp_csv, resp_rate_hz, cfg, features)
-
-    # one append; the CSV rows come first in the log, then the derived rates
-    rows += _derived_records(patient_id, features, ecg_end_ms, resp_end_ms)
+        resp, records = signal_features.resp_features(resp_csv, resp_rate_hz, cfg, patient_id)
+        features.update(resp)
+        rows += records
     rejected = [{"line": row["line"], "reason": reason}
                 for row, reason in store.ingest(rows).rejections]
 

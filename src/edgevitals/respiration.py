@@ -10,7 +10,7 @@ per-breath excursions of the calibrated signal.
 import numpy as np
 
 from .errors import NoDataError
-from .signal_core import SignalKind, dft_magnitude, hamming_window
+from .signal_core import dft_magnitude, hamming_window
 
 __all__ = [
     "respiration_rate",
@@ -21,17 +21,11 @@ __all__ = [
 F_MAX_HZ = 2.0
 
 
-def _check_respiration(signal):
-    if signal.kind is not SignalKind.RESPIRATION:
-        raise ValueError("expected a respiration signal")
-
-
 def respiration_rate(signal, window_s=60.0):
     """Breaths per minute per back-to-back window: Hamming window, DFT, and
     the argmax magnitude over (0, F_MAX_HZ] times 60. DC is excluded and
     ties resolve to the lower bin. A window with no bin in that band, an
     empty or one-sample window among them, raises NoDataError."""
-    _check_respiration(signal)
     if signal.duration_seconds < window_s:
         raise NoDataError("signal shorter than one window")
     samples, rate = signal.samples, signal.rate_hz
@@ -65,7 +59,6 @@ def volume_features(signal, calibration):
     divided by the units-per-litre calibration, keyed by feature name:
     tidal_volume_l, vital_capacity_l.
     """
-    _check_respiration(signal)
     if not (calibration > 0):
         raise ValueError("calibration must be positive")
     y = signal.samples - np.mean(signal.samples)

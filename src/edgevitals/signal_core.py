@@ -1,6 +1,5 @@
 """Shared signal representation and spectral primitives."""
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,17 +7,11 @@ import numpy as np
 from .errors import IngestionError
 
 __all__ = [
-    "SignalKind",
     "SampledSignal",
     "hamming_window",
     "dft_magnitude",
     "read_signal_csv",
 ]
-
-
-class SignalKind(enum.Enum):
-    ECG = "ECG"
-    RESPIRATION = "RESPIRATION"
 
 
 @dataclass(frozen=True)
@@ -29,7 +22,6 @@ class SampledSignal:
     samples: np.ndarray
     rate_hz: float
     start_time_ms: int = 0
-    kind: SignalKind = SignalKind.ECG
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -49,7 +41,7 @@ class SampledSignal:
         return len(self.samples) / self.rate_hz
 
     def replace_samples(self, samples):
-        return SampledSignal(samples, self.rate_hz, self.start_time_ms, self.kind)
+        return SampledSignal(samples, self.rate_hz, self.start_time_ms)
 
 
 def hamming_window(n):
@@ -76,7 +68,7 @@ def dft_magnitude(samples):
 _JITTER_CHUNK = 1 << 16  # samples per step of the timestamp jitter check
 
 
-def read_signal_csv(path, rate_hz, kind):
+def read_signal_csv(path, rate_hz):
     """Load a `timestamp_ms,value` CSV as a uniformly sampled signal.
 
     The declared rate is validated against the timestamps: every
@@ -125,4 +117,4 @@ def read_signal_csv(path, rate_hz, kind):
                 "%s: timestamp jitter %.3f ms exceeds 1%% of the %.3f ms period"
                 % (path, worst, period_ms)
             )
-    return SampledSignal(values, rate_hz, int(round(ts[0])), kind)
+    return SampledSignal(values, rate_hz, int(round(ts[0])))

@@ -1,6 +1,8 @@
 """The ECG and respiration branches of a patient run.
 
-Each branch reads its recording's CSV and turns it into features. This
+Each branch reads its recording's CSV and returns what the recording
+yields: its features, and its rate as a SILENT store record stamped with
+the recording's end time (none when the recording gives no rate). This
 module alone imports the signal layers, and with them numpy and scipy's
 compiled filter and peak kernels (not scipy's signal package);
 `pipeline.run_patient` imports it only for a patient whose manifest gives
@@ -24,23 +26,26 @@ from .qrs_detect import (
     rr_from_peaks,
 )
 from .respiration import respiration_rate, volume_features
-from .signal_core import SignalKind, read_signal_csv
+from .rules import AcquisitionMode, MeasurementKind, MeasurementRecord
+from .signal_core import read_signal_csv
 
 __all__ = ["ecg_features", "resp_features"]
 
 
-def _end_ms(signal):
-    return signal.start_time_ms + int(round(signal.duration_seconds * 1000.0))
+def _rate_record(patient_id, kind, rate, signal):
+    """rate as a SILENT record of kind, stamped with the signal's end time."""
+    end_ms = signal.start_time_ms + int(round(signal.duration_seconds * 1000.0))
+    return MeasurementRecord(patient_id, kind, rate, end_ms, AcquisitionMode.SILENT)
 
 
-def ecg_features(path, rate_hz, cfg, features):
-    """The ECG branch; returns (beats.csv text, QRS disagreement %, end time).
-    It reads the CSV at path, sampled at rate_hz, and alone holds the
-    samples, dropping each stage's input once that stage's output exists:
-    the raw samples after baseline removal, the cleaned ones after the
-    denoise, before Pan-Tompkins runs."""
-    signal = read_signal_csv(path, rate_hz, SignalKind.ECG)
-    end_ms = _end_ms(signal)
+def ecg_features(path, rate_hz, cfg, patient_id):
+    """The ECG branch; returns (features, beats.csv text, QRS disagreement
+    %, records). It reads the CSV at path, sampled at rate_hz, and alone
+    holds the samples, dropping each stage's input once that stage's output
+    exists: the raw samples after baseline removal, the cleaned ones after
+    the denoise, before Pan-Tompkins runs. Every stage keeps the start time
+    and sample count, so the denoised signal ends where the recording does."""
+    signal = read_signal_csv(path, rate_hz)
     pre = cfg["preprocess"]
     if pre["baseline_method"] == "linear":
         cleaned = remove_baseline_linear(signal, pre["highpass_cutoff_hz"],
@@ -65,6 +70,7 @@ def ecg_features(path, rate_hz, cfg, features):
         disagreement = abs(n_pt - n_wv) / max(n_pt, n_wv) * 100.0
     peaks = pt_peaks if qcfg["detector"] == "pan_tompkins" else wv_peaks
     rr = rr_from_peaks(peaks, den.rate_hz, den.start_time_ms)
+    features, records = {}, []
     if len(rr) >= 2:
         # a feature the series lacks the data for is left blank
         features.update(hrv.time_features(rr))
@@ -73,21 +79,26 @@ def ecg_features(path, rate_hz, cfg, features):
             features.update(hrv.band_powers(rr))
         except NoDataError:
             pass
-    return annotations_to_csv(annotations), disagreement, end_ms
+        records.append(_rate_record(patient_id, MeasurementKind.HEART_RATE,
+                                    features["mean_heart_rate_bpm"], den))
+    return features, annotations_to_csv(annotations), disagreement, records
 
 
-def resp_features(path, rate_hz, cfg, features):
-    """The respiration branch; returns the recording's end time."""
-    signal = read_signal_csv(path, rate_hz, SignalKind.RESPIRATION)
+def resp_features(path, rate_hz, cfg, patient_id):
+    """The respiration branch; returns (features, records)."""
+    signal = read_signal_csv(path, rate_hz)
     rcfg = cfg["respiration"]
     try:
         rates = respiration_rate(signal, window_s=rcfg["window_s"])
     except NoDataError:
         rates = []
+    features, records = {}, []
     if len(rates):
         features["respiration_rate_bpm"] = float(sum(rates) / len(rates))
+        records.append(_rate_record(patient_id, MeasurementKind.RESPIRATION_RATE,
+                                    features["respiration_rate_bpm"], signal))
     try:
         features.update(volume_features(signal, rcfg["calibration"]))
     except NoDataError:
         pass
-    return _end_ms(signal)
+    return features, records

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgevitals.signal_core import SampledSignal, SignalKind
+from edgevitals.signal_core import SampledSignal
 
 
 def qrs_shape(t):
@@ -72,12 +72,11 @@ def write_signal_csv(path, samples, fs, start_ms=0):
 
 
 def ecg_signal(samples, fs=250.0, start_ms=0):
-    return SampledSignal(np.asarray(samples, dtype=float), fs, start_ms, SignalKind.ECG)
+    return SampledSignal(np.asarray(samples, dtype=float), fs, start_ms)
 
 
 def resp_signal(samples, fs=25.0, start_ms=0):
-    return SampledSignal(np.asarray(samples, dtype=float), fs, start_ms,
-                         SignalKind.RESPIRATION)
+    return SampledSignal(np.asarray(samples, dtype=float), fs, start_ms)
 
 
 @pytest.fixture

@@ -51,7 +51,7 @@ from edgevitals.rules import (
     parse_rules,
     report_to_json_line,
 )
-from edgevitals.signal_core import SampledSignal, SignalKind, dft_magnitude
+from edgevitals.signal_core import SampledSignal, dft_magnitude
 from edgevitals.store import MeasurementStore
 
 S, L, W = ClassLabel.STABLE, ClassLabel.LIGHT_WORSENING, ClassLabel.WORSENING
@@ -69,7 +69,7 @@ def _verdict(capsys, num, slug, ok, detail=""):
 
 
 def _ecg(samples, fs=250.0):
-    return SampledSignal(np.asarray(samples, dtype=float), fs, 0, SignalKind.ECG)
+    return SampledSignal(np.asarray(samples, dtype=float), fs, 0)
 
 
 def test_criterion_01_dft_oracle(capsys):

@@ -25,7 +25,7 @@ from edgevitals.cli import main
 from edgevitals.errors import IngestionError
 from edgevitals.messaging import parse_message_xml
 from edgevitals.rules import MeasurementKind, MeasurementRecord
-from edgevitals.signal_core import SignalKind, read_signal_csv
+from edgevitals.signal_core import read_signal_csv
 from edgevitals.store import MeasurementStore
 
 RULES = """<rules>
@@ -707,15 +707,15 @@ class TestForkedJobs:
         assert proc.returncode == 1, proc.stderr
         lines = proc.stdout.splitlines()
         assert [line.split()[0] for line in lines] == patients
+        # the first worker's share is p-a, p-c, p-e, p-g: p-a finished and
+        # was reported before p-c's death ended p-e and p-g unrun
         for pid, line in zip(patients, lines):
-            if pid in ("p-a", "p-c", "p-e", "p-g"):  # the first worker's share
+            if pid in ("p-c", "p-e", "p-g"):
                 assert line == ("%s error=ChildProcessError: worker exited with status 3 "
                                 "before reporting, so its run may have finished" % pid)
             else:
                 assert line == "%s alerts=0 alarm=no decision=SCHEDULED" % pid
                 assert (tmp_path / "out" / pid / "message.xml").is_file()
-        # p-a finished before its worker died; p-c's death ended p-e and p-g unrun
-        assert (tmp_path / "out" / "p-a").is_dir()
         assert not any((tmp_path / "out" / pid).exists() for pid in ("p-c", "p-e", "p-g"))
 
     @pytest.mark.parametrize("call, nth", [("fork", 1), ("fork", 2), ("pipe", 2)])
@@ -809,7 +809,7 @@ class TestEcgReader:
         with open(ecg, "w") as fh:
             fh.write(BAD_ECG[case])
         with pytest.raises(IngestionError) as expected:
-            read_signal_csv(ecg, 250.0, SignalKind.ECG)
+            read_signal_csv(ecg, 250.0)
         assert main(["run", *manifests, "--now", NOW]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "p-ecg error=IngestionError: %s" % expected.value,

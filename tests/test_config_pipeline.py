@@ -445,11 +445,25 @@ class TestPipelineSinglePass:
         assert [a.rule_id for a in result.alerts] == ["hr-high", "stress-index"]
         assert views == [("p1", 60000)]
 
-    def test_one_append_per_run(self, tmp_path, monkeypatch):
-        samples, _ = synth_ecg(70, duration_s=120.0)
-        write_signal_csv(str(tmp_path / "ecg.csv"), samples, 250.0)
-        t = np.arange(int(120 * 25.0)) / 25.0
-        write_signal_csv(str(tmp_path / "resp.csv"), np.sin(2 * np.pi * 0.25 * t), 25.0)
+    # ((bpm, seconds) of ECG, seconds of respiration, the rate records that
+    # follow the CSV rows): a respiration window is 60 s, and 6 s of ECG at
+    # 20 bpm holds one RR interval, so neither gives a rate
+    @pytest.mark.parametrize("ecg, resp_s, rates", [
+        ((70, 120.0), 120.0, [("HEART_RATE", 120000), ("RESPIRATION_RATE", 120000)]),
+        (None, 120.0, [("RESPIRATION_RATE", 120000)]),
+        (None, 30.0, []),
+        ((20, 6.0), None, []),
+    ], ids=["both", "respiration-only", "respiration-under-a-window", "ecg-one-rr"])
+    def test_one_append_per_run(self, tmp_path, monkeypatch, ecg, resp_s, rates):
+        inputs = {}
+        if ecg:
+            samples, _ = synth_ecg(ecg[0], duration_s=ecg[1])
+            write_signal_csv(str(tmp_path / "ecg.csv"), samples, 250.0)
+            inputs["ecg_csv"] = str(tmp_path / "ecg.csv")
+        if resp_s:
+            t = np.arange(int(resp_s * 25.0)) / 25.0
+            write_signal_csv(str(tmp_path / "resp.csv"), np.sin(2 * np.pi * 0.25 * t), 25.0)
+            inputs["resp_csv"] = str(tmp_path / "resp.csv")
         (tmp_path / "meas.csv").write_text("kind,value,timestamp_ms\n"
                                           "BODY_WEIGHT,70.0,1000\n"
                                           "BODY_WEIGHT,nan,2000\n"
@@ -465,14 +479,11 @@ class TestPipelineSinglePass:
         monkeypatch.setattr(MeasurementStore, "_append", counting)
         store = MeasurementStore(str(tmp_path / "store"))
         result = run_patient("p1", store, default_config(), parse_rules(RULES),
-                             now_ms=120000, ecg_csv=str(tmp_path / "ecg.csv"),
-                             resp_csv=str(tmp_path / "resp.csv"),
-                             measurements_csv=str(tmp_path / "meas.csv"),
-                             out_dir=str(tmp_path / "out"))
-        assert appends == [4]
+                             now_ms=120000, measurements_csv=str(tmp_path / "meas.csv"),
+                             out_dir=str(tmp_path / "out"), **inputs)
+        assert appends == [2 + len(rates)]
         assert [(r.kind.value, r.timestamp_ms) for r in store.log_records("p1")] == [
-            ("BODY_WEIGHT", 1000), ("BODY_TEMPERATURE", 3000),
-            ("HEART_RATE", 120000), ("RESPIRATION_RATE", 120000)]
+            ("BODY_WEIGHT", 1000), ("BODY_TEMPERATURE", 3000), *rates]
         assert result.report["rejected_rows"] == [
             {"line": 3, "reason": "measurement value must be finite"}]
 
@@ -648,27 +659,30 @@ class TestPipelineMeasurementsOnly:
         assert "rejected_rows" not in result.report
 
 
-def run_resp_patient(tmp_path, cfg=None):
+def run_resp_patient(tmp_path, cfg=None, start_ms=0):
     fs = 25.0
     t = np.arange(int(120 * fs)) / fs
     samples = 1.5 * np.sin(2 * np.pi * 0.25 * t)
     resp_path = tmp_path / "resp.csv"
-    write_signal_csv(str(resp_path), samples, fs)
+    write_signal_csv(str(resp_path), samples, fs, start_ms)
     store = MeasurementStore(str(tmp_path / "store"))
     result = run_patient("p1", store, cfg or default_config(), parse_rules(RULES),
-                         now_ms=120000, resp_csv=str(resp_path),
+                         now_ms=120000 + start_ms, resp_csv=str(resp_path),
                          out_dir=str(tmp_path / "out"))
     return result, store
 
 
 class TestPipelineRespiration:
-    def test_respiration_features_and_injection(self, tmp_path):
-        result, store = run_resp_patient(tmp_path)
+    @pytest.mark.parametrize("start_ms", [0, 7000])
+    def test_respiration_features_and_injection(self, tmp_path, start_ms):
+        result, store = run_resp_patient(tmp_path, start_ms=start_ms)
         assert abs(result.features["respiration_rate_bpm"] - 15.0) <= 1.0
         # peak-to-trough excursion of a +-1.5 sine at calibration 1.0
         assert abs(result.features["tidal_volume_l"] - 3.0) < 1e-6
         rr = [r for r in store.records("p1") if r.kind is MeasurementKind.RESPIRATION_RATE]
         assert len(rr) == 1 and rr[0].mode is AcquisitionMode.SILENT
+        # stamped with the recording's end: its start plus 120 s
+        assert rr[0].timestamp_ms == start_ms + 120000
 
     def test_respiration_rate_computed_once(self, tmp_path, monkeypatch):
         calls = []

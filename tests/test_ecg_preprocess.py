@@ -14,9 +14,8 @@ from edgevitals.ecg_preprocess import (
     remove_baseline_poly,
     select_pq_knots,
 )
-from edgevitals.signal_core import SampledSignal, SignalKind
 
-from conftest import ecg_signal, match_beats, qrs_shape, resp_signal, synth_ecg
+from conftest import ecg_signal, match_beats, qrs_shape, synth_ecg
 
 
 class TestDb4Taps:
@@ -104,7 +103,6 @@ class TestDenoise:
         sig = ecg_signal(x, 250.0, start_ms=123)
         out = sig.replace_samples(denoise_samples(sig.samples))
         assert out.start_time_ms == 123
-        assert out.kind is SignalKind.ECG
         assert len(out.samples) == len(x)
 
 
@@ -150,10 +148,6 @@ class TestRemoveBaselineLinear:
         peaks = pan_tompkins(out)
         tp, fn, fp = match_beats(truth, peaks, 250.0)
         assert fn == 0 and fp == 0
-
-    def test_requires_ecg_kind(self):
-        with pytest.raises(ValueError):
-            remove_baseline_linear(resp_signal(np.zeros(100)))
 
     def test_cutoff_validation(self):
         sig = ecg_signal(np.zeros(1000))

@@ -20,7 +20,7 @@ from edgevitals.config import default_config
 from edgevitals.ecg_preprocess import denoise_samples
 from edgevitals.qrs_detect import pan_tompkins
 from edgevitals.rules import MeasurementKind, MeasurementRecord, parse_rules
-from edgevitals.signal_core import SignalKind, read_signal_csv
+from edgevitals.signal_core import read_signal_csv
 from edgevitals.store import MeasurementStore
 
 FS = 250.0
@@ -53,7 +53,7 @@ def test_read_signal_csv_holds_the_parsed_table_and_one_temporary(record):
     # slack: the jitter check's chunks are shorter than the record, and no
     # check holds a temporary the record's length
     samples, path = record
-    per_sample = peak_bytes_per_sample(lambda: read_signal_csv(path, FS, SignalKind.ECG),
+    per_sample = peak_bytes_per_sample(lambda: read_signal_csv(path, FS),
                                        len(samples))
     assert per_sample < 25.0
     assert len(samples) > 2 * signal_core._JITTER_CHUNK

@@ -4,7 +4,7 @@ import pytest
 from edgevitals.errors import NoDataError
 from edgevitals.respiration import respiration_rate, volume_features
 
-from conftest import ecg_signal, resp_signal
+from conftest import resp_signal
 
 FS = 25.0
 
@@ -46,10 +46,6 @@ class TestDominantFrequency:
         sig = resp_signal(breathing(0.3, 30.0), fs=FS)
         with pytest.raises(NoDataError):
             respiration_rate(sig)
-
-    def test_requires_respiration_kind(self):
-        with pytest.raises(ValueError):
-            respiration_rate(ecg_signal(breathing(0.3), fs=250.0))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_window_with_no_in_band_bin(self, n):
@@ -137,6 +133,3 @@ class TestVolumeFeatures:
         with pytest.raises(ValueError):
             volume_features(sig, calibration=0.0)
 
-    def test_requires_respiration_kind(self):
-        with pytest.raises(ValueError):
-            volume_features(ecg_signal(breathing(0.25), fs=250.0), calibration=1.0)

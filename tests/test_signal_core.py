@@ -5,7 +5,6 @@ from edgevitals import signal_core
 from edgevitals.errors import IngestionError
 from edgevitals.signal_core import (
     SampledSignal,
-    SignalKind,
     dft_magnitude,
     hamming_window,
     read_signal_csv,
@@ -93,7 +92,7 @@ class TestReadSignalCsv:
         samples = rng.normal(size=100)
         path = tmp_path / "sig.csv"
         path.write_text(signal_csv_text(samples, 250.0, start_ms=1000))
-        sig = read_signal_csv(str(path), 250.0, SignalKind.ECG)
+        sig = read_signal_csv(str(path), 250.0)
         assert np.allclose(sig.samples, samples, atol=1e-12)
         assert sig.start_time_ms == 1000
         assert sig.rate_hz == 250.0
@@ -102,19 +101,19 @@ class TestReadSignalCsv:
         path = tmp_path / "sig.csv"
         path.write_text("time,volts\n0,1\n")
         with pytest.raises(IngestionError):
-            read_signal_csv(str(path), 250.0, SignalKind.ECG)
+            read_signal_csv(str(path), 250.0)
 
     def test_rejects_one_data_column(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("timestamp_ms,value\n0\n4\n8\n")
         with pytest.raises(IngestionError, match="sig.csv: expected 2 columns, .* got 1$"):
-            read_signal_csv(str(path), 250.0, SignalKind.ECG)
+            read_signal_csv(str(path), 250.0)
 
     def test_rejects_three_data_columns(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("timestamp_ms,value\n0,1.0,9\n4,1.5,9\n8,2.0,9\n")
         with pytest.raises(IngestionError, match="sig.csv: expected 2 columns, .* got 3$"):
-            read_signal_csv(str(path), 250.0, SignalKind.ECG)
+            read_signal_csv(str(path), 250.0)
 
     def test_rejects_jitter_above_one_percent(self, tmp_path):
         period = 1000.0 / 250.0
@@ -126,7 +125,7 @@ class TestReadSignalCsv:
         path = tmp_path / "sig.csv"
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(IngestionError):
-            read_signal_csv(str(path), 250.0, SignalKind.ECG)
+            read_signal_csv(str(path), 250.0)
 
     @pytest.mark.parametrize("bad_gap", [7, 8, 16, 28])
     def test_jitter_check_reports_the_worst_gap_across_chunks(self, tmp_path, monkeypatch,
@@ -140,7 +139,7 @@ class TestReadSignalCsv:
         path = tmp_path / "sig.csv"
         path.write_text("timestamp_ms,value\n" + "".join("%r,0.0\n" % t for t in ts.tolist()))
         with pytest.raises(IngestionError, match="sig.csv: timestamp jitter 1.000 ms exceeds"):
-            read_signal_csv(str(path), 250.0, SignalKind.ECG)
+            read_signal_csv(str(path), 250.0)
 
     @pytest.mark.parametrize("bad_row", [1, 25])
     def test_rejects_nan_timestamp(self, tmp_path, bad_row):
@@ -151,7 +150,7 @@ class TestReadSignalCsv:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(IngestionError, match="sig.csv: non-finite timestamp in data row %d$"
                            % bad_row):
-            read_signal_csv(str(path), 250.0, SignalKind.ECG)
+            read_signal_csv(str(path), 250.0)
 
     def test_accepts_small_jitter(self, tmp_path, rng):
         period = 1000.0 / 250.0
@@ -162,5 +161,5 @@ class TestReadSignalCsv:
             ts += period
         path = tmp_path / "sig.csv"
         path.write_text("\n".join(rows) + "\n")
-        sig = read_signal_csv(str(path), 250.0, SignalKind.ECG)
+        sig = read_signal_csv(str(path), 250.0)
         assert len(sig.samples) == 50
